@@ -1,155 +1,38 @@
 """Qualitative representation of the relative motion of two uniformly moving discs.
 
-The squared center distance of two discs with constant velocities is a
-quadratic in time, so the sequence of topological relations they pass through
-("story") is finite and fully determined by the minimum distance relative to
-the radius sum and difference.  This package classifies motion states into
+Seen from one disc, the other moves on a straight line, so the sequence of
+topological relations they pass through ("story") is finite and fully
+determined by the closest-approach distance d_min = |dp x dv| / |dv| relative
+to the radius sum and difference.  This package classifies motion states into
 those stories, refines them with the current relation and approach phase,
 derives and validates conceptual neighborhood graphs, and recognizes motion
 patterns such as collision-avoidance maneuvers.
+
+The package level exports the common entry points; everything else is
+imported from its module (`motionstories.stories`, `.neighborhood`, ...).
 """
 
-from .kinematics import (
-    Disc,
-    QuadDistance,
-    UniformMotionState,
-    Vec2,
-    advance,
-    center_distance_at,
-    closest_approach,
-    relative_state,
-    squared_distance_poly,
-)
-from .neighborhood import (
-    DEFAULT_RCC_EDGES,
-    Cng,
-    ValidationReport,
-    motion_cng,
-    rcc_cng,
-    shortest_path,
-    to_dot,
-    to_json_adjacency,
-    validate_motion_cng,
-)
-from .oracle import (
-    SamplingPlan,
-    canonical_state,
-    default_plan,
-    rigid_state,
-    sample_story,
-    sweep_stories,
-)
-from .patterns import (
-    AVOIDANCE_PATTERN,
-    MatchResult,
-    Pattern,
-    StepMatcher,
-    control_suggestion,
-    dedup,
-    detect_avoidance,
-    match_pattern,
-)
-from .rcc import (
-    DEFAULT_TOLERANCE,
-    INVERSE,
-    RccRelation,
-    Tolerance,
-    bands_overlap,
-    classify_discs,
-)
-from .stories import (
-    MOTION_RCC,
-    NONRIGID_ORDER,
-    STORY_LABELS,
-    AugmentedRelation,
-    DegenerateMotionError,
-    Phase,
-    StoriesSet,
-    Story,
-    StoryId,
-    TemporalSequence,
-    TimedLabel,
-    UnitVec,
-    asymptotic_direction,
-    augmented_chain,
-    augmented_relation,
-    augmented_set,
-    compress,
-    extreme_relations,
-    format_story,
-    is_rigid,
-    motion_rcc_relation,
-    radius_config,
-    stories_set,
-    story_of,
-    story_to_json_dict,
-    tsr_over_interval,
-)
+from .kinematics import Disc, UniformMotionState, Vec2
+from .neighborhood import motion_cng
+from .oracle import default_plan, sample_story
+from .patterns import detect_avoidance
+from .rcc import Tolerance
+from .stories import augmented_relation, augmented_set, story_of
+from .validate import ValidationReport, validate_motion_cng
 
 __all__ = [
-    "AVOIDANCE_PATTERN",
-    "AugmentedRelation",
-    "Cng",
-    "DEFAULT_RCC_EDGES",
-    "DEFAULT_TOLERANCE",
-    "DegenerateMotionError",
     "Disc",
-    "INVERSE",
-    "MOTION_RCC",
-    "MatchResult",
-    "NONRIGID_ORDER",
-    "Pattern",
-    "Phase",
-    "QuadDistance",
-    "RccRelation",
-    "STORY_LABELS",
-    "SamplingPlan",
-    "StepMatcher",
-    "StoriesSet",
-    "Story",
-    "StoryId",
-    "TemporalSequence",
-    "TimedLabel",
     "Tolerance",
     "UniformMotionState",
-    "UnitVec",
     "ValidationReport",
     "Vec2",
-    "advance",
-    "asymptotic_direction",
-    "augmented_chain",
     "augmented_relation",
     "augmented_set",
-    "bands_overlap",
-    "canonical_state",
-    "center_distance_at",
-    "classify_discs",
-    "closest_approach",
-    "compress",
-    "control_suggestion",
-    "dedup",
     "default_plan",
     "detect_avoidance",
-    "extreme_relations",
-    "format_story",
-    "is_rigid",
-    "match_pattern",
     "motion_cng",
-    "motion_rcc_relation",
-    "radius_config",
-    "rcc_cng",
-    "relative_state",
-    "rigid_state",
     "sample_story",
-    "shortest_path",
-    "squared_distance_poly",
-    "stories_set",
     "story_of",
-    "story_to_json_dict",
-    "sweep_stories",
-    "to_dot",
-    "to_json_adjacency",
-    "tsr_over_interval",
     "validate_motion_cng",
 ]
 

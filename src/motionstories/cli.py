@@ -12,18 +12,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kinematics import (
-    Disc,
-    UniformMotionState,
-    Vec2,
-    closest_approach,
-    squared_distance_poly,
-)
+from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .neighborhood import motion_cng, rcc_cng, shortest_path, to_dot, to_json_adjacency
 from .oracle import default_plan, sample_story
 from .patterns import Pattern, detect_avoidance, match_pattern
@@ -56,6 +51,7 @@ class TrajectoryRecord:
     yk: float
     xl: float
     yl: float
+    line: int = field(default=0, compare=False)  # input line, for error messages
 
 
 @dataclass(frozen=True)
@@ -91,19 +87,19 @@ def parse_trajectory(text: str) -> list[TrajectoryRecord]:
                 f"line {lineno}: expected 5 comma-separated fields, got {len(fields)}"
             )
         values = []
-        for col, field in enumerate(fields, start=1):
+        for col, raw in enumerate(fields, start=1):
             try:
-                value = float(field)
+                value = float(raw)
             except ValueError:
                 raise TrajectoryFormatError(
-                    f"line {lineno}, column {col}: malformed number {field.strip()!r}"
+                    f"line {lineno}, column {col}: malformed number {raw.strip()!r}"
                 ) from None
             if not math.isfinite(value):
                 raise TrajectoryFormatError(
-                    f"line {lineno}, column {col}: non-finite value {field.strip()!r}"
+                    f"line {lineno}, column {col}: non-finite value {raw.strip()!r}"
                 )
             values.append(value)
-        record = TrajectoryRecord(*values)
+        record = TrajectoryRecord(*values, lineno)
         if records and record.t <= records[-1].t:
             raise TrajectoryFormatError(
                 f"line {lineno}: timestamp {record.t!r} not after {records[-1].t!r}"
@@ -143,16 +139,27 @@ def _state_at(
     )
 
 
+@contextmanager
+def _record_errors(record: TrajectoryRecord) -> Iterator[None]:
+    """Report a record that the velocity fit or the classifier cannot handle
+    (overflow, a singular fit) as a format error naming its input line."""
+    try:
+        yield
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise TrajectoryFormatError(f"line {record.line}: {exc}") from None
+
+
 def _relation_stream(
     records: Sequence[TrajectoryRecord], cfg: SceneConfig, window: int
 ) -> list[AugmentedRelation]:
     if len(records) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
     tol = cfg.tolerance
-    return [
-        augmented_relation(_state_at(records, i, cfg, window), tol)
-        for i in range(1, len(records))
-    ]
+    stream = []
+    for i in range(1, len(records)):
+        with _record_errors(records[i]):
+            stream.append(augmented_relation(_state_at(records, i, cfg, window), tol))
+    return stream
 
 
 def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[str]:
@@ -161,7 +168,7 @@ def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[st
     tol = cfg.tolerance
     if bands_overlap(cfg.r_k, cfg.r_l, tol):
         warnings.append("tolerance bands of the tangency thresholds overlap")
-    _, d_min = closest_approach(squared_distance_poly(state))
+    _, d_min = closest_approach_state(state)
     for theta in (cfg.r_k + cfg.r_l, abs(cfg.r_k - cfg.r_l)):
         gap = abs(d_min - theta)
         if tol.eps < gap <= 10.0 * tol.eps:
@@ -277,34 +284,37 @@ def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     stream = _relation_stream(records, cfg, args.window)
     for aug in stream:
         print(aug)
-    state = _state_at(records, len(records) - 1, cfg, args.window)
-    return _emit_warnings(_degenerate_warnings(state, cfg), cfg)
+    with _record_errors(records[-1]):
+        state = _state_at(records, len(records) - 1, cfg, args.window)
+        warnings = _degenerate_warnings(state, cfg)
+    return _emit_warnings(warnings, cfg)
 
 
 def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
     records = _read_records(args.trajectory)
     if len(records) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
-    state = _state_at(records, len(records) - 1, cfg, args.window)
     tol = cfg.tolerance
-    story = story_of(state, tol)
-    if args.verify:
-        sampled = sample_story(state, default_plan(state), tol)
-        if sampled.labels != story.labels:
-            print(
-                "verification failed: sampled labels "
-                f"{[str(r) for r in sampled.labels]} != analytic "
-                f"{[str(r) for r in story.labels]}",
-                file=sys.stderr,
-            )
-            return EXIT_FORMAT
+    with _record_errors(records[-1]):
+        state = _state_at(records, len(records) - 1, cfg, args.window)
+        story = story_of(state, tol)
+        warnings = _degenerate_warnings(state, cfg)
+        sampled = sample_story(state, default_plan(state), tol) if args.verify else None
+    if sampled is not None and sampled.labels != story.labels:
+        print(
+            "verification failed: sampled labels "
+            f"{[str(r) for r in sampled.labels]} != analytic "
+            f"{[str(r) for r in story.labels]}",
+            file=sys.stderr,
+        )
+        return EXIT_FORMAT
     if args.text:
         from .stories import format_story
 
         print(format_story(story))
     else:
         print(json.dumps(story_to_json_dict(story)))
-    return _emit_warnings(_degenerate_warnings(state, cfg), cfg)
+    return _emit_warnings(warnings, cfg)
 
 
 def _cmd_stories_set(args: argparse.Namespace, cfg: SceneConfig) -> int:

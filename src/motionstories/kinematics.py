@@ -1,8 +1,10 @@
 """Closed-form kinematics of two discs in uniform planar motion.
 
-The squared center distance of two uniformly moving discs is a quadratic
-polynomial in time.  Everything downstream (relation classification, story
-derivation) reduces to that polynomial and its minimum.
+Seen from disc k, disc l moves on a straight line: relative position dp at the
+epoch, relative velocity dv.  Its closest approach comes at
+t_min = -dp.dv / |dv|^2, at center distance d_min = |dp x dv| / |dv|.
+Everything downstream (story derivation, transition instants, degeneracy
+warnings) is computed from those two numbers.
 """
 
 from __future__ import annotations
@@ -80,29 +82,6 @@ class UniformMotionState:
         _require_finite("epoch", self.epoch)
 
 
-@dataclass(frozen=True)
-class QuadDistance:
-    """Squared center distance d^2(t) = a*t^2 + b*t + c, t relative to epoch."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            _require_finite(name, getattr(self, name))
-        if self.a < 0:
-            raise ValueError(f"a must be non-negative, got {self.a!r}")
-        if self.c < 0:
-            raise ValueError(f"c must be non-negative, got {self.c!r}")
-        # d^2 must stay non-negative: b^2 <= 4ac up to floating-point slack.
-        if self.b * self.b > 4.0 * self.a * self.c + 1e-9 * (1.0 + 4.0 * self.a * self.c):
-            raise ValueError("polynomial dips below zero: b^2 > 4ac")
-
-    def evaluate(self, t: float) -> float:
-        return (self.a * t + self.b) * t + self.c
-
-
 def relative_state(state: UniformMotionState) -> tuple[Vec2, Vec2]:
     """Relative position and velocity of disc l as seen from disc k."""
     dp = state.disc_l.center - state.disc_k.center
@@ -110,36 +89,27 @@ def relative_state(state: UniformMotionState) -> tuple[Vec2, Vec2]:
     return dp, dv
 
 
-def squared_distance_poly(state: UniformMotionState) -> QuadDistance:
-    dp, dv = relative_state(state)
-    return QuadDistance(a=dv.norm_sq(), b=2.0 * dp.dot(dv), c=dp.norm_sq())
-
-
-def closest_approach(q: QuadDistance) -> tuple[float | None, float]:
+def closest_approach_state(state: UniformMotionState) -> tuple[float | None, float]:
     """Time of minimum center distance (epoch-relative) and that distance.
 
-    Constant-distance motion (a == 0) has no distinguished instant and
-    returns (None, sqrt(c)).
-    """
-    if q.a == 0.0:
-        return None, math.sqrt(q.c)
-    t_min = -q.b / (2.0 * q.a)
-    return t_min, math.sqrt(max(0.0, q.c - q.b * q.b / (4.0 * q.a)))
-
-
-def closest_approach_state(state: UniformMotionState) -> tuple[float | None, float]:
-    """Like `closest_approach`, but computed from the state's geometry.
-
-    The minimum distance is the rejection of the relative position from the
-    relative velocity, |dp x dv| / |dv|, which stays accurate when the discs
-    pass very close; the polynomial form c - b^2/4a cancels catastrophically
-    there (absolute error ~ |dp| * sqrt(ulp), far above tangency tolerances).
+    The distance is the rejection of the relative position from the relative
+    velocity, |dp x dv| / |dv|, which stays accurate when the discs pass very
+    close (the expanded form |dp|^2 - (dp.dv)^2/|dv|^2 cancels there).
+    Rigid motion (|dv|^2 == 0, also when it underflows) has no distinguished
+    instant and returns (None, |dp|).  Raises ValueError when |dv|^2, t_min or
+    d_min overflows.
     """
     dp, dv = relative_state(state)
     a = dv.norm_sq()
     if a == 0.0:
         return None, dp.norm()
-    return -dp.dot(dv) / a, abs(dp.cross(dv)) / math.sqrt(a)
+    t_min = -dp.dot(dv) / a
+    d_min = abs(dp.cross(dv)) / math.sqrt(a)
+    if not (math.isfinite(a) and math.isfinite(t_min) and math.isfinite(d_min)):
+        raise ValueError(
+            f"relative motion overflows: |dv|^2={a!r}, t_min={t_min!r}, d_min={d_min!r}"
+        )
+    return t_min, d_min
 
 
 def center_distance_at(state: UniformMotionState, t: float) -> float:

@@ -1,33 +1,20 @@
 """Conceptual neighborhood graphs over relation alphabets.
 
-Includes the disc-relation graph, the derived motion-relation graph, BFS
-shortest paths for trajectory control, DOT/JSON export, and a perturbation
-oracle that checks the derived graph against actual continuous transitions.
+Includes the disc-relation graph, the motion-relation graph derived from the
+regime table, BFS shortest paths for trajectory control and DOT/JSON export.
+`motionstories.validate` checks the motion graph against actual continuous
+transitions.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-import numpy as np
-
-from .kinematics import Disc, UniformMotionState, Vec2, advance
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
-from .stories import (
-    NONRIGID_ORDER,
-    STORY_LABELS,
-    AugmentedRelation,
-    Phase,
-    StoryId,
-    augmented_chain,
-    augmented_relation,
-    radius_config,
-)
-from . import oracle as _oracle
+from .rcc import RccRelation
+from .stories import REGIMES, AugmentedRelation, Phase, StoryId, augmented_chain
 
 _R = RccRelation
 
@@ -80,16 +67,6 @@ def rcc_cng(edges: Iterable[tuple[RccRelation, RccRelation]] | None = None) -> C
     return Cng(nodes=frozenset(RccRelation), edges=edge_set)
 
 
-# Distance-regime rank of each rigid relation, indexing into NONRIGID_ORDER: a
-# rigid story is the zero-relative-velocity limit of every non-rigid story
-# whose closest-approach regime lies at or below its fixed distance.
-_RIGID_REGIME_RANK: dict[str, dict[StoryId, int]] = {
-    "lt": {StoryId.S05: 0, StoryId.S04: 1, StoryId.S03: 2, StoryId.S02: 3},
-    "gt": {StoryId.S05I: 0, StoryId.S04I: 1, StoryId.S03: 2, StoryId.S02: 3},
-    "eq": {StoryId.S0E: 0, StoryId.S03: 1, StoryId.S02: 2},
-}
-
-
 def _central(sid: StoryId) -> AugmentedRelation:
     """The relation holding at closest approach (mid-chain)."""
     chain = augmented_chain(sid)
@@ -100,9 +77,13 @@ def _phases_compatible(a: AugmentedRelation, b: AugmentedRelation) -> bool:
     return a.phase is b.phase or a.phase is Phase.NONE or b.phase is Phase.NONE
 
 
+def _story_ids(config: str) -> set[StoryId]:
+    return {sid for r in REGIMES[config] for sid in (r.story, r.rigid)}
+
+
 def _config_of(ids: set[StoryId]) -> str:
-    for config in ("lt", "gt", "eq"):
-        if ids == set(NONRIGID_ORDER[config]) | set(_RIGID_REGIME_RANK[config]):
+    for config in REGIMES:
+        if ids == _story_ids(config):
             return config
     raise ValueError("incomplete augmented relation set: not a full configuration")
 
@@ -115,19 +96,16 @@ def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
     compatible with either phase); the closest-approach relations of
     regime-adjacent stories, which morph into each other as the minimum
     distance crosses a threshold; and each rigid singleton attached to the
-    non-rigid stories its distance regime can collapse into.
+    non-rigid stories its distance regime can collapse into: those whose
+    regime lies at or below its own.
     """
     nodes = frozenset(aug)
     config = _config_of({a.story for a in nodes})
-    expected = frozenset(
-        rel
-        for sid in set(NONRIGID_ORDER[config]) | set(_RIGID_REGIME_RANK[config])
-        for rel in augmented_chain(sid)
-    )
+    expected = frozenset(rel for sid in _story_ids(config) for rel in augmented_chain(sid))
     if nodes != expected:
         raise ValueError("incomplete augmented relation set for its configuration")
 
-    order = NONRIGID_ORDER[config]
+    order = [r.story for r in REGIMES[config]]
     edges: set[frozenset[AugmentedRelation]] = set()
 
     for rank, sid in enumerate(order):
@@ -142,8 +120,10 @@ def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
                         edges.add(frozenset((a, b)))
             edges.add(frozenset((_central(sid), _central(other_sid))))
 
-    for rigid_id, rank in _RIGID_REGIME_RANK[config].items():
-        rigid_rel = augmented_chain(rigid_id)[0]
+    for rank, regime in enumerate(REGIMES[config]):
+        if regime.rigid is regime.story:
+            continue  # S11: the rigid DC story is the non-rigid one
+        rigid_rel = augmented_chain(regime.rigid)[0]
         for sid in order[: rank + 1]:
             for b in augmented_chain(sid):
                 if b.rel is rigid_rel.rel:
@@ -209,369 +189,3 @@ def to_json_adjacency(g: Cng) -> dict:
         "nodes": sorted(str(n) for n in g.nodes),
         "edges": [list(e) for e in _sorted_edges(g)],
     }
-
-
-# ---------------------------------------------------------------------------
-# Perturbation oracle: does the derived motion graph match the transitions
-# actually reachable through small phase-space perturbations?
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    unwitnessed_edges: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
-        default_factory=list
-    )
-    spurious_transitions: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
-        default_factory=list
-    )
-
-    @property
-    def ok(self) -> bool:
-        return not self.unwitnessed_edges and not self.spurious_transitions
-
-
-def _lerp_state(
-    u: UniformMotionState, v: UniformMotionState, s: float
-) -> UniformMotionState:
-    def mix(a: float, b: float) -> float:
-        return a + s * (b - a)
-
-    def mix_v(a: Vec2, b: Vec2) -> Vec2:
-        return Vec2(mix(a.x, b.x), mix(a.y, b.y))
-
-    return UniformMotionState(
-        disc_k=Disc(mix_v(u.disc_k.center, v.disc_k.center), u.disc_k.radius),
-        vel_k=mix_v(u.vel_k, v.vel_k),
-        disc_l=Disc(mix_v(u.disc_l.center, v.disc_l.center), u.disc_l.radius),
-        vel_l=mix_v(u.vel_l, v.vel_l),
-        epoch=mix(u.epoch, v.epoch),
-    )
-
-
-def _continuous_transition(
-    u_state: UniformMotionState,
-    v_state: UniformMotionState,
-    u: AugmentedRelation,
-    v: AugmentedRelation,
-    tol: Tolerance,
-    n_samples: int,
-    floor: float = 1e-7,
-) -> bool:
-    """True if interpolating between the states moves u -> v without any third
-    classification appearing.
-
-    The interpolation parameter is first sampled on a grid; every label change
-    is then bisected, so intermediate regimes narrower than the grid step are
-    still discovered down to a relative width of `floor`.
-    """
-
-    def cls(s: float) -> AugmentedRelation:
-        return augmented_relation(_lerp_state(u_state, v_state, s), tol)
-
-    if cls(0.0) != u or cls(1.0) != v:
-        return False
-    grid = [(i / n_samples, cls(i / n_samples)) for i in range(n_samples + 1)]
-    for (s0, c0), (s1, c1) in zip(grid, grid[1:]):
-        if c0 not in (u, v) or c1 not in (u, v):
-            return False
-        while c0 != c1 and s1 - s0 > floor:
-            sm = (s0 + s1) / 2.0
-            cm = cls(sm)
-            if cm not in (u, v):
-                return False
-            if cm == c0:
-                s0 = sm
-            else:
-                s1, c1 = sm, cm
-    return True
-
-
-_BAND_STORIES: dict[str, frozenset[StoryId]] = {
-    "lt": frozenset({StoryId.S12, StoryId.S14}),
-    "gt": frozenset({StoryId.S12, StoryId.S14I}),
-    "eq": frozenset({StoryId.S12, StoryId.S15E}),
-}
-
-
-def _band_threshold(sid: StoryId, r_k: float, r_l: float) -> float:
-    if sid is StoryId.S12:
-        return r_k + r_l
-    if sid in (StoryId.S14, StoryId.S14I):
-        return abs(r_k - r_l)
-    if sid is StoryId.S15E:
-        return 0.0
-    raise ValueError(f"{sid} is not a tangency-band story")
-
-
-def _regime_h(sid: StoryId, r_k: float, r_l: float, tol: Tolerance, side: int = 0) -> float:
-    """A miss distance inside the story's regime; side -1/+1 hugs the lower or
-    upper regime boundary (3 eps away), 0 picks a representative value."""
-    eps = tol.eps
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-    if sid in (StoryId.S15, StoryId.S15I):
-        return {0: r_diff / 2.0, 1: r_diff - 3.0 * eps, -1: 0.0}[side]
-    if sid in (StoryId.S14, StoryId.S14I):
-        return r_diff
-    if sid is StoryId.S12:
-        return r_sum
-    if sid is StoryId.S15E:
-        return 0.0
-    if sid is StoryId.S13:
-        lo = r_diff if r_diff > eps else 0.0
-        return {0: (lo + r_sum) / 2.0, -1: lo + 3.0 * eps, 1: r_sum - 3.0 * eps}[side]
-    if sid is StoryId.S11:
-        return {0: r_sum + 0.7, -1: r_sum + 3.0 * eps, 1: r_sum + 0.7}[side]
-    raise ValueError(f"{sid} is not a non-rigid story")
-
-
-def _distance_target(
-    rel: RccRelation, h: float, r_k: float, r_l: float, tol: Tolerance
-) -> float:
-    """A center distance at which `rel` holds, reachable on a trajectory with
-    miss distance h (never below h)."""
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-    if rel is _R.DC:
-        return max(h, r_sum) + 0.5
-    if rel is _R.EC:
-        return r_sum
-    if rel is _R.PO:
-        lo = max(h, r_diff if r_diff > tol.eps else 2.0 * tol.eps)
-        return (lo + r_sum) / 2.0
-    if rel in (_R.TPP, _R.TPPI):
-        return r_diff
-    if rel in (_R.NTPP, _R.NTPPI):
-        return (h + r_diff) / 2.0
-    if rel is _R.EQ:
-        return 0.0
-    raise ValueError(rel)
-
-
-def _nonrigid_state(
-    aug: AugmentedRelation, h: float, d_target: float, r_k: float, r_l: float
-) -> UniformMotionState:
-    """Canonical state on a miss-distance-h trajectory currently at d_target,
-    approaching or receding as dictated by the phase."""
-    tta = math.sqrt(max(0.0, d_target * d_target - h * h))
-    if aug.phase is Phase.PLUS:
-        tta = -tta
-    return _oracle.canonical_state(r_k, r_l, h, tta)
-
-
-def _rigid_state_for(
-    aug: AugmentedRelation, r_k: float, r_l: float, tol: Tolerance
-) -> UniformMotionState:
-    return _oracle.rigid_state(r_k, r_l, _distance_target(aug.rel, 0.0, r_k, r_l, tol))
-
-
-def _edge_witness(
-    a: AugmentedRelation,
-    b: AugmentedRelation,
-    r_k: float,
-    r_l: float,
-    tol: Tolerance,
-    config: str,
-) -> tuple[UniformMotionState, UniformMotionState]:
-    """Two nearby states classified as the edge's endpoints, in (a, b) order."""
-    eps = tol.eps
-    order = NONRIGID_ORDER[config]
-    rigid_ranks = _RIGID_REGIME_RANK[config]
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-    thresholds = {_R.EC: r_sum, _R.TPP: r_diff, _R.TPPI: r_diff, _R.EQ: 0.0}
-
-    if a.story in rigid_ranks or b.story in rigid_ranks:
-        # Attachment edge: from the rigid state, an eps-scale velocity on disc
-        # k sets the miss-distance regime without changing the epoch relation.
-        rigid, moving = (a, b) if a.story in rigid_ranks else (b, a)
-        base = _rigid_state_for(rigid, r_k, r_l, tol)
-        d0 = (base.disc_l.center - base.disc_k.center).norm()
-        h = min(_regime_h(moving.story, r_k, r_l, tol), d0)
-        sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
-        cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
-        if moving.phase is Phase.PLUS:
-            cos_a = -cos_a
-        omega = 3.0 * eps
-        perturbed = UniformMotionState(
-            disc_k=base.disc_k,
-            vel_k=base.vel_k + Vec2(omega * cos_a, omega * sin_a),
-            disc_l=base.disc_l,
-            vel_l=base.vel_l,
-            epoch=base.epoch,
-        )
-        return (base, perturbed) if rigid == a else (perturbed, base)
-
-    if a.story is b.story:
-        # Chronological neighbors: exactly one endpoint (the odd chain index)
-        # is instantaneous, holding on a tangency band; place the other just
-        # outside that band on its own side.
-        chain = augmented_chain(a.story)
-        i, j = chain.index(a), chain.index(b)
-        center = len(chain) // 2
-        inst, i_inst, i_other = (a, i, j) if i % 2 == 1 else (b, j, i)
-        theta = thresholds[inst.rel]
-        h = _regime_h(a.story, r_k, r_l, tol)
-        outward = abs(i_other - center) > abs(i_inst - center)
-        d_other = theta + (2.5 * eps if outward else -2.5 * eps)
-        approach = 1.0 if min(i, j) < center else -1.0
-        s_inst = _oracle.canonical_state(
-            r_k, r_l, h, approach * math.sqrt(max(0.0, theta * theta - h * h))
-        )
-        s_other = _oracle.canonical_state(
-            r_k, r_l, h, approach * math.sqrt(max(0.0, d_other * d_other - h * h))
-        )
-        return (s_inst, s_other) if inst == a else (s_other, s_inst)
-
-    # Cross-story edge: one story is a tangency band, the other an adjacent
-    # interior regime; move the miss distance across the regime boundary.
-    band, interior = (a, b) if a.story in _BAND_STORIES[config] else (b, a)
-    theta_band = _band_threshold(band.story, r_k, r_l)
-    side = 1 if order.index(interior.story) < order.index(band.story) else -1
-    h_int = _regime_h(interior.story, r_k, r_l, tol, side=side)
-    band_central = band == _central(band.story)
-    int_central = interior == _central(interior.story)
-    if band_central and int_central:
-        # Both sit at closest approach; only the miss distance differs.
-        s_band = _nonrigid_state(band, theta_band, theta_band, r_k, r_l)
-        s_int = _nonrigid_state(interior, h_int, h_int, r_k, r_l)
-    else:
-        if band_central:
-            d_t = theta_band
-        elif int_central:
-            d_t = h_int
-        else:
-            d_t = _distance_target(a.rel, max(h_int, theta_band), r_k, r_l, tol)
-        s_band = _nonrigid_state(band, theta_band, d_t, r_k, r_l)
-        s_int = _nonrigid_state(interior, h_int, d_t, r_k, r_l)
-    return (s_band, s_int) if band == a else (s_int, s_band)
-
-
-def _random_state_for(
-    aug: AugmentedRelation,
-    r_k: float,
-    r_l: float,
-    tol: Tolerance,
-    config: str,
-    rng: np.random.Generator,
-) -> UniformMotionState | None:
-    """A randomized state classified `aug`, biased toward regime boundaries."""
-    eps = tol.eps
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-
-    if aug.story in _RIGID_REGIME_RANK[config]:
-        base_d = _distance_target(aug.rel, 0.0, r_k, r_l, tol)
-        jitter = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(-0.9, 0.9)) * eps
-        vel = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        state = _oracle.rigid_state(r_k, r_l, max(0.0, base_d + jitter), vel=vel)
-        return state if augmented_relation(state, tol) == aug else None
-
-    if aug.story in _BAND_STORIES[config]:
-        theta = _band_threshold(aug.story, r_k, r_l)
-        h = max(0.0, theta + float(rng.uniform(-0.9, 0.9)) * eps)
-    else:
-        if aug.story in (StoryId.S15, StoryId.S15I):
-            lo, hi = 0.0, r_diff - 2.0 * eps
-        elif aug.story is StoryId.S13:
-            lo = (r_diff if r_diff > eps else 0.0) + 2.0 * eps
-            hi = r_sum - 2.0 * eps
-        else:  # S11
-            lo, hi = r_sum + 2.0 * eps, r_sum + 2.0
-        if rng.uniform() < 0.5:
-            h = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
-        else:  # hug a regime boundary
-            edge = lo if rng.uniform() < 0.5 else hi
-            h = min(hi, max(lo, edge + float(rng.uniform(-4.0, 4.0)) * eps))
-    # Pin the epoch to closest approach for genuinely central relations; the
-    # single-label story S11 holds DC everywhere, so only pin it half the time
-    # to also cover epochs away from the minimum.
-    pin_central = aug == _central(aug.story) and (
-        len(STORY_LABELS[aug.story]) > 1 or rng.uniform() < 0.5
-    )
-    if pin_central:
-        d_t = h
-    else:
-        d_t = _distance_target(aug.rel, h, r_k, r_l, tol)
-        if rng.uniform() < 0.3:
-            d_t = max(h, d_t + float(rng.uniform(-3.0, 3.0)) * eps)
-    speed = float(rng.uniform(0.5, 2.0))
-    tta = math.sqrt(max(0.0, d_t * d_t - h * h)) / speed
-    if aug.phase is Phase.PLUS or (aug.phase is Phase.NONE and rng.uniform() < 0.5):
-        tta = -tta
-    state = _oracle.canonical_state(r_k, r_l, h, tta, speed)
-    return state if augmented_relation(state, tol) == aug else None
-
-
-def _perturb(
-    state: UniformMotionState, scale: float, rng: np.random.Generator
-) -> UniformMotionState:
-    d = rng.normal(0.0, scale, size=9)
-    out = UniformMotionState(
-        disc_k=Disc(state.disc_k.center + Vec2(d[0], d[1]), state.disc_k.radius),
-        vel_k=state.vel_k + Vec2(d[2], d[3]),
-        disc_l=Disc(state.disc_l.center + Vec2(d[4], d[5]), state.disc_l.radius),
-        vel_l=state.vel_l + Vec2(d[6], d[7]),
-        epoch=state.epoch,
-    )
-    return advance(out, float(d[8]))
-
-
-def validate_motion_cng(
-    g: Cng,
-    r_k: float,
-    r_l: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    n_pairs: int = 200,
-    n_trials: int = 10_000,
-    path_samples: int = 25,
-    seed: int = 0,
-) -> ValidationReport:
-    """Check the motion graph against continuously reachable transitions.
-
-    Every edge must have a witness: a state classified as one endpoint plus an
-    eps-scale perturbation classified as the other, with every intermediate
-    classification along the straight interpolation confined to the two
-    endpoints.  Sampled non-edge pairs must admit no such single-step
-    transition across `n_trials` random perturbations each.
-    """
-    config = _config_of({x.story for x in g.nodes})
-    if radius_config(r_k, r_l, tol) != config:
-        raise ValueError("graph configuration does not match the given radii")
-    rng = np.random.default_rng(seed)
-    report = ValidationReport()
-
-    for edge in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
-        a, b = sorted(edge, key=str)
-        try:
-            su, sv = _edge_witness(a, b, r_k, r_l, tol, config)
-            witnessed = _continuous_transition(su, sv, a, b, tol, path_samples)
-        except ValueError:
-            # No witness is even constructible for this pair; the edge cannot
-            # correspond to a continuous single-step transition.
-            witnessed = False
-        if not witnessed:
-            report.unwitnessed_edges.append((a, b))
-
-    nodes = sorted(g.nodes, key=str)
-    non_edges = [
-        (u, v)
-        for i, u in enumerate(nodes)
-        for v in nodes[i + 1 :]
-        if not g.has_edge(u, v)
-    ]
-    idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
-    for i in sorted(int(j) for j in idx):
-        u, v = non_edges[i]
-        for _ in range(n_trials):
-            state = _random_state_for(u, r_k, r_l, tol, config, rng)
-            if state is None:
-                continue
-            perturbed = _perturb(state, 3.0 * tol.eps, rng)
-            if augmented_relation(perturbed, tol) == v and _continuous_transition(
-                state, perturbed, u, v, tol, path_samples
-            ):
-                report.spurious_transitions.append((u, v))
-                break
-    return report

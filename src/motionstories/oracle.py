@@ -2,7 +2,8 @@
 
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
-The sampler works purely from positional distances (no polynomial algebra).
+The sampler works purely from positional distances, never from the
+closed-form closest approach.
 """
 
 from __future__ import annotations
@@ -17,10 +18,18 @@ from .kinematics import (
     UniformMotionState,
     Vec2,
     center_distance_at,
+    closest_approach_state,
     relative_state,
 )
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
-from .stories import TemporalSequence, TimedLabel, compress, story_of
+from .stories import (
+    TemporalSequence,
+    TimedLabel,
+    compress,
+    distance_inside,
+    regime_spans,
+    story_of,
+)
 
 # Bisection refinement floor, relative to the local time scale.  Tangency
 # labels occupy eps-wide distance bands, so boundaries are resolved until the
@@ -44,13 +53,11 @@ class SamplingPlan:
 
 def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan:
     """A window around closest approach wide enough to reach DC at both ends."""
-    from .kinematics import closest_approach, squared_distance_poly
-
+    t_min, _ = closest_approach_state(state)
+    if t_min is None:  # rigid motion: every window shows the one relation
+        return SamplingPlan(-1.0, 1.0, 2.0 / (n_points - 1))
     _, dv = relative_state(state)
     speed = dv.norm()
-    if speed == 0.0:
-        return SamplingPlan(-1.0, 1.0, 2.0 / (n_points - 1))
-    t_min, _ = closest_approach(squared_distance_poly(state))
     r_sum = state.disc_k.radius + state.disc_l.radius
     half = (r_sum + 1.0) / speed + 1.0
     return SamplingPlan(t_min - half, t_min + half, 2.0 * half / (n_points - 1))
@@ -191,21 +198,12 @@ def rigid_state(r_k: float, r_l: float, distance: float, vel: Vec2 = Vec2(0.0, 0
 
 
 def _targeted_states(r_k: float, r_l: float, tol: Tolerance) -> list[UniformMotionState]:
-    """States landing exactly on each miss-distance regime, plus rigid ones."""
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-    inner_mid = r_diff / 2.0 if r_diff > tol.eps else 0.0
-    states = [
-        canonical_state(r_k, r_l, h, time_to_approach=3.0)
-        for h in (r_sum + 1.0, r_sum, (r_diff + r_sum) / 2.0, r_diff, inner_mid)
+    """A state with its closest approach inside each miss-distance regime, and
+    a rigid state at that distance."""
+    distances = [distance_inside(span) for span in regime_spans(r_k, r_l, tol)]
+    return [canonical_state(r_k, r_l, h, time_to_approach=3.0) for h in distances] + [
+        rigid_state(r_k, r_l, d) for d in distances
     ]
-    rigid_distances = [r_sum + 1.0, r_sum, (r_diff + r_sum) / 2.0]
-    if r_diff > tol.eps:
-        rigid_distances += [r_diff, r_diff / 2.0]
-    else:
-        rigid_distances += [0.0]
-    states += [rigid_state(r_k, r_l, d) for d in rigid_distances]
-    return states
 
 
 def sweep_stories(

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .neighborhood import Cng, shortest_path
 from .rcc import RccRelation
-from .stories import NONRIGID_ORDER, AugmentedRelation, Phase, StoryId
+from .stories import REGIMES, AugmentedRelation, Phase, StoryId
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,11 @@ AVOIDANCE_PATTERN = Pattern.from_relations(_avoidance_chain())
 
 
 def _story_rank(sid: StoryId) -> int | None:
-    for order in NONRIGID_ORDER.values():
-        if sid in order:
-            return order.index(sid)
+    """Position of the story on its regime table's miss-distance axis."""
+    for table in REGIMES.values():
+        for rank, regime in enumerate(table):
+            if regime.story is sid:
+                return rank
     return None
 
 

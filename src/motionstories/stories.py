@@ -1,11 +1,13 @@
 """Stories: finite relation sequences of two discs over the whole time line.
 
 Under uniform motion the relation sequence of two discs is determined by the
-minimum center distance relative to the two thresholds r_k + r_l and
-|r_k - r_l|.  That yields a finite catalogue of stories; each story is a
-qualitative motion relation, and pairing it with the current spatial relation
-(plus a chronological phase for repeated labels) gives the augmented motion
-relations.
+minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
+and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
+distance axis once per radius configuration; the finite story catalogue, the
+rigid singletons and the transition instants are all read from it.  Each
+story is a qualitative motion relation, and pairing it with the current
+spatial relation (plus a chronological phase for repeated labels) gives the
+augmented motion relations.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ from enum import Enum
 
 from .kinematics import (
     UniformMotionState,
-    Vec2,
     closest_approach_state,
     relative_state,
-    squared_distance_poly,
 )
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
 
@@ -81,49 +81,117 @@ STORY_LABELS: dict[StoryId, tuple[RccRelation, ...]] = {
     StoryId.S15E: (_R.DC, _R.EC, _R.PO, _R.EQ, _R.PO, _R.EC, _R.DC),
 }
 
-# Radius configurations: disc k smaller, larger, or equal (within eps) to disc l.
-_CONFIG_LT = "lt"
-_CONFIG_GT = "gt"
-_CONFIG_EQ = "eq"
 
-# Non-rigid stories by increasing miss distance; alternating interior regimes
-# and measure-zero tangency bands.
-NONRIGID_ORDER: dict[str, tuple[StoryId, ...]] = {
-    _CONFIG_LT: (StoryId.S15, StoryId.S14, StoryId.S13, StoryId.S12, StoryId.S11),
-    _CONFIG_GT: (StoryId.S15I, StoryId.S14I, StoryId.S13, StoryId.S12, StoryId.S11),
-    _CONFIG_EQ: (StoryId.S15E, StoryId.S13, StoryId.S12, StoryId.S11),
-}
+@dataclass(frozen=True)
+class Regime:
+    """One stretch of the closest-approach distance axis.
 
-_RIGID_ID: dict[str, dict[RccRelation, StoryId]] = {
-    _CONFIG_LT: {
-        _R.DC: StoryId.S11,
-        _R.EC: StoryId.S02,
-        _R.PO: StoryId.S03,
-        _R.TPP: StoryId.S04,
-        _R.NTPP: StoryId.S05,
-    },
-    _CONFIG_GT: {
-        _R.DC: StoryId.S11,
-        _R.EC: StoryId.S02,
-        _R.PO: StoryId.S03,
-        _R.TPPI: StoryId.S04I,
-        _R.NTPPI: StoryId.S05I,
-    },
-    _CONFIG_EQ: {
-        _R.DC: StoryId.S11,
-        _R.EC: StoryId.S02,
-        _R.PO: StoryId.S03,
-        _R.EQ: StoryId.S0E,
-    },
+    `story` is the non-rigid story whose minimum distance falls here and
+    `rigid` the singleton story whose relation holds at such a distance.  A
+    regime with a `band` ("sum" for r_k + r_l, "diff" for |r_k - r_l|, "zero")
+    is the eps band around that threshold; otherwise it is the open interval
+    between its neighbours' bands.
+    """
+
+    story: StoryId
+    rigid: StoryId
+    band: str | None = None
+
+    @property
+    def rel(self) -> RccRelation:
+        """The relation holding at a center distance inside the regime."""
+        return STORY_LABELS[self.rigid][0]
+
+
+# The regimes of each radius configuration (disc k smaller, larger, or equal
+# within eps to disc l) by increasing miss distance; bands and open intervals
+# alternate.  The walk in `_regime_index` compares one gap d - threshold
+# against eps per band (above: gap > eps, on it: gap >= -eps), so the regimes
+# partition the distance axis exactly, with no rounding slivers.
+REGIMES: dict[str, tuple[Regime, ...]] = {
+    "lt": (
+        Regime(StoryId.S15, StoryId.S05),
+        Regime(StoryId.S14, StoryId.S04, "diff"),
+        Regime(StoryId.S13, StoryId.S03),
+        Regime(StoryId.S12, StoryId.S02, "sum"),
+        Regime(StoryId.S11, StoryId.S11),
+    ),
+    "gt": (
+        Regime(StoryId.S15I, StoryId.S05I),
+        Regime(StoryId.S14I, StoryId.S04I, "diff"),
+        Regime(StoryId.S13, StoryId.S03),
+        Regime(StoryId.S12, StoryId.S02, "sum"),
+        Regime(StoryId.S11, StoryId.S11),
+    ),
+    "eq": (
+        Regime(StoryId.S15E, StoryId.S0E, "zero"),
+        Regime(StoryId.S13, StoryId.S03),
+        Regime(StoryId.S12, StoryId.S02, "sum"),
+        Regime(StoryId.S11, StoryId.S11),
+    ),
 }
 
 
 def radius_config(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
+    """The key of the radii's table in `REGIMES`."""
     if not (r_k > 0 and r_l > 0 and math.isfinite(r_k) and math.isfinite(r_l)):
         raise ValueError(f"radii must be positive and finite, got {r_k!r}, {r_l!r}")
     if abs(r_k - r_l) <= tol.eps:
-        return _CONFIG_EQ
-    return _CONFIG_LT if r_k < r_l else _CONFIG_GT
+        return "eq"
+    return "lt" if r_k < r_l else "gt"
+
+
+def _threshold(band: str, r_k: float, r_l: float) -> float:
+    if band == "sum":
+        return r_k + r_l
+    return abs(r_k - r_l) if band == "diff" else 0.0
+
+
+def _regime_index(
+    table: tuple[Regime, ...], d: float, r_k: float, r_l: float, eps: float
+) -> int:
+    """Row of `table` holding center distance d, found from the top down."""
+    for i in range(len(table) - 1, -1, -1):
+        band = table[i].band
+        if band is not None:
+            gap = d - _threshold(band, r_k, r_l)
+            if gap > eps:
+                return i + 1
+            if gap >= -eps:
+                return i
+    return 0
+
+
+def regime_spans(
+    r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[tuple[float, float], ...]:
+    """Distance extent (lo, hi) of each regime of the radii's table.
+
+    A band spans its threshold alone; the lowest interval starts at 0 and the
+    highest ends at infinity.
+    """
+    table = REGIMES[radius_config(r_k, r_l, tol)]
+    thetas = [None if r.band is None else _threshold(r.band, r_k, r_l) for r in table]
+    spans = []
+    for i, theta in enumerate(thetas):
+        if theta is None:
+            lo = thetas[i - 1] if i > 0 else 0.0
+            hi = thetas[i + 1] if i + 1 < len(thetas) else math.inf
+            spans.append((lo, hi))
+        else:
+            spans.append((theta, theta))
+    return tuple(spans)
+
+
+def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
+    """A center distance inside a regime span, not below `floor` where the
+    span allows: a band's threshold, else the midpoint of [max(lo, floor), hi],
+    or half a meter past that start for the unbounded top interval."""
+    lo, hi = span
+    if lo == hi:
+        return lo
+    lo = max(lo, floor)
+    return lo + 0.5 if hi == math.inf else (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -292,13 +360,6 @@ def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
     return tuple(chain)
 
 
-def _threshold_roots(a: float, b: float, c: float, theta: float) -> tuple[float, float]:
-    """Epoch-relative roots of a*t^2 + b*t + c = theta^2 (clamped if grazing)."""
-    disc = b * b - 4.0 * a * (c - theta * theta)
-    sq = math.sqrt(max(0.0, disc))
-    return (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)
-
-
 def story_of(
     state: UniformMotionState,
     tol: Tolerance = DEFAULT_TOLERANCE,
@@ -307,56 +368,34 @@ def story_of(
     """The story this motion state belongs to, with absolute transition instants."""
     r_k = state.disc_k.radius
     r_l = state.disc_l.radius
-    config = radius_config(r_k, r_l, tol)
+    table = REGIMES[radius_config(r_k, r_l, tol)]
     dp, dv = relative_state(state)
+    speed = dv.norm()
+    t_min, h = closest_approach_state(state)
 
-    if dv.norm() <= vel_tol:
-        rel = classify_discs(dp.norm(), r_k, r_l, tol)
-        return Story(id=_RIGID_ID[config][rel], labels=(rel,), rigid=True, boundaries=())
+    # Rigid within vel_tol, or a relative speed too small to square in floats.
+    if speed <= vel_tol or t_min is None:
+        sid = table[_regime_index(table, dp.norm(), r_k, r_l, tol.eps)].rigid
+        return Story(sid, STORY_LABELS[sid], rigid=True, boundaries=())
 
-    q = squared_distance_poly(state)
-    t_min, d_min = closest_approach_state(state)
-    assert t_min is not None
-    eps = tol.eps
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-
-    # All regime tests compare the same difference against eps, so the
-    # regimes partition the d_min axis exactly (no rounding slivers).
-    outer_gap = d_min - r_sum
-    inner_gap = d_min - r_diff
-    if outer_gap > eps:
-        return Story(StoryId.S11, STORY_LABELS[StoryId.S11], rigid=False, boundaries=())
-
-    t0 = state.epoch
-    outer = _threshold_roots(q.a, q.b, q.c, r_sum)
-    if outer_gap >= -eps:
-        sid = StoryId.S12
-        rel_bounds = (t_min, t_min)
-    elif config == _CONFIG_EQ:
-        if d_min <= eps:
-            sid = StoryId.S15E
-            rel_bounds = (outer[0], outer[0], t_min, t_min, outer[1], outer[1])
-        else:
-            sid = StoryId.S13
-            rel_bounds = (outer[0], outer[0], outer[1], outer[1])
-    elif inner_gap > eps:
-        sid = StoryId.S13
-        rel_bounds = (outer[0], outer[0], outer[1], outer[1])
-    elif inner_gap >= -eps:
-        sid = StoryId.S14 if config == _CONFIG_LT else StoryId.S14I
-        rel_bounds = (outer[0], outer[0], t_min, t_min, outer[1], outer[1])
-    else:
-        sid = StoryId.S15 if config == _CONFIG_LT else StoryId.S15I
-        inner = _threshold_roots(q.a, q.b, q.c, r_diff)
-        rel_bounds = (
-            outer[0], outer[0], inner[0], inner[0], inner[1], inner[1], outer[1], outer[1],
-        )
+    i = _regime_index(table, h, r_k, r_l, tol.eps)
+    above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
+    # Each threshold above the regime is crossed symmetrically about t_min,
+    # the outermost first; (theta - h)(theta + h) keeps the half-width exact
+    # when theta and h nearly agree.
+    widths = [math.sqrt((theta - h) * (theta + h)) / speed for theta in reversed(above)]
+    instants = [t_min - w for w in widths]
+    if table[i].band is not None:
+        instants.append(t_min)
+    instants += [t_min + w for w in reversed(widths)]
+    sid = table[i].story
+    # Every transition enters or leaves an instantaneous tangency label, so
+    # each instant bounds two labels.
     return Story(
         id=sid,
         labels=STORY_LABELS[sid],
         rigid=False,
-        boundaries=tuple(t0 + t for t in rel_bounds),
+        boundaries=tuple(state.epoch + t for t in instants for _ in (0, 1)),
     )
 
 
@@ -405,15 +444,6 @@ def tsr_over_interval(
     )
 
 
-def motion_rcc_relation(
-    state: UniformMotionState,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    vel_tol: float = 0.0,
-) -> StoryId:
-    """The motion relation of the state: the id of the story it belongs to."""
-    return story_of(state, tol, vel_tol).id
-
-
 def augmented_relation(
     state: UniformMotionState,
     tol: Tolerance = DEFAULT_TOLERANCE,
@@ -435,14 +465,12 @@ def stories_set(
     r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> StoriesSet:
     """All realizable stories for the given radii, duplicates merged."""
-    config = radius_config(r_k, r_l, tol)
+    table = REGIMES[radius_config(r_k, r_l, tol)]
     rigid = frozenset(
-        Story(sid, STORY_LABELS[sid], rigid=True, boundaries=None)
-        for sid in _RIGID_ID[config].values()
+        Story(r.rigid, STORY_LABELS[r.rigid], rigid=True, boundaries=None) for r in table
     )
     nonrigid = frozenset(
-        Story(sid, STORY_LABELS[sid], rigid=False, boundaries=None)
-        for sid in NONRIGID_ORDER[config]
+        Story(r.story, STORY_LABELS[r.story], rigid=False, boundaries=None) for r in table
     )
     merged: dict[tuple[RccRelation, ...], Story] = {}
     for story in sorted(nonrigid, key=lambda s: s.id.value) + sorted(
@@ -505,9 +533,3 @@ def format_story(story: Story) -> str:
             parts.append(f"{rel.value} @{left}{lo_s},{hi_s}{right}")
     return f"{story.id.value}: " + " ".join(parts)
 
-
-# Equation-of-record listings for the canonical smaller-k configuration.
-MOTION_RCC: tuple[StoryId, ...] = (
-    StoryId.S02, StoryId.S03, StoryId.S04, StoryId.S05,
-    StoryId.S11, StoryId.S12, StoryId.S13, StoryId.S14, StoryId.S15,
-)

@@ -1,0 +1,347 @@
+"""Perturbation check of the motion neighborhood graph.
+
+Does the derived motion graph match the transitions actually reachable
+through small phase-space perturbations?  Every miss distance and center
+distance used to build a witness or a random state is read from the radii's
+regime table (`stories.REGIMES` and `stories.regime_spans`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .kinematics import Disc, UniformMotionState, Vec2, advance
+from .neighborhood import Cng, _central, _config_of
+from .oracle import canonical_state, rigid_state
+from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
+from .stories import (
+    REGIMES,
+    STORY_LABELS,
+    AugmentedRelation,
+    Phase,
+    StoryId,
+    augmented_chain,
+    augmented_relation,
+    distance_inside,
+    radius_config,
+    regime_spans,
+)
+
+
+@dataclass
+class ValidationReport:
+    unwitnessed_edges: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
+        default_factory=list
+    )
+    spurious_transitions: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
+        default_factory=list
+    )
+
+    @property
+    def ok(self) -> bool:
+        return not self.unwitnessed_edges and not self.spurious_transitions
+
+
+def _lerp_state(
+    u: UniformMotionState, v: UniformMotionState, s: float
+) -> UniformMotionState:
+    def mix(a: float, b: float) -> float:
+        return a + s * (b - a)
+
+    def mix_v(a: Vec2, b: Vec2) -> Vec2:
+        return Vec2(mix(a.x, b.x), mix(a.y, b.y))
+
+    return UniformMotionState(
+        disc_k=Disc(mix_v(u.disc_k.center, v.disc_k.center), u.disc_k.radius),
+        vel_k=mix_v(u.vel_k, v.vel_k),
+        disc_l=Disc(mix_v(u.disc_l.center, v.disc_l.center), u.disc_l.radius),
+        vel_l=mix_v(u.vel_l, v.vel_l),
+        epoch=mix(u.epoch, v.epoch),
+    )
+
+
+def _continuous_transition(
+    u_state: UniformMotionState,
+    v_state: UniformMotionState,
+    u: AugmentedRelation,
+    v: AugmentedRelation,
+    tol: Tolerance,
+    n_samples: int,
+    floor: float = 1e-7,
+) -> bool:
+    """True if interpolating between the states moves u -> v without any third
+    classification appearing.
+
+    The interpolation parameter is first sampled on a grid; every label change
+    is then bisected, so intermediate regimes narrower than the grid step are
+    still discovered down to a relative width of `floor`.
+    """
+
+    def cls(s: float) -> AugmentedRelation:
+        return augmented_relation(_lerp_state(u_state, v_state, s), tol)
+
+    if cls(0.0) != u or cls(1.0) != v:
+        return False
+    grid = [(i / n_samples, cls(i / n_samples)) for i in range(n_samples + 1)]
+    for (s0, c0), (s1, c1) in zip(grid, grid[1:]):
+        if c0 not in (u, v) or c1 not in (u, v):
+            return False
+        while c0 != c1 and s1 - s0 > floor:
+            sm = (s0 + s1) / 2.0
+            cm = cls(sm)
+            if cm not in (u, v):
+                return False
+            if cm == c0:
+                s0 = sm
+            else:
+                s1, c1 = sm, cm
+    return True
+
+
+class _Axis:
+    """The regime table of one pair of radii, with each regime's distance span."""
+
+    def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
+        self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
+        self.rows = REGIMES[radius_config(r_k, r_l, tol)]
+        self.spans = regime_spans(r_k, r_l, tol)
+        self.rigid = {r.rigid for r in self.rows if r.rigid is not r.story}
+        self._row_of_story = {r.story: i for i, r in enumerate(self.rows)}
+        self._row_of_rel = {r.rel: i for i, r in enumerate(self.rows)}
+
+    def index(self, sid: StoryId) -> int:
+        """Row of the regime whose non-rigid story is sid."""
+        if sid not in self._row_of_story:
+            raise ValueError(f"{sid} is not a non-rigid story")
+        return self._row_of_story[sid]
+
+    def is_band(self, sid: StoryId) -> bool:
+        return self.rows[self.index(sid)].band is not None
+
+    def miss(self, sid: StoryId, side: int = 0) -> float:
+        """A miss distance inside the story's regime; side -1/+1 hugs its lower
+        or upper end (3 eps inside), 0 picks a representative value.  A band
+        has one miss distance, its threshold."""
+        lo, hi = self.spans[self.index(sid)]
+        if side == 0 or lo == hi:
+            return distance_inside((lo, hi))
+        return lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps
+
+    def target(self, rel: RccRelation, h: float) -> float:
+        """A center distance at which `rel` holds, reachable on a trajectory
+        with miss distance h (never below h)."""
+        return distance_inside(self.spans[self._row_of_rel[rel]], floor=h)
+
+
+def _nonrigid_state(
+    aug: AugmentedRelation, h: float, d_target: float, axis: _Axis
+) -> UniformMotionState:
+    """Canonical state on a miss-distance-h trajectory currently at d_target,
+    approaching or receding as dictated by the phase."""
+    tta = math.sqrt(max(0.0, d_target * d_target - h * h))
+    if aug.phase is Phase.PLUS:
+        tta = -tta
+    return canonical_state(axis.r_k, axis.r_l, h, tta)
+
+
+def _rigid_state_for(aug: AugmentedRelation, axis: _Axis) -> UniformMotionState:
+    return rigid_state(axis.r_k, axis.r_l, axis.target(aug.rel, 0.0))
+
+
+def _edge_witness(
+    a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
+) -> tuple[UniformMotionState, UniformMotionState]:
+    """Two nearby states classified as the edge's endpoints, in (a, b) order."""
+    eps = axis.eps
+    r_k, r_l = axis.r_k, axis.r_l
+
+    if a.story in axis.rigid or b.story in axis.rigid:
+        # Attachment edge: from the rigid state, an eps-scale velocity on disc
+        # k sets the miss-distance regime without changing the epoch relation.
+        rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
+        base = _rigid_state_for(rigid, axis)
+        d0 = (base.disc_l.center - base.disc_k.center).norm()
+        h = min(axis.miss(moving.story), d0)
+        sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
+        cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
+        if moving.phase is Phase.PLUS:
+            cos_a = -cos_a
+        omega = 3.0 * eps
+        perturbed = UniformMotionState(
+            disc_k=base.disc_k,
+            vel_k=base.vel_k + Vec2(omega * cos_a, omega * sin_a),
+            disc_l=base.disc_l,
+            vel_l=base.vel_l,
+            epoch=base.epoch,
+        )
+        return (base, perturbed) if rigid == a else (perturbed, base)
+
+    if a.story is b.story:
+        # Chronological neighbors: exactly one endpoint (the odd chain index)
+        # is instantaneous, holding on a tangency band; place the other just
+        # outside that band on its own side.
+        chain = augmented_chain(a.story)
+        i, j = chain.index(a), chain.index(b)
+        center = len(chain) // 2
+        inst, i_inst, i_other = (a, i, j) if i % 2 == 1 else (b, j, i)
+        theta = axis.target(inst.rel, 0.0)
+        h = axis.miss(a.story)
+        outward = abs(i_other - center) > abs(i_inst - center)
+        d_other = theta + (2.5 * eps if outward else -2.5 * eps)
+        approach = 1.0 if min(i, j) < center else -1.0
+        s_inst = canonical_state(
+            r_k, r_l, h, approach * math.sqrt(max(0.0, theta * theta - h * h))
+        )
+        s_other = canonical_state(
+            r_k, r_l, h, approach * math.sqrt(max(0.0, d_other * d_other - h * h))
+        )
+        return (s_inst, s_other) if inst == a else (s_other, s_inst)
+
+    # Cross-story edge: one story is a tangency band, the other an adjacent
+    # interior regime; move the miss distance across the regime boundary.
+    band, interior = (a, b) if axis.is_band(a.story) else (b, a)
+    if not axis.is_band(band.story):
+        raise ValueError(f"neither {a} nor {b} lies on a tangency band")
+    theta_band = axis.miss(band.story)
+    side = 1 if axis.index(interior.story) < axis.index(band.story) else -1
+    h_int = axis.miss(interior.story, side)
+    band_central = band == _central(band.story)
+    int_central = interior == _central(interior.story)
+    if band_central and int_central:
+        # Both sit at closest approach; only the miss distance differs.
+        s_band = _nonrigid_state(band, theta_band, theta_band, axis)
+        s_int = _nonrigid_state(interior, h_int, h_int, axis)
+    else:
+        if band_central:
+            d_t = theta_band
+        elif int_central:
+            d_t = h_int
+        else:
+            d_t = axis.target(a.rel, max(h_int, theta_band))
+        s_band = _nonrigid_state(band, theta_band, d_t, axis)
+        s_int = _nonrigid_state(interior, h_int, d_t, axis)
+    return (s_band, s_int) if band == a else (s_int, s_band)
+
+
+def _random_state_for(
+    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator
+) -> UniformMotionState | None:
+    """A randomized state classified `aug`, biased toward regime boundaries."""
+    eps, tol = axis.eps, axis.tol
+
+    if aug.story in axis.rigid:
+        base_d = axis.target(aug.rel, 0.0)
+        jitter = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(-0.9, 0.9)) * eps
+        vel = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        state = rigid_state(axis.r_k, axis.r_l, max(0.0, base_d + jitter), vel=vel)
+        return state if augmented_relation(state, tol) == aug else None
+
+    i = axis.index(aug.story)
+    lo, hi = axis.spans[i]
+    if axis.is_band(aug.story):
+        h = max(0.0, lo + float(rng.uniform(-0.9, 0.9)) * eps)
+    else:
+        # Keep 2 eps clear of the bands below and above; the unbounded top
+        # interval is sampled 2 m deep.
+        hi = hi - 2.0 * eps if hi < math.inf else lo + 2.0
+        lo = lo + 2.0 * eps if i > 0 else lo
+        if rng.uniform() < 0.5:
+            h = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
+        else:  # hug a regime boundary
+            edge = lo if rng.uniform() < 0.5 else hi
+            h = min(hi, max(lo, edge + float(rng.uniform(-4.0, 4.0)) * eps))
+    # Pin the epoch to closest approach for genuinely central relations; the
+    # single-label story S11 holds DC everywhere, so only pin it half the time
+    # to also cover epochs away from the minimum.
+    pin_central = aug == _central(aug.story) and (
+        len(STORY_LABELS[aug.story]) > 1 or rng.uniform() < 0.5
+    )
+    if pin_central:
+        d_t = h
+    else:
+        d_t = axis.target(aug.rel, h)
+        if rng.uniform() < 0.3:
+            d_t = max(h, d_t + float(rng.uniform(-3.0, 3.0)) * eps)
+    speed = float(rng.uniform(0.5, 2.0))
+    tta = math.sqrt(max(0.0, d_t * d_t - h * h)) / speed
+    if aug.phase is Phase.PLUS or (aug.phase is Phase.NONE and rng.uniform() < 0.5):
+        tta = -tta
+    state = canonical_state(axis.r_k, axis.r_l, h, tta, speed)
+    return state if augmented_relation(state, tol) == aug else None
+
+
+def _perturb(
+    state: UniformMotionState, scale: float, rng: np.random.Generator
+) -> UniformMotionState:
+    d = rng.normal(0.0, scale, size=9)
+    out = UniformMotionState(
+        disc_k=Disc(state.disc_k.center + Vec2(d[0], d[1]), state.disc_k.radius),
+        vel_k=state.vel_k + Vec2(d[2], d[3]),
+        disc_l=Disc(state.disc_l.center + Vec2(d[4], d[5]), state.disc_l.radius),
+        vel_l=state.vel_l + Vec2(d[6], d[7]),
+        epoch=state.epoch,
+    )
+    return advance(out, float(d[8]))
+
+
+def validate_motion_cng(
+    g: Cng,
+    r_k: float,
+    r_l: float,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    n_pairs: int = 200,
+    n_trials: int = 10_000,
+    path_samples: int = 25,
+    seed: int = 0,
+) -> ValidationReport:
+    """Check the motion graph against continuously reachable transitions.
+
+    Every edge must have a witness: a state classified as one endpoint plus an
+    eps-scale perturbation classified as the other, with every intermediate
+    classification along the straight interpolation confined to the two
+    endpoints.  Sampled non-edge pairs must admit no such single-step
+    transition across `n_trials` random perturbations each.
+    """
+    config = _config_of({x.story for x in g.nodes})
+    if radius_config(r_k, r_l, tol) != config:
+        raise ValueError("graph configuration does not match the given radii")
+    axis = _Axis(r_k, r_l, tol)
+    rng = np.random.default_rng(seed)
+    report = ValidationReport()
+
+    for edge in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
+        a, b = sorted(edge, key=str)
+        try:
+            su, sv = _edge_witness(a, b, axis)
+            witnessed = _continuous_transition(su, sv, a, b, tol, path_samples)
+        except ValueError:
+            # No witness is even constructible for this pair; the edge cannot
+            # correspond to a continuous single-step transition.
+            witnessed = False
+        if not witnessed:
+            report.unwitnessed_edges.append((a, b))
+
+    nodes = sorted(g.nodes, key=str)
+    non_edges = [
+        (u, v)
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+        if not g.has_edge(u, v)
+    ]
+    idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
+    for i in sorted(int(j) for j in idx):
+        u, v = non_edges[i]
+        for _ in range(n_trials):
+            state = _random_state_for(u, axis, rng)
+            if state is None:
+                continue
+            perturbed = _perturb(state, 3.0 * tol.eps, rng)
+            if augmented_relation(perturbed, tol) == v and _continuous_transition(
+                state, perturbed, u, v, tol, path_samples
+            ):
+                report.spurious_transitions.append((u, v))
+                break
+    return report

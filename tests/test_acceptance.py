@@ -18,7 +18,6 @@ from motionstories.neighborhood import (
     motion_cng,
     rcc_cng,
     shortest_path,
-    validate_motion_cng,
 )
 from motionstories.oracle import default_plan, sample_story, sweep_stories
 from motionstories.patterns import detect_avoidance
@@ -33,6 +32,7 @@ from motionstories.stories import (
     stories_set,
     story_of,
 )
+from motionstories.validate import validate_motion_cng
 
 from conftest import points_to_csv, steered_avoidance_points
 

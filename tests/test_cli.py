@@ -213,15 +213,40 @@ class TestExitCodes:
         bad.write_text("t,xk,yk,xl,yl\n0,0,0,oops,3\n")
         assert main(["story", str(bad)]) == EXIT_FORMAT
 
-    def test_strict_escalates_degenerate_inputs(self, tmp_path, capsys):
-        # Closest approach a few tolerance bands away from outer tangency.
-        y = 3.0 + 5e-9
-        csv = f"t,xk,yk,xl,yl\n0,0,0,10,{y!r}\n1,2,0,9,{y!r}\n2,4,0,8,{y!r}\n"
-        path = tmp_path / "near.csv"
+    @pytest.mark.parametrize(
+        "csv",
+        [
+            # Relative speeds near 1e200 m/s overflow |dv|^2.
+            "t,xk,yk,xl,yl\n0,0,0,1e200,3\n\n1,1e200,0,0,3\n2,2e200,0,-1e200,3\n",
+            # Time steps of 1e-300 s make the least-squares fit singular.
+            "t,xk,yk,xl,yl\n0,0,0,10,3\n\n1e-300,1,0,9,3\n2e-300,2,0,8,3\n",
+        ],
+        ids=["overflow", "singular-fit"],
+    )
+    def test_unusable_record_is_a_format_error(self, tmp_path, capsys, csv):
+        path = tmp_path / "bad.csv"
         path.write_text(csv)
-        assert main(["story", str(path)]) == EXIT_OK
-        assert "warning:" in capsys.readouterr().err
-        assert main(["--strict", "story", str(path)]) == EXIT_DEGENERATE
+        assert main(["classify", str(path)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        # The blank line 3 is skipped; the first classified record is line 4.
+        assert err.startswith("error: line 4:") and "Traceback" not in err
+
+    def test_strict_escalates_degenerate_inputs(self, tmp_path, capsys):
+        cases = [
+            # Closest approach a few tolerance bands away from outer tangency.
+            ([], [(t, 2 * t, 0, 10 - t, 3.0 + 5e-9) for t in range(3)]),
+            # 3e-9 m outside the inner threshold |1 - 1.000001|, with the last
+            # record 100 s before closest approach.
+            (["--rl", "1.000001"], [(t, t - 102, 1e-6 + 3e-9, 0, 0) for t in range(3)]),
+        ]
+        for radii, rows in cases:
+            csv = "t,xk,yk,xl,yl\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
+            path = tmp_path / "near.csv"
+            path.write_text(csv)
+            assert main([*radii, "story", str(path)]) == EXIT_OK
+            assert "warning:" in capsys.readouterr().err
+            assert main([*radii, "--strict", "story", str(path)]) == EXIT_DEGENERATE
+            assert "warning:" in capsys.readouterr().err
 
     def test_config_file_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

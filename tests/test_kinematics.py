@@ -5,15 +5,12 @@ from hypothesis import given, strategies as st
 
 from motionstories.kinematics import (
     Disc,
-    QuadDistance,
     UniformMotionState,
     Vec2,
     advance,
     center_distance_at,
-    closest_approach,
     closest_approach_state,
     relative_state,
-    squared_distance_poly,
 )
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -59,51 +56,26 @@ class TestDisc:
             Disc(Vec2(0, 0), -1.0)
 
 
-class TestQuadDistance:
-    def test_evaluate(self):
-        q = QuadDistance(1.0, -2.0, 2.0)
-        assert q.evaluate(0) == 2.0
-        assert q.evaluate(1) == 1.0
-
-    def test_rejects_negative_leading_or_constant(self):
-        with pytest.raises(ValueError):
-            QuadDistance(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            QuadDistance(1.0, 0.0, -1.0)
-
-    def test_rejects_polynomial_dipping_below_zero(self):
-        with pytest.raises(ValueError):
-            QuadDistance(1.0, -10.0, 1.0)
-
-
 class TestPolynomial:
-    def test_known_coefficients(self):
-        state = make_state(0, 0, 2, 0, 10, 3, -1, 0)
-        q = squared_distance_poly(state)
-        assert (q.a, q.b, q.c) == (9.0, -60.0, 109.0)
+    """The minimum of the squared center distance |dp + dv t|^2."""
 
     def test_closest_approach_known(self):
-        q = QuadDistance(9.0, -60.0, 109.0)
-        t_min, d_min = closest_approach(q)
+        # |dp + dv t|^2 = 9 t^2 - 60 t + 109.
+        state = make_state(0, 0, 2, 0, 10, 3, -1, 0)
+        t_min, d_min = closest_approach_state(state)
         assert t_min == pytest.approx(10 / 3)
         assert d_min == pytest.approx(3.0)
 
     def test_rigid_motion_has_no_minimum_instant(self):
         state = make_state(0, 0, 1, 1, 5, 0, 1, 1)
-        t_min, d_min = closest_approach(squared_distance_poly(state))
+        t_min, d_min = closest_approach_state(state)
         assert t_min is None
         assert d_min == pytest.approx(5.0)
-        t2, d2 = closest_approach_state(state)
-        assert t2 is None and d2 == pytest.approx(5.0)
 
-    @given(finite, finite, finite, finite, finite, finite, finite, finite)
-    def test_polynomial_matches_positions(self, px, py, vx, vy, qx, qy, wx, wy):
-        state = make_state(px, py, vx, vy, qx, qy, wx, wy)
-        q = squared_distance_poly(state)
-        for t in (-2.5, 0.0, 0.7, 3.0):
-            assert q.evaluate(t) == pytest.approx(
-                center_distance_at(state, t) ** 2, abs=1e-6, rel=1e-9
-            )
+    def test_overflowing_motion_is_rejected(self):
+        state = make_state(0, 0, 1e200, 0, 1e200, 0, -1e200, 0)
+        with pytest.raises(ValueError):
+            closest_approach_state(state)
 
     @given(finite, finite, finite, finite, finite, finite, finite, finite)
     def test_minimum_really_is_minimal(self, px, py, vx, vy, qx, qy, wx, wy):

@@ -1,7 +1,9 @@
+import ast
 import json
 
 import pytest
 
+import motionstories.neighborhood
 from motionstories.neighborhood import (
     Cng,
     motion_cng,
@@ -9,7 +11,6 @@ from motionstories.neighborhood import (
     shortest_path,
     to_dot,
     to_json_adjacency,
-    validate_motion_cng,
 )
 from motionstories.rcc import RccRelation
 from motionstories.stories import (
@@ -20,6 +21,7 @@ from motionstories.stories import (
     augmented_set,
     stories_set,
 )
+from motionstories.validate import validate_motion_cng
 
 R = RccRelation
 
@@ -52,6 +54,18 @@ class TestRccCng:
         assert not g.has_edge(R.EC, R.PO)
         # PO is now unreachable from DC.
         assert shortest_path(g, R.DC, R.PO) is None
+
+
+def test_graph_module_does_not_import_the_oracle_or_validator():
+    tree = ast.parse(open(motionstories.neighborhood.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name.rpartition(".")[2] for name in imported} & {"oracle", "validate"}
 
 
 class TestCngType:

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance
+from motionstories.oracle import canonical_state
 from motionstories.rcc import RccRelation, Tolerance
 from motionstories.stories import (
-    MOTION_RCC,
-    NONRIGID_ORDER,
+    REGIMES,
     STORY_LABELS,
     AugmentedRelation,
     DegenerateMotionError,
@@ -25,7 +25,6 @@ from motionstories.stories import (
     extreme_relations,
     format_story,
     is_rigid,
-    motion_rcc_relation,
     radius_config,
     stories_set,
     story_of,
@@ -132,6 +131,11 @@ class TestStoryOf:
         assert story.boundaries == pytest.approx(
             (5 - e, 5 - e, 5 - i, 5 - i, 5 + i, 5 + i, 5 + e, 5 + e), abs=1e-9
         )
+        # Radii 1 and 1 + 1e-6, head-on, 1000 s before closest approach: the
+        # NTPP span lasts 2e-6 s and must not collapse to a point.
+        story = story_of(canonical_state(1.0, 1.0 + 1e-6, 0.0, 1000.0))
+        assert story.id is StoryId.S15
+        assert story.boundaries[3:5] == pytest.approx((999.999999, 1000.000001), abs=1e-9)
 
     def test_rigid_containment(self):
         s = state(0.2, 0, 3, 3, 0, 0, 3, 3)
@@ -166,6 +170,10 @@ class TestStoryOf:
         assert story_of(hit).id is StoryId.S15E
         near = state(-10, 1.0, 1, 0, 0, 0, 0, 0, rk=1.0, rl=1.0)
         assert story_of(near).id is StoryId.S13
+
+    def test_overflowing_state_raises(self):
+        with pytest.raises(ValueError):
+            story_of(state(0, 0, 1e200, 0, 1e200, 0, -1e200, 0))
 
     def test_boundaries_are_absolute_times(self):
         shifted = advance(SCENARIO_A, 1.0)
@@ -273,7 +281,10 @@ class TestCatalogue:
     def test_canonical_set_has_nine_stories(self):
         ss = stories_set(1.0, 2.0)
         assert len(ss.all) == 9
-        assert {s.id for s in ss.all} == set(MOTION_RCC)
+        assert {s.id for s in ss.all} == {
+            StoryId.S02, StoryId.S03, StoryId.S04, StoryId.S05,
+            StoryId.S11, StoryId.S12, StoryId.S13, StoryId.S14, StoryId.S15,
+        }
         assert {s.labels for s in ss.all} == {
             (R.EC,), (R.PO,), (R.TPP,), (R.NTPP,),
             STORY_LABELS[StoryId.S11], STORY_LABELS[StoryId.S12],
@@ -379,15 +390,19 @@ class TestRadiusConfig:
             radius_config(0.0, 1.0)
 
     def test_nonrigid_order_is_by_increasing_miss_distance(self):
-        assert NONRIGID_ORDER["lt"][-1] is StoryId.S11
-        assert NONRIGID_ORDER["lt"][0] is StoryId.S15
+        assert REGIMES["lt"][-1].story is StoryId.S11
+        assert REGIMES["lt"][0].story is StoryId.S15
+        for table in REGIMES.values():
+            # Bands and open intervals alternate.
+            bands = [r.band is not None for r in table]
+            assert all(a != b for a, b in zip(bands, bands[1:]))
 
 
 class TestMotionRccRelation:
     def test_examples(self):
-        assert motion_rcc_relation(SCENARIO_A) is StoryId.S12
-        assert motion_rcc_relation(SCENARIO_B) is StoryId.S15
-        assert motion_rcc_relation(state(0.2, 0, 3, 3, 0, 0, 3, 3)) is StoryId.S05
+        assert story_of(SCENARIO_A).id is StoryId.S12
+        assert story_of(SCENARIO_B).id is StoryId.S15
+        assert story_of(state(0.2, 0, 3, 3, 0, 0, 3, 3)).id is StoryId.S05
 
     def test_rigid_dc_maps_to_s11(self):
-        assert motion_rcc_relation(state(0, 0, 1, 1, 10, 0, 1, 1)) is StoryId.S11
+        assert story_of(state(0, 0, 1, 1, 10, 0, 1, 1)).id is StoryId.S11
