@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .neighborhood import motion_cng, rcc_cng, shortest_path, to_dot, to_json_adjacency
@@ -110,32 +111,79 @@ def parse_trajectory(text: str) -> list[TrajectoryRecord]:
     return records
 
 
+def _slopes(s_tt: np.ndarray, s_tx: np.ndarray) -> np.ndarray:
+    """Least-squares slopes from centred sums (call under np.errstate); NaN
+    where the time spread is not positive and finite or the slope overflows."""
+    slopes = s_tx / s_tt
+    return np.where((s_tt > 0) & np.isfinite(s_tt) & np.isfinite(slopes), slopes, np.nan)
+
+
+def _velocity_fits(records: Sequence[TrajectoryRecord], window: int) -> np.ndarray:
+    """Velocities (vxk, vyk, vxl, vyl) fitted at every record, shape (n, 4).
+
+    Row i is the least-squares slope of each coordinate over the trailing
+    window ending at record i: all records up to i when `window` <= 0, else
+    the last `window` of them, and at least the two records [i-1, i].  Rows
+    whose fit is singular or overflows are NaN; row 0 always is.
+    """
+    data = np.array([(r.t, r.xk, r.yk, r.xl, r.yl) for r in records], dtype=float)
+    n = len(data)
+    width = n + 1 if window <= 0 else max(window, 2)
+    fits = np.empty((n, 4))
+    with np.errstate(all="ignore"):
+        # Growing prefixes [0, i]: running sums of the values shifted by the
+        # first record, centred in closed form.
+        head = data[: min(width - 1, n)] - data[0]
+        m = np.arange(1, len(head) + 1)[:, None]
+        u, x = head[:, :1], head[:, 1:]
+        s_t = np.cumsum(u, axis=0)
+        s_x = np.cumsum(x, axis=0)
+        s_tt = np.cumsum(u * u, axis=0) - s_t * s_t / m
+        s_tx = np.cumsum(u * x, axis=0) - s_t * s_x / m
+        fits[: len(head)] = _slopes(s_tt, s_tx)
+        # Full windows [i-width+1, i]: each window shifted by its first record,
+        # then centred on its own means.  Chunks of about 2**16 values per
+        # coordinate keep memory from growing with n * width.
+        chunk = max(1, 2**16 // width)
+        for lo in range(0, n - width + 1, chunk):
+            view = sliding_window_view(data[lo : lo + chunk + width - 1], width, axis=0)
+            c = view - view[:, :, :1]
+            c -= c.mean(axis=2, keepdims=True)
+            tc = c[:, :1]
+            s_tt = np.einsum("ijk,ijk->ij", tc, tc)
+            s_tx = np.einsum("ijk,ijk->ij", tc, c[:, 1:])
+            end = lo + width - 1 + len(view)
+            fits[lo + width - 1 : end] = _slopes(s_tt, s_tx)
+    return fits
+
+
+def _checked_fit(fit: Sequence[float]) -> Sequence[float]:
+    if not all(map(math.isfinite, fit)):
+        raise ValueError("velocity fit is singular or overflows")
+    return fit
+
+
 def estimate_velocity(records: Sequence[TrajectoryRecord], entity: str) -> Vec2:
-    """Least-squares slope of the entity's position over the window."""
+    """Least-squares slope of the entity's position over the records."""
     if len(records) < 2:
         raise ValueError("velocity estimation needs at least 2 records")
     if entity not in ("k", "l"):
         raise ValueError(f"entity must be 'k' or 'l', got {entity!r}")
-    ts = np.array([r.t for r in records])
-    xs = np.array([getattr(r, f"x{entity}") for r in records])
-    ys = np.array([getattr(r, f"y{entity}") for r in records])
-    return Vec2(float(np.polyfit(ts, xs, 1)[0]), float(np.polyfit(ts, ys, 1)[0]))
+    vxk, vyk, vxl, vyl = _checked_fit(_velocity_fits(records, 0)[-1].tolist())
+    return Vec2(vxk, vyk) if entity == "k" else Vec2(vxl, vyl)
 
 
 def _state_at(
-    records: Sequence[TrajectoryRecord], index: int, cfg: SceneConfig, window: int
+    record: TrajectoryRecord, fit: Sequence[float], cfg: SceneConfig
 ) -> UniformMotionState:
-    lo = 0 if window <= 0 else max(0, index + 1 - window)
-    span = records[lo : index + 1]
-    if len(span) < 2:
-        span = records[max(0, index - 1) : index + 1]
-    anchor = records[index]
+    """The record's positions with the velocities fitted at it."""
+    vxk, vyk, vxl, vyl = _checked_fit(fit)
     return UniformMotionState(
-        disc_k=Disc(Vec2(anchor.xk, anchor.yk), cfg.r_k),
-        vel_k=estimate_velocity(span, "k"),
-        disc_l=Disc(Vec2(anchor.xl, anchor.yl), cfg.r_l),
-        vel_l=estimate_velocity(span, "l"),
-        epoch=anchor.t,
+        disc_k=Disc(Vec2(record.xk, record.yk), cfg.r_k),
+        vel_k=Vec2(vxk, vyk),
+        disc_l=Disc(Vec2(record.xl, record.yl), cfg.r_l),
+        vel_l=Vec2(vxl, vyl),
+        epoch=record.t,
     )
 
 
@@ -145,20 +193,28 @@ def _record_errors(record: TrajectoryRecord) -> Iterator[None]:
     (overflow, a singular fit) as a format error naming its input line."""
     try:
         yield
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:
         raise TrajectoryFormatError(f"line {record.line}: {exc}") from None
+
+
+def _last_state(
+    records: Sequence[TrajectoryRecord], cfg: SceneConfig, window: int
+) -> UniformMotionState:
+    return _state_at(records[-1], _velocity_fits(records, window)[-1].tolist(), cfg)
 
 
 def _relation_stream(
     records: Sequence[TrajectoryRecord], cfg: SceneConfig, window: int
 ) -> list[AugmentedRelation]:
+    """Augmented relation at every record after the first, in input order."""
     if len(records) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
     tol = cfg.tolerance
+    fits = _velocity_fits(records, window).tolist()
     stream = []
     for i in range(1, len(records)):
         with _record_errors(records[i]):
-            stream.append(augmented_relation(_state_at(records, i, cfg, window), tol))
+            stream.append(augmented_relation(_state_at(records[i], fits[i], cfg), tol))
     return stream
 
 
@@ -285,8 +341,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     for aug in stream:
         print(aug)
     with _record_errors(records[-1]):
-        state = _state_at(records, len(records) - 1, cfg, args.window)
-        warnings = _degenerate_warnings(state, cfg)
+        warnings = _degenerate_warnings(_last_state(records, cfg, args.window), cfg)
     return _emit_warnings(warnings, cfg)
 
 
@@ -296,7 +351,7 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
     tol = cfg.tolerance
     with _record_errors(records[-1]):
-        state = _state_at(records, len(records) - 1, cfg, args.window)
+        state = _last_state(records, cfg, args.window)
         story = story_of(state, tol)
         warnings = _degenerate_warnings(state, cfg)
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None

@@ -451,13 +451,13 @@ def augmented_relation(
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
     story = story_of(state, tol, vel_tol)
-    dp, _ = relative_state(state)
+    dp, dv = relative_state(state)
     rel = classify_discs(dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
     if story.labels.count(rel) <= 1:
         return AugmentedRelation(story.id, rel, Phase.NONE)
-    t_min, _ = closest_approach_state(state)
-    assert t_min is not None
-    phase = Phase.MINUS if t_min > 0 else Phase.PLUS
+    # A repeated label needs a moving story.  Closest approach is still ahead
+    # (t_min = -dp.dv / |dv|^2 > 0) exactly while the discs close in.
+    phase = Phase.MINUS if dp.dot(dv) < 0 else Phase.PLUS
     return AugmentedRelation(story.id, rel, phase)
 
 

@@ -1,8 +1,12 @@
 import json
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from motionstories.cli import (
     EXIT_DEGENERATE,
@@ -12,6 +16,7 @@ from motionstories.cli import (
     SceneConfig,
     TrajectoryFormatError,
     TrajectoryRecord,
+    _velocity_fits,
     estimate_velocity,
     main,
     parse_trajectory,
@@ -84,6 +89,69 @@ class TestEstimateVelocity:
         records = [TrajectoryRecord(0, 0, 0, 0, 0), TrajectoryRecord(1, 1, 0, 0, 0)]
         with pytest.raises(ValueError):
             estimate_velocity(records, "m")
+
+
+def _trailing(i: int, window: int) -> int:
+    """First record of the trailing fit window ending at record i."""
+    lo = 0 if window <= 0 else max(0, i + 1 - window)
+    return lo if i + 1 - lo >= 2 else i - 1
+
+
+def _exact_slope(ts, xs) -> float:
+    t = [Fraction(v) for v in ts]
+    x = [Fraction(v) for v in xs]
+    t_bar, x_bar = sum(t) / len(t), sum(x) / len(x)
+    num = sum((a - t_bar) * (b - x_bar) for a, b in zip(t, x))
+    return float(num / sum((a - t_bar) ** 2 for a in t))
+
+
+class TestVelocityFits:
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 10])
+    @pytest.mark.parametrize("t0", [0.0, 1.7e9])
+    @pytest.mark.parametrize("dt", [0.1, 1e-3])
+    def test_matches_exact_least_squares(self, window, t0, dt):
+        rng = random.Random(window)
+        offsets = (5e6, -5e6, 2e6, 0.0)
+        speeds = (3.0, -0.5, -1.0, 2.0)
+        records, t = [], t0
+        for _ in range(40):
+            t += rng.uniform(0.5, 2.0) * dt
+            noise = [rng.uniform(-0.05, 0.05) * dt for _ in offsets]
+            coords = [o + v * (t - t0) + e for o, v, e in zip(offsets, speeds, noise)]
+            records.append(TrajectoryRecord(t, *coords))
+        fits = _velocity_fits(records, window)
+        assert np.isnan(fits[0]).all()
+        for i in range(1, len(records)):
+            span = records[_trailing(i, window) : i + 1]
+            for c, name in enumerate(("xk", "yk", "xl", "yl")):
+                exact = _exact_slope([r.t for r in span], [getattr(r, name) for r in span])
+                assert fits[i, c] == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+    @given(
+        st.floats(-1e9, 1e9),
+        st.lists(
+            st.tuples(st.floats(1e-3, 1e3), *[st.floats(-1e6, 1e6)] * 4),
+            min_size=2,
+            max_size=30,
+        ),
+        st.integers(0, 12),
+    )
+    def test_equals_estimate_velocity_on_window_slice(self, t0, rows, window):
+        records, t = [], t0
+        for step, *coords in rows:
+            t += step
+            records.append(TrajectoryRecord(t, *coords))
+        fits = _velocity_fits(records, window)
+        for i in range(1, len(records)):
+            span = records[_trailing(i, window) : i + 1]
+            vk, vl = estimate_velocity(span, "k"), estimate_velocity(span, "l")
+            duration = span[-1].t - span[0].t
+            for c, want in enumerate((vk.x, vk.y, vl.x, vl.y)):
+                # Both are float sums in different orders: allow rounding
+                # relative to the coordinate's spread over the window.
+                xs = [(r.xk, r.yk, r.xl, r.yl)[c] for r in span]
+                scale = (max(xs) - min(xs)) / duration
+                assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
 
 
 class TestSceneConfig:
@@ -223,13 +291,17 @@ class TestExitCodes:
         ],
         ids=["overflow", "singular-fit"],
     )
-    def test_unusable_record_is_a_format_error(self, tmp_path, capsys, csv):
+    def test_unusable_record_is_a_format_error(self, tmp_path, capfd, csv):
         path = tmp_path / "bad.csv"
         path.write_text(csv)
         assert main(["classify", str(path)]) == EXIT_FORMAT
-        err = capsys.readouterr().err
+        # Read the file descriptors: native code writes past sys.stdout.
+        # Only the one error line may appear.
+        out, err = capfd.readouterr()
+        assert out == ""
         # The blank line 3 is skipped; the first classified record is line 4.
-        assert err.startswith("error: line 4:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: line 4:")
+        assert "RuntimeWarning" not in err
 
     def test_strict_escalates_degenerate_inputs(self, tmp_path, capsys):
         cases = [
