@@ -61,7 +61,6 @@ class SceneConfig:
     r_l: float = 2.0
     eps: float = 1e-9
     strict: bool = False
-    relaxed: bool = False
 
     def __post_init__(self) -> None:
         if not (self.r_k > 0 and self.r_l > 0):
@@ -320,7 +319,6 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
     if args.eps is not None:
         values["eps"] = args.eps
     values["strict"] = args.strict
-    values["relaxed"] = getattr(args, "relaxed", False)
     try:
         return SceneConfig(**values)
     except ValueError as exc:
@@ -407,7 +405,7 @@ def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
         matches = match_pattern(stream, pattern)
     else:
-        matches = detect_avoidance(stream, relaxed=cfg.relaxed)
+        matches = detect_avoidance(stream, relaxed=args.relaxed)
     doc = [{"start": m.start_index, "end": m.end_index} for m in matches]
     print(json.dumps(doc))
     return EXIT_OK

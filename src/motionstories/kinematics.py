@@ -2,9 +2,10 @@
 
 Seen from disc k, disc l moves on a straight line: relative position dp at the
 epoch, relative velocity dv.  Its closest approach comes at
-t_min = -dp.dv / |dv|^2, at center distance d_min = |dp x dv| / |dv|.
-Everything downstream (story derivation, transition instants, degeneracy
-warnings) is computed from those two numbers.
+t_min = -dp.dv / |dv|^2, at center distance d_min = |dp x dv| / |dv|, taken no
+farther than the current distance |dp|.  Everything downstream (story
+derivation, transition instants, degeneracy warnings) is computed from those
+two numbers.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
 
     The distance is the rejection of the relative position from the relative
     velocity, |dp x dv| / |dv|, which stays accurate when the discs pass very
-    close (the expanded form |dp|^2 - (dp.dv)^2/|dv|^2 cancels there).
+    close (the expanded form |dp|^2 - (dp.dv)^2/|dv|^2 cancels there).  It is
+    capped at the current distance |dp|: the two round differently near
+    closest approach, and a minimum above the distance now would place the
+    relation holding now outside the story read off the minimum.
     Rigid motion (|dv|^2 == 0, also when it underflows) has no distinguished
     instant and returns (None, |dp|).  Raises ValueError when |dv|^2, t_min or
     d_min overflows.
@@ -109,7 +113,7 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
         raise ValueError(
             f"relative motion overflows: |dv|^2={a!r}, t_min={t_min!r}, d_min={d_min!r}"
         )
-    return t_min, d_min
+    return t_min, min(d_min, dp.norm())
 
 
 def center_distance_at(state: UniformMotionState, t: float) -> float:

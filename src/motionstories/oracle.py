@@ -132,10 +132,11 @@ def sample_story(
     grid = [plan.t_start + i * plan.dt for i in range(n)]
     if grid[-1] < plan.t_end:
         grid.append(plan.t_end)
-    samples = [TimedLabel(t, _classify_at(state, t, tol)) for t in grid]
+    dists = [center_distance_at(state, t) for t in grid]
+    r_k, r_l = state.disc_k.radius, state.disc_l.radius
+    samples = [TimedLabel(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
-    dists = [center_distance_at(state, t) for t in grid]
     i_min = int(np.argmin(dists))
     lo = grid[max(0, i_min - 1)]
     hi = grid[min(len(grid) - 1, i_min + 1)]

@@ -4,10 +4,11 @@ Under uniform motion the relation sequence of two discs is determined by the
 minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
 and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
 distance axis once per radius configuration; the finite story catalogue, the
-rigid singletons and the transition instants are all read from it.  Each
-story is a qualitative motion relation, and pairing it with the current
-spatial relation (plus a chronological phase for repeated labels) gives the
-augmented motion relations.
+rigid singletons and the transition instants are all read from it, and
+`classify_discs` alone places a distance on it.  Each story is a qualitative
+motion relation, and pairing it with the current spatial relation (plus a
+chronological phase for repeated labels) gives the augmented motion
+relations.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ class Regime:
 
 # The regimes of each radius configuration (disc k smaller, larger, or equal
 # within eps to disc l) by increasing miss distance; bands and open intervals
-# alternate.  The walk in `_regime_index` compares one gap d - threshold
-# against eps per band (above: gap > eps, on it: gap >= -eps), so the regimes
-# partition the distance axis exactly, with no rounding slivers.
+# alternate.  Within a table every row holds a distinct relation, so the
+# relation `classify_discs` gives a distance names its row.  Rows rise with
+# distance and the closest approach is never farther than the current
+# distance, so the story found at the minimum contains the relation now.
 REGIMES: dict[str, tuple[Regime, ...]] = {
     "lt": (
         Regime(StoryId.S15, StoryId.S05),
@@ -131,6 +133,10 @@ REGIMES: dict[str, tuple[Regime, ...]] = {
     ),
 }
 
+_ROW_OF_REL: dict[str, dict[RccRelation, int]] = {
+    config: {r.rel: i for i, r in enumerate(table)} for config, table in REGIMES.items()
+}
+
 
 def radius_config(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     """The key of the radii's table in `REGIMES`."""
@@ -145,21 +151,6 @@ def _threshold(band: str, r_k: float, r_l: float) -> float:
     if band == "sum":
         return r_k + r_l
     return abs(r_k - r_l) if band == "diff" else 0.0
-
-
-def _regime_index(
-    table: tuple[Regime, ...], d: float, r_k: float, r_l: float, eps: float
-) -> int:
-    """Row of `table` holding center distance d, found from the top down."""
-    for i in range(len(table) - 1, -1, -1):
-        band = table[i].band
-        if band is not None:
-            gap = d - _threshold(band, r_k, r_l)
-            if gap > eps:
-                return i + 1
-            if gap >= -eps:
-                return i
-    return 0
 
 
 def regime_spans(
@@ -360,25 +351,21 @@ def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
     return tuple(chain)
 
 
-def story_of(
-    state: UniformMotionState,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    vel_tol: float = 0.0,
-) -> Story:
+def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> Story:
     """The story this motion state belongs to, with absolute transition instants."""
     r_k = state.disc_k.radius
     r_l = state.disc_l.radius
-    table = REGIMES[radius_config(r_k, r_l, tol)]
-    dp, dv = relative_state(state)
-    speed = dv.norm()
+    config = radius_config(r_k, r_l, tol)
+    table = REGIMES[config]
     t_min, h = closest_approach_state(state)
-
-    # Rigid within vel_tol, or a relative speed too small to square in floats.
-    if speed <= vel_tol or t_min is None:
-        sid = table[_regime_index(table, dp.norm(), r_k, r_l, tol.eps)].rigid
+    i = _ROW_OF_REL[config][classify_discs(h, r_k, r_l, tol)]
+    # Rigid motion, including a relative speed too small to square in floats;
+    # h is then the constant center distance.
+    if t_min is None:
+        sid = table[i].rigid
         return Story(sid, STORY_LABELS[sid], rigid=True, boundaries=())
 
-    i = _regime_index(table, h, r_k, r_l, tol.eps)
+    speed = relative_state(state)[1].norm()
     above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
     # Each threshold above the regime is crossed symmetrically about t_min,
     # the outermost first; (theta - h)(theta + h) keeps the half-width exact
@@ -445,12 +432,10 @@ def tsr_over_interval(
 
 
 def augmented_relation(
-    state: UniformMotionState,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    vel_tol: float = 0.0,
+    state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
-    story = story_of(state, tol, vel_tol)
+    story = story_of(state, tol)
     dp, dv = relative_state(state)
     rel = classify_discs(dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
     if story.labels.count(rel) <= 1:

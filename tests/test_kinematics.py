@@ -86,6 +86,11 @@ class TestPolynomial:
         for dt in (-1.0, -0.1, 0.1, 1.0):
             assert center_distance_at(state, t_min + dt) >= d_min - 1e-7
 
+    @given(finite, finite, finite, finite, finite, finite, finite, finite)
+    def test_minimum_is_no_farther_than_now(self, px, py, vx, vy, qx, qy, wx, wy):
+        state = make_state(px, py, vx, vy, qx, qy, wx, wy)
+        assert closest_approach_state(state)[1] <= relative_state(state)[0].norm()
+
     def test_stable_minimum_for_near_collision(self):
         # A grazing pass with tiny miss distance: the geometric form keeps
         # nanometer accuracy where the polynomial form loses it entirely.

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance
 from motionstories.oracle import canonical_state
-from motionstories.rcc import RccRelation, Tolerance
+from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
 from motionstories.stories import (
+    _ROW_OF_REL,
     REGIMES,
     STORY_LABELS,
     AugmentedRelation,
@@ -49,6 +50,12 @@ def state(px, py, vx, vy, qx, qy, wx, wy, rk=1.0, rl=2.0, epoch=0.0):
 SCENARIO_A = state(0, 0, 2, 0, 10, 3, -1, 0)
 # Collinear collision course: d_min = 0 at t = 5.
 SCENARIO_B = state(0, 0, 1, -1, 10, -5, -1, 0)
+
+
+def at_closest_approach(miss, phi, speed, rk, rl):
+    """Disc l passing disc k at perpendicular offset `miss`, now."""
+    c, s = math.cos(phi), math.sin(phi)
+    return state(0, 0, 0, 0, -miss * s, miss * c, speed * c, speed * s, rk=rk, rl=rl)
 
 
 class TestCompress:
@@ -233,6 +240,28 @@ class TestAugmentedRelation:
         aug = augmented_relation(at_tangency)
         assert aug == AugmentedRelation(StoryId.S12, R.EC, Phase.NONE)
 
+    def test_relation_at_closest_approach_lies_in_the_story(self):
+        # |dp| rounds one ulp below |dp x dv| / |dv| here; the relation now
+        # (PO) must still come out inside the story found at the minimum.
+        s = at_closest_approach(2.999999999, 7.03, 1.0, 1.0, 2.0)
+        assert augmented_relation(s) == AugmentedRelation(StoryId.S13, R.PO, Phase.NONE)
+
+    @given(
+        st.sampled_from([(1.0, 2.0, 3.0), (1.0, 2.0, 1.0), (2.0, 1.0, 3.0),
+                         (2.0, 1.0, 1.0), (1.5, 1.5, 3.0), (1.5, 1.5, 0.0)]),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.1, 10.0),
+    )
+    def test_band_edges_at_closest_approach(self, radii, side, scale, phi, speed):
+        rk, rl, theta = radii
+        miss = theta + side * DEFAULT_TOLERANCE.eps * scale
+        if miss < 0:
+            return
+        aug = augmented_relation(at_closest_approach(miss, phi, speed, rk, rl))
+        assert aug.rel in STORY_LABELS[aug.story]
+
     def test_rigid_phase_is_none(self):
         aug = augmented_relation(state(0.2, 0, 3, 3, 0, 0, 3, 3))
         assert aug == AugmentedRelation(StoryId.S05, R.NTPP, Phase.NONE)
@@ -396,6 +425,23 @@ class TestRadiusConfig:
             # Bands and open intervals alternate.
             bands = [r.band is not None for r in table]
             assert all(a != b for a, b in zip(bands, bands[1:]))
+
+    @pytest.mark.parametrize(
+        "rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1e-9, 1.0)]
+    )
+    def test_classify_discs_walks_the_rows_in_order(self, rk, rl):
+        # story_of reads the row off the relation classify_discs gives, so
+        # each relation must name one row, and rows must rise with distance.
+        config = radius_config(rk, rl)
+        rows = _ROW_OF_REL[config]
+        assert len(rows) == len(REGIMES[config])
+        eps = DEFAULT_TOLERANCE.eps
+        ds = [i * (rk + rl) / 1000 for i in range(2001)]
+        for theta in (rk + rl, abs(rk - rl), 0.0):
+            for edge in (theta - eps, theta, theta + eps):
+                ds += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        seen = [rows[classify_discs(d, rk, rl)] for d in sorted(d for d in ds if d >= 0)]
+        assert seen == sorted(seen)
 
 
 class TestMotionRccRelation:
