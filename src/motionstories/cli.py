@@ -20,14 +20,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
-from .neighborhood import motion_cng, rcc_cng, shortest_path, to_dot, to_json_adjacency
+from .neighborhood import motion_cng, rcc_cng, to_dot, to_json_adjacency
 from .oracle import default_plan, sample_story
-from .patterns import Pattern, detect_avoidance, match_pattern
+from .patterns import Pattern, control_suggestion, detect_avoidance, match_pattern
 from .rcc import Tolerance, bands_overlap
 from .stories import (
     AugmentedRelation,
     augmented_relation,
     augmented_set,
+    radius_config,
     stories_set,
     story_of,
     story_to_json_dict,
@@ -63,10 +64,8 @@ class SceneConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.r_k > 0 and self.r_l > 0):
-            raise ValueError("radii must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        # The classifier's own checks: positive, finite eps and radii.
+        radius_config(self.r_k, self.r_l, self.tolerance)
 
     @property
     def tolerance(self) -> Tolerance:
@@ -311,7 +310,10 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
             raise TrajectoryFormatError("config: expected a JSON object")
         for key in ("r_k", "r_l", "eps"):
             if key in raw:
-                values[key] = float(raw[key])
+                try:
+                    values[key] = float(raw[key])
+                except (TypeError, ValueError) as exc:
+                    raise TrajectoryFormatError(f"config: {key}: {exc}") from None
     if args.rk is not None:
         values["r_k"] = args.rk
     if args.rl is not None:
@@ -419,15 +421,15 @@ def _cmd_control(args: argparse.Namespace, cfg: SceneConfig) -> int:
         raise TrajectoryFormatError(str(exc)) from None
     g = motion_cng(augmented_set(cfg.r_k, cfg.r_l, cfg.tolerance))
     try:
-        path = shortest_path(g, frm, to)
+        steps = control_suggestion(frm, to, g)
     except KeyError as exc:
         raise TrajectoryFormatError(
             f"relation not in the configured graph: {exc.args[0]}"
         ) from None
-    if path is None:
+    if steps is None:
         print("no path")
         return EXIT_OK
-    for step in path[1:]:
+    for step in steps:
         print(step)
     return EXIT_OK
 

@@ -1,17 +1,19 @@
 """Closed-form kinematics of two discs in uniform planar motion.
 
 Seen from disc k, disc l moves on a straight line: relative position dp at the
-epoch, relative velocity dv.  Its closest approach comes at
-t_min = -dp.dv / |dv|^2, at center distance d_min = |dp x dv| / |dv|, taken no
-farther than the current distance |dp|.  Everything downstream (story
+epoch, relative velocity dv.  A `UniformMotionState` carries both, derived once
+when it is built.  Its closest approach comes at t_min = -dp.dv / |dv|^2, at
+center distance d_min = |dp x dv| / |dv|, taken no farther than the current
+distance |dp|.  The motion is rigid when |dv|^2 is 0 in floats (also when it
+underflows); it then has no closest approach.  Everything downstream (story
 derivation, transition instants, degeneracy warnings) is computed from those
-two numbers.
+numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -71,23 +73,24 @@ class Disc:
 
 @dataclass(frozen=True)
 class UniformMotionState:
-    """Two discs with constant velocities; centers given at `epoch`."""
+    """Two discs with constant velocities; centers given at `epoch`.
+
+    `dp` and `dv` are the position and velocity of disc l relative to disc k,
+    derived from the other fields; a difference that overflows is rejected.
+    """
 
     disc_k: Disc
     vel_k: Vec2
     disc_l: Disc
     vel_l: Vec2
     epoch: float = 0.0
+    dp: Vec2 = field(init=False, repr=False, compare=False)
+    dv: Vec2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite("epoch", self.epoch)
-
-
-def relative_state(state: UniformMotionState) -> tuple[Vec2, Vec2]:
-    """Relative position and velocity of disc l as seen from disc k."""
-    dp = state.disc_l.center - state.disc_k.center
-    dv = state.vel_l - state.vel_k
-    return dp, dv
+        object.__setattr__(self, "dp", self.disc_l.center - self.disc_k.center)
+        object.__setattr__(self, "dv", self.vel_l - self.vel_k)
 
 
 def closest_approach_state(state: UniformMotionState) -> tuple[float | None, float]:
@@ -103,7 +106,7 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
     instant and returns (None, |dp|).  Raises ValueError when |dv|^2, t_min or
     d_min overflows.
     """
-    dp, dv = relative_state(state)
+    dp, dv = state.dp, state.dv
     a = dv.norm_sq()
     if a == 0.0:
         return None, dp.norm()
@@ -118,8 +121,7 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
 
 def center_distance_at(state: UniformMotionState, t: float) -> float:
     """Center distance at epoch-relative time t, computed from positions."""
-    dp, dv = relative_state(state)
-    return (dp + dv.scaled(t)).norm()
+    return (state.dp + state.dv.scaled(t)).norm()
 
 
 def advance(state: UniformMotionState, dt: float) -> UniformMotionState:

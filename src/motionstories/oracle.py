@@ -19,7 +19,6 @@ from .kinematics import (
     Vec2,
     center_distance_at,
     closest_approach_state,
-    relative_state,
 )
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
 from .stories import (
@@ -56,8 +55,7 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     t_min, _ = closest_approach_state(state)
     if t_min is None:  # rigid motion: every window shows the one relation
         return SamplingPlan(-1.0, 1.0, 2.0 / (n_points - 1))
-    _, dv = relative_state(state)
-    speed = dv.norm()
+    speed = state.dv.norm()
     r_sum = state.disc_k.radius + state.disc_l.radius
     half = (r_sum + 1.0) / speed + 1.0
     return SamplingPlan(t_min - half, t_min + half, 2.0 * half / (n_points - 1))

@@ -79,10 +79,9 @@ class MatchResult:
 
     start_index: int
     end_index: int
-    matched: bool = True
 
     def __post_init__(self) -> None:
-        if self.matched and self.start_index > self.end_index:
+        if self.start_index > self.end_index:
             raise ValueError("start_index must not exceed end_index")
 
 

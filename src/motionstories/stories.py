@@ -18,11 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .kinematics import (
-    UniformMotionState,
-    closest_approach_state,
-    relative_state,
-)
+from .kinematics import UniformMotionState, closest_approach_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
 
 _R = RccRelation
@@ -330,12 +326,6 @@ def compress(samples: list[TimedLabel]) -> TemporalSequence:
     )
 
 
-def is_rigid(state: UniformMotionState, vel_tol: float = 0.0) -> bool:
-    """True when both discs move with the same velocity (within vel_tol)."""
-    _, dv = relative_state(state)
-    return dv.norm() <= vel_tol
-
-
 def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
     """The story's labels paired with phases, in chronological order."""
     labels = STORY_LABELS[story_id]
@@ -365,7 +355,7 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
         sid = table[i].rigid
         return Story(sid, STORY_LABELS[sid], rigid=True, boundaries=())
 
-    speed = relative_state(state)[1].norm()
+    speed = state.dv.norm()
     above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
     # Each threshold above the regime is crossed symmetrically about t_min,
     # the outermost first; (theta - h)(theta + h) keeps the half-width exact
@@ -436,13 +426,12 @@ def augmented_relation(
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
     story = story_of(state, tol)
-    dp, dv = relative_state(state)
-    rel = classify_discs(dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
+    rel = classify_discs(state.dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
     if story.labels.count(rel) <= 1:
         return AugmentedRelation(story.id, rel, Phase.NONE)
     # A repeated label needs a moving story.  Closest approach is still ahead
     # (t_min = -dp.dv / |dv|^2 > 0) exactly while the discs close in.
-    phase = Phase.MINUS if dp.dot(dv) < 0 else Phase.PLUS
+    phase = Phase.MINUS if state.dp.dot(state.dv) < 0 else Phase.PLUS
     return AugmentedRelation(story.id, rel, phase)
 
 
@@ -485,14 +474,18 @@ def extreme_relations(story: Story) -> tuple[RccRelation, RccRelation]:
 
 
 def asymptotic_direction(state: UniformMotionState, sign: float) -> UnitVec:
-    """Limit of the k-to-l connecting unit vector as t -> +/- infinity."""
-    _, dv = relative_state(state)
-    n = dv.norm()
-    if n == 0.0:
+    """Limit of the k-to-l connecting unit vector as t -> +/- infinity.
+
+    Undefined exactly when `story_of` gives a rigid story: |dv|^2 is 0 in
+    floats, the rigid test of `closest_approach_state`.
+    """
+    dv = state.dv
+    if dv.norm_sq() == 0.0:
         raise DegenerateMotionError("direction undefined: discs move rigidly")
     if sign == 0:
         raise ValueError("sign must be positive (toward +inf) or negative (toward -inf)")
     s = 1.0 if sign > 0 else -1.0
+    n = dv.norm()
     return UnitVec(s * dv.x / n, s * dv.y / n)
 
 

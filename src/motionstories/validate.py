@@ -163,7 +163,7 @@ def _edge_witness(
         # k sets the miss-distance regime without changing the epoch relation.
         rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
         base = _rigid_state_for(rigid, axis)
-        d0 = (base.disc_l.center - base.disc_k.center).norm()
+        d0 = base.dp.norm()
         h = min(axis.miss(moving.story), d0)
         sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
         cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))

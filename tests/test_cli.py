@@ -164,6 +164,10 @@ class TestSceneConfig:
             SceneConfig(r_k=-1.0)
         with pytest.raises(ValueError):
             SceneConfig(eps=0.0)
+        with pytest.raises(ValueError):
+            SceneConfig(r_l=math.inf)
+        with pytest.raises(ValueError):
+            SceneConfig(eps=math.inf)
 
 
 class TestStoryCommand:
@@ -288,8 +292,10 @@ class TestExitCodes:
             "t,xk,yk,xl,yl\n0,0,0,1e200,3\n\n1,1e200,0,0,3\n2,2e200,0,-1e200,3\n",
             # Time steps of 1e-300 s make the least-squares fit singular.
             "t,xk,yk,xl,yl\n0,0,0,10,3\n\n1e-300,1,0,9,3\n2e-300,2,0,8,3\n",
+            # Centers 2e308 m apart: the relative position overflows.
+            "t,xk,yk,xl,yl\n0,-1e308,0,1e308,0\n\n1,-1e308,0,1e308,0\n2,-1e308,0,1e308,0\n",
         ],
-        ids=["overflow", "singular-fit"],
+        ids=["overflow", "singular-fit", "relative-position-overflow"],
     )
     def test_unusable_record_is_a_format_error(self, tmp_path, capfd, csv):
         path = tmp_path / "bad.csv"
@@ -333,6 +339,24 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[]")
         assert main(["--config", str(cfg), "stories-set"]) == EXIT_FORMAT
+
+    def test_unusable_config_value_is_a_format_error(self, tmp_path, capsys):
+        control = ["control", "--from", "S15(DC-)", "--to", "S11(DC)"]
+        cases = [
+            ["--rk", "inf", "stories-set"],
+            ["--eps", "inf", "stories-set"],
+            ["--rk", "inf", "cng", "--motion"],
+            ["--rk", "inf", *control],
+        ]
+        for i, value in enumerate(['"abc"', "[1]"]):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(f'{{"r_k": {value}}}')
+            cases.append(["--config", str(cfg), "stories-set"])
+        for argv in cases:
+            assert main(argv) == EXIT_FORMAT, argv
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: config:"), err
+            assert "Traceback" not in err
 
 
 class TestRoundTrip:

@@ -10,7 +10,6 @@ from motionstories.kinematics import (
     advance,
     center_distance_at,
     closest_approach_state,
-    relative_state,
 )
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -89,7 +88,7 @@ class TestPolynomial:
     @given(finite, finite, finite, finite, finite, finite, finite, finite)
     def test_minimum_is_no_farther_than_now(self, px, py, vx, vy, qx, qy, wx, wy):
         state = make_state(px, py, vx, vy, qx, qy, wx, wy)
-        assert closest_approach_state(state)[1] <= relative_state(state)[0].norm()
+        assert closest_approach_state(state)[1] <= state.dp.norm()
 
     def test_stable_minimum_for_near_collision(self):
         # A grazing pass with tiny miss distance: the geometric form keeps
@@ -102,9 +101,18 @@ class TestPolynomial:
 
 class TestRelativeState:
     def test_direction_is_k_to_l(self):
-        dp, dv = relative_state(make_state(1, 1, 1, 0, 4, 5, 0, 1))
-        assert dp == Vec2(3, 4)
-        assert dv == Vec2(-1, 1)
+        state = make_state(1, 1, 1, 0, 4, 5, 0, 1)
+        assert state.dp == Vec2(3, 4)
+        assert state.dv == Vec2(-1, 1)
+
+    def test_derived_again_when_advanced_and_kept_out_of_repr(self):
+        state = make_state(1, 1, 1, 0, 4, 5, 0, 1)
+        assert advance(state, 1.0).dp == Vec2(2, 5)
+        assert "dp=" not in repr(state) and "dv=" not in repr(state)
+
+    def test_overflowing_difference_is_rejected(self):
+        with pytest.raises(ValueError, match="x must be finite, got inf"):
+            make_state(-1e308, 0, 0, 0, 1e308, 0, 0, 0)
 
 
 class TestAdvance:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from motionstories.kinematics import Disc, UniformMotionState, Vec2
+from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import (
+    _REFINE_REL,
     SamplingPlan,
     canonical_state,
     default_plan,
@@ -11,7 +13,7 @@ from motionstories.oracle import (
     sample_story,
     sweep_stories,
 )
-from motionstories.rcc import RccRelation
+from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import STORY_LABELS, StoryId, story_of
 
 R = RccRelation
@@ -80,6 +82,46 @@ class TestSampleStory:
         assert story_of(state).id is StoryId.S14
         assert sample_story(state, default_plan(state)).labels == STORY_LABELS[StoryId.S14]
 
+    @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)])
+    def test_instants_agree_with_analytic(self, r_k, r_l):
+        # Random states as in acceptance criterion 5, at random epochs.  Each
+        # threshold theta is crossed while the center distance passes through
+        # its eps band, t_min -/+ sqrt((theta +/- eps)^2 - h^2) / |dv| before
+        # and after closest approach.  Both sampled boundaries of a crossing
+        # and the analytic instant must lie in that span, widened by a few
+        # refinement floors and by the rounding of the absolute analytic
+        # instants at the epoch.
+        eps = DEFAULT_TOLERANCE.eps
+        thresholds = (r_k + r_l, abs(r_k - r_l))
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 150:
+            px, py, qx, qy = rng.uniform(-30.0, 30.0, size=4)
+            vx, vy, wx, wy = rng.uniform(-5.0, 5.0, size=4)
+            state = UniformMotionState(
+                Disc(Vec2(px, py), r_k), Vec2(vx, vy),
+                Disc(Vec2(qx, qy), r_l), Vec2(wx, wy), rng.uniform(-1e3, 1e3),
+            )
+            t_min, h = closest_approach_state(state)
+            if t_min is None or min(abs(h - theta) for theta in thresholds) <= 10 * eps:
+                continue
+            checked += 1
+            story = story_of(state)
+            sampled = sample_story(state, default_plan(state))
+            assert sampled.labels == story.labels
+
+            def reach(d):
+                return math.sqrt((d - h) * (d + h)) / state.dv.norm()
+
+            above = sorted(theta for theta in thresholds if theta > h)
+            spans = [(t_min - reach(th + eps), t_min - reach(th - eps)) for th in reversed(above)]
+            spans += [(t_min + reach(th - eps), t_min + reach(th + eps)) for th in above]
+            analytic = [b - state.epoch for b in story.boundaries]
+            for j, (lo, hi) in enumerate(spans):
+                slack = 4 * (_REFINE_REL * max(1.0, abs(lo), abs(hi)) + math.ulp(state.epoch))
+                for t in (*sampled.boundaries[2 * j : 2 * j + 2], *analytic[2 * j : 2 * j + 2]):
+                    assert lo - slack <= t <= hi + slack
+
 
 class TestSweep:
     def test_canonical_radii_find_exactly_the_nine_sequences(self):
@@ -127,5 +169,5 @@ class TestStateFactories:
 
     def test_rigid_state_distance(self):
         s = rigid_state(1.0, 2.0, 4.0)
-        assert (s.disc_l.center - s.disc_k.center).norm() == pytest.approx(4.0)
+        assert s.dp.norm() == pytest.approx(4.0)
         assert story_of(s).rigid

@@ -25,7 +25,6 @@ from motionstories.stories import (
     compress,
     extreme_relations,
     format_story,
-    is_rigid,
     radius_config,
     stories_set,
     story_of,
@@ -105,20 +104,6 @@ class TestTemporalSequence:
 
     def test_allows_repeated_boundary_for_instant_labels(self):
         TemporalSequence((R.DC, R.EC, R.DC), (0.0, 10.0), (5.0, 5.0))
-
-
-class TestIsRigid:
-    def test_equal_velocities(self):
-        assert is_rigid(state(0, 0, 3, 3, 5, 0, 3, 3))
-
-    def test_unequal_velocities(self):
-        assert not is_rigid(state(0, 0, 2, 0, 10, 3, -1, 0))
-        assert not is_rigid(SCENARIO_B)
-
-    def test_velocity_tolerance(self):
-        s = state(0, 0, 1, 0, 5, 0, 1 + 1e-6, 0)
-        assert not is_rigid(s)
-        assert is_rigid(s, vel_tol=1e-5)
 
 
 class TestStoryOf:
@@ -383,6 +368,18 @@ class TestAsymptoticDirection:
     def test_rigid_motion_is_an_error(self):
         with pytest.raises(DegenerateMotionError):
             asymptotic_direction(state(0, 0, 1, 1, 5, 0, 1, 1), +1)
+
+    @pytest.mark.parametrize("speed", [0.0, 1e-200, 1e-150, 1.0])
+    def test_undefined_exactly_for_rigid_stories(self, speed):
+        # |dv|^2 underflows to 0 at 1e-200 m/s: the story is rigid.
+        s = state(0, 0, 0, 0, 5, 0, speed, 0)
+        rigid = story_of(s).rigid
+        assert rigid is (speed * speed == 0.0)
+        if rigid:
+            with pytest.raises(DegenerateMotionError):
+                asymptotic_direction(s, +1)
+        else:
+            assert asymptotic_direction(s, +1) == UnitVec(1.0, 0.0)
 
     def test_unit_vec_enforces_norm(self):
         with pytest.raises(ValueError):
