@@ -2,8 +2,9 @@
 
 Ingests CSV trajectories, estimates velocities by least squares, classifies
 motion states, reports stories as JSON, exports neighborhood graphs, and runs
-pattern detection.  Exit codes: 0 success, 1 usage error, 2 input-format
-error, 3 degenerate-input warning escalated by --strict.
+pattern detection.  Exit codes: 0 success (also when the reader closes
+stdout early), 1 usage error, 2 input-format error, 3 degenerate-input
+warning escalated by --strict.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ from .stories import (
     augmented_relation,
     augmented_set,
     radius_config,
+    regime_spans,
     stories_set,
     story_of,
     story_to_json_dict,
@@ -223,9 +226,10 @@ def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[st
     if bands_overlap(cfg.r_k, cfg.r_l, tol):
         warnings.append("tolerance bands of the tangency thresholds overlap")
     _, d_min = closest_approach_state(state)
-    for theta in (cfg.r_k + cfg.r_l, abs(cfg.r_k - cfg.r_l)):
-        gap = abs(d_min - theta)
-        if tol.eps < gap <= 10.0 * tol.eps:
+    for lo, hi in regime_spans(cfg.r_k, cfg.r_l, tol):
+        gap = abs(d_min - lo)
+        # Only a tangency band spans one distance, its threshold.
+        if lo == hi and tol.eps < gap <= 10.0 * tol.eps:
             warnings.append(
                 f"closest approach within {gap:.3g} m of a tangency threshold"
             )
@@ -457,6 +461,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TrajectoryFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except BrokenPipeError:
+        # The reader has all it wants; point stdout at devnull so the final
+        # flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .rcc import RccRelation
-from .stories import REGIMES, AugmentedRelation, Phase, StoryId, augmented_chain
+from .stories import REGIMES, AugmentedRelation, Phase, augmented_chain, central, relation_config
 
 _R = RccRelation
 
@@ -57,35 +57,13 @@ class Cng:
         return frozenset((a, b)) in self.edges
 
 
-def rcc_cng(edges: Iterable[tuple[RccRelation, RccRelation]] | None = None) -> Cng:
-    """The disc-relation neighborhood graph; pass `edges` to override the default."""
-    edge_set = (
-        DEFAULT_RCC_EDGES
-        if edges is None
-        else frozenset(frozenset(pair) for pair in edges)
-    )
-    return Cng(nodes=frozenset(RccRelation), edges=edge_set)
-
-
-def _central(sid: StoryId) -> AugmentedRelation:
-    """The relation holding at closest approach (mid-chain)."""
-    chain = augmented_chain(sid)
-    return chain[len(chain) // 2]
+def rcc_cng() -> Cng:
+    """The disc-relation neighborhood graph."""
+    return Cng(nodes=frozenset(RccRelation), edges=DEFAULT_RCC_EDGES)
 
 
 def _phases_compatible(a: AugmentedRelation, b: AugmentedRelation) -> bool:
     return a.phase is b.phase or a.phase is Phase.NONE or b.phase is Phase.NONE
-
-
-def _story_ids(config: str) -> set[StoryId]:
-    return {sid for r in REGIMES[config] for sid in (r.story, r.rigid)}
-
-
-def _config_of(ids: set[StoryId]) -> str:
-    for config in REGIMES:
-        if ids == _story_ids(config):
-            return config
-    raise ValueError("incomplete augmented relation set: not a full configuration")
 
 
 def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
@@ -100,11 +78,7 @@ def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
     regime lies at or below its own.
     """
     nodes = frozenset(aug)
-    config = _config_of({a.story for a in nodes})
-    expected = frozenset(rel for sid in _story_ids(config) for rel in augmented_chain(sid))
-    if nodes != expected:
-        raise ValueError("incomplete augmented relation set for its configuration")
-
+    config = relation_config(nodes)
     order = [r.story for r in REGIMES[config]]
     edges: set[frozenset[AugmentedRelation]] = set()
 
@@ -118,7 +92,7 @@ def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
                 for b in augmented_chain(other_sid):
                     if a.rel is b.rel and _phases_compatible(a, b):
                         edges.add(frozenset((a, b)))
-            edges.add(frozenset((_central(sid), _central(other_sid))))
+            edges.add(frozenset((central(sid), central(other_sid))))
 
     for rank, regime in enumerate(REGIMES[config]):
         if regime.rigid is regime.story:

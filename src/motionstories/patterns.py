@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .neighborhood import Cng, shortest_path
 from .rcc import RccRelation
-from .stories import REGIMES, AugmentedRelation, Phase, StoryId
+from .stories import STORY_RANK, AugmentedRelation, Phase, StoryId
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,6 @@ def _avoidance_chain() -> tuple[AugmentedRelation, ...]:
 AVOIDANCE_PATTERN = Pattern.from_relations(_avoidance_chain())
 
 
-def _story_rank(sid: StoryId) -> int | None:
-    """Position of the story on its regime table's miss-distance axis."""
-    for table in REGIMES.values():
-        for rank, regime in enumerate(table):
-            if regime.story is sid:
-                return rank
-    return None
-
-
 def detect_avoidance(
     stream: Sequence[AugmentedRelation], relaxed: bool = False
 ) -> list[MatchResult]:
@@ -142,7 +133,8 @@ def detect_avoidance(
 
     Strict mode (default) requires every step of the canonical five-story
     chain; relaxed mode accepts any strictly distance-rank-increasing DC−
-    chain ending at S11(DC), tolerating skipped intermediate stories.
+    chain ending at S11(DC), tolerating skipped intermediate stories.  Every
+    DC− relation belongs to a non-rigid story, so each has a rank.
     """
     if not relaxed:
         return match_pattern(stream, AVOIDANCE_PATTERN)
@@ -163,9 +155,7 @@ def detect_avoidance(
         while (
             j + 1 < len(seq)
             and is_dc_minus(seq[j + 1])
-            and _story_rank(seq[j + 1].story) is not None
-            and _story_rank(seq[j].story) is not None
-            and _story_rank(seq[j + 1].story) > _story_rank(seq[j].story)
+            and STORY_RANK[seq[j + 1].story] > STORY_RANK[seq[j].story]
         ):
             j += 1
         if j + 1 < len(seq) and seq[j + 1] == goal:

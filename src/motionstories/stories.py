@@ -129,15 +129,24 @@ REGIMES: dict[str, tuple[Regime, ...]] = {
     ),
 }
 
-_ROW_OF_REL: dict[str, dict[RccRelation, int]] = {
-    config: {r.rel: i for i, r in enumerate(table)} for config, table in REGIMES.items()
+# The row of each relation and of each non-rigid story, per table.
+ROW_OF: dict[str, dict[RccRelation | StoryId, int]] = {
+    config: {key: i for i, r in enumerate(table) for key in (r.rel, r.story)}
+    for config, table in REGIMES.items()
+}
+
+# A non-rigid story's row in the first table that lists it: its rank by miss
+# distance across configurations (S13 ranks as in "lt").
+STORY_RANK: dict[StoryId, int] = {
+    r.story: i for table in reversed(REGIMES.values()) for i, r in enumerate(table)
 }
 
 
 def radius_config(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     """The key of the radii's table in `REGIMES`."""
-    if not (r_k > 0 and r_l > 0 and math.isfinite(r_k) and math.isfinite(r_l)):
-        raise ValueError(f"radii must be positive and finite, got {r_k!r}, {r_l!r}")
+    # Positive radii with a finite sum are finite themselves.
+    if not (r_k > 0 and r_l > 0 and math.isfinite(r_k + r_l)):
+        raise ValueError(f"radii must be positive with a finite sum, got {r_k!r}, {r_l!r}")
     if abs(r_k - r_l) <= tol.eps:
         return "eq"
     return "lt" if r_k < r_l else "gt"
@@ -231,13 +240,14 @@ class Story:
     """
 
     id: StoryId
-    labels: tuple[RccRelation, ...]
     rigid: bool
     boundaries: tuple[float, ...] | None
 
+    @property
+    def labels(self) -> tuple[RccRelation, ...]:
+        return STORY_LABELS[self.id]
+
     def __post_init__(self) -> None:
-        if self.labels != STORY_LABELS[self.id]:
-            raise ValueError(f"label sequence does not match story {self.id}")
         if self.rigid and len(self.labels) != 1:
             raise ValueError("rigid stories are singletons")
         if self.boundaries is not None and len(self.boundaries) != max(0, len(self.labels) - 1):
@@ -288,7 +298,6 @@ class AugmentedRelation:
 class StoriesSet:
     """The realizable stories for one radius configuration."""
 
-    rigid: frozenset[Story]
     nonrigid: frozenset[Story]
     all: tuple[Story, ...]
 
@@ -341,6 +350,12 @@ def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
     return tuple(chain)
 
 
+def central(story_id: StoryId) -> AugmentedRelation:
+    """The relation holding at closest approach (mid-chain)."""
+    chain = augmented_chain(story_id)
+    return chain[len(chain) // 2]
+
+
 def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> Story:
     """The story this motion state belongs to, with absolute transition instants."""
     r_k = state.disc_k.radius
@@ -348,12 +363,11 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
     config = radius_config(r_k, r_l, tol)
     table = REGIMES[config]
     t_min, h = closest_approach_state(state)
-    i = _ROW_OF_REL[config][classify_discs(h, r_k, r_l, tol)]
+    i = ROW_OF[config][classify_discs(h, r_k, r_l, tol)]
     # Rigid motion, including a relative speed too small to square in floats;
     # h is then the constant center distance.
     if t_min is None:
-        sid = table[i].rigid
-        return Story(sid, STORY_LABELS[sid], rigid=True, boundaries=())
+        return Story(table[i].rigid, rigid=True, boundaries=())
 
     speed = state.dv.norm()
     above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
@@ -365,12 +379,10 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
     if table[i].band is not None:
         instants.append(t_min)
     instants += [t_min + w for w in reversed(widths)]
-    sid = table[i].story
     # Every transition enters or leaves an instantaneous tangency label, so
     # each instant bounds two labels.
     return Story(
-        id=sid,
-        labels=STORY_LABELS[sid],
+        id=table[i].story,
         rigid=False,
         boundaries=tuple(state.epoch + t for t in instants for _ in (0, 1)),
     )
@@ -438,23 +450,18 @@ def augmented_relation(
 def stories_set(
     r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> StoriesSet:
-    """All realizable stories for the given radii, duplicates merged."""
+    """All realizable stories for the given radii; S11 is listed once, as non-rigid."""
     table = REGIMES[radius_config(r_k, r_l, tol)]
-    rigid = frozenset(
-        Story(r.rigid, STORY_LABELS[r.rigid], rigid=True, boundaries=None) for r in table
-    )
-    nonrigid = frozenset(
-        Story(r.story, STORY_LABELS[r.story], rigid=False, boundaries=None) for r in table
-    )
-    merged: dict[tuple[RccRelation, ...], Story] = {}
-    for story in sorted(nonrigid, key=lambda s: s.id.value) + sorted(
-        rigid, key=lambda s: s.id.value
-    ):
-        merged.setdefault(story.labels, story)
+    nonrigid = frozenset(Story(r.story, rigid=False, boundaries=None) for r in table)
+    rigid = {Story(r.rigid, rigid=True, boundaries=None) for r in table if r.rigid is not r.story}
     return StoriesSet(
-        rigid=rigid,
-        nonrigid=nonrigid,
-        all=tuple(sorted(merged.values(), key=lambda s: s.id.value)),
+        nonrigid=nonrigid, all=tuple(sorted(nonrigid | rigid, key=lambda s: s.id.value))
+    )
+
+
+def _config_relations(config: str) -> frozenset[AugmentedRelation]:
+    return frozenset(
+        a for r in REGIMES[config] for sid in (r.story, r.rigid) for a in augmented_chain(sid)
     )
 
 
@@ -462,10 +469,15 @@ def augmented_set(
     r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> frozenset[AugmentedRelation]:
     """Phase-indexed expansion of every story realizable for the radii."""
-    out: set[AugmentedRelation] = set()
-    for story in stories_set(r_k, r_l, tol).all:
-        out.update(augmented_chain(story.id))
-    return frozenset(out)
+    return _config_relations(radius_config(r_k, r_l, tol))
+
+
+def relation_config(relations: frozenset[AugmentedRelation]) -> str:
+    """The key of the table whose stories expand to exactly these relations."""
+    for config in REGIMES:
+        if relations == _config_relations(config):
+            return config
+    raise ValueError("incomplete augmented relation set: not a full configuration")
 
 
 def extreme_relations(story: Story) -> tuple[RccRelation, RccRelation]:

@@ -3,7 +3,9 @@
 Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
-regime table (`stories.REGIMES` and `stories.regime_spans`).
+regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
+`stories.regime_spans`.  The graph's nodes must be exactly the radii's
+`stories.augmented_set`.
 """
 
 from __future__ import annotations
@@ -14,21 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import Disc, UniformMotionState, Vec2, advance
-from .neighborhood import Cng, _central, _config_of
+from .neighborhood import Cng
 from .oracle import canonical_state, rigid_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     REGIMES,
+    ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
     Phase,
     StoryId,
     augmented_chain,
     augmented_relation,
+    augmented_set,
+    central,
     distance_inside,
     radius_config,
     regime_spans,
 )
+
+_PATH_SAMPLES = 25
+_BISECT_FLOOR = 1e-7
 
 
 @dataclass
@@ -69,15 +77,14 @@ def _continuous_transition(
     u: AugmentedRelation,
     v: AugmentedRelation,
     tol: Tolerance,
-    n_samples: int,
-    floor: float = 1e-7,
 ) -> bool:
     """True if interpolating between the states moves u -> v without any third
     classification appearing.
 
-    The interpolation parameter is first sampled on a grid; every label change
-    is then bisected, so intermediate regimes narrower than the grid step are
-    still discovered down to a relative width of `floor`.
+    The interpolation parameter is first sampled on a grid of `_PATH_SAMPLES`
+    steps; every label change is then bisected, so intermediate regimes
+    narrower than the grid step are still discovered down to a relative width
+    of `_BISECT_FLOOR`.
     """
 
     def cls(s: float) -> AugmentedRelation:
@@ -85,11 +92,11 @@ def _continuous_transition(
 
     if cls(0.0) != u or cls(1.0) != v:
         return False
-    grid = [(i / n_samples, cls(i / n_samples)) for i in range(n_samples + 1)]
+    grid = [(i / _PATH_SAMPLES, cls(i / _PATH_SAMPLES)) for i in range(_PATH_SAMPLES + 1)]
     for (s0, c0), (s1, c1) in zip(grid, grid[1:]):
         if c0 not in (u, v) or c1 not in (u, v):
             return False
-        while c0 != c1 and s1 - s0 > floor:
+        while c0 != c1 and s1 - s0 > _BISECT_FLOOR:
             sm = (s0 + s1) / 2.0
             cm = cls(sm)
             if cm not in (u, v):
@@ -106,26 +113,19 @@ class _Axis:
 
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
-        self.rows = REGIMES[radius_config(r_k, r_l, tol)]
+        config = radius_config(r_k, r_l, tol)
+        self.rows, self.row_of = REGIMES[config], ROW_OF[config]
         self.spans = regime_spans(r_k, r_l, tol)
         self.rigid = {r.rigid for r in self.rows if r.rigid is not r.story}
-        self._row_of_story = {r.story: i for i, r in enumerate(self.rows)}
-        self._row_of_rel = {r.rel: i for i, r in enumerate(self.rows)}
-
-    def index(self, sid: StoryId) -> int:
-        """Row of the regime whose non-rigid story is sid."""
-        if sid not in self._row_of_story:
-            raise ValueError(f"{sid} is not a non-rigid story")
-        return self._row_of_story[sid]
 
     def is_band(self, sid: StoryId) -> bool:
-        return self.rows[self.index(sid)].band is not None
+        return self.rows[self.row_of[sid]].band is not None
 
     def miss(self, sid: StoryId, side: int = 0) -> float:
         """A miss distance inside the story's regime; side -1/+1 hugs its lower
         or upper end (3 eps inside), 0 picks a representative value.  A band
         has one miss distance, its threshold."""
-        lo, hi = self.spans[self.index(sid)]
+        lo, hi = self.spans[self.row_of[sid]]
         if side == 0 or lo == hi:
             return distance_inside((lo, hi))
         return lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps
@@ -133,7 +133,7 @@ class _Axis:
     def target(self, rel: RccRelation, h: float) -> float:
         """A center distance at which `rel` holds, reachable on a trajectory
         with miss distance h (never below h)."""
-        return distance_inside(self.spans[self._row_of_rel[rel]], floor=h)
+        return distance_inside(self.spans[self.row_of[rel]], floor=h)
 
 
 def _nonrigid_state(
@@ -206,10 +206,10 @@ def _edge_witness(
     if not axis.is_band(band.story):
         raise ValueError(f"neither {a} nor {b} lies on a tangency band")
     theta_band = axis.miss(band.story)
-    side = 1 if axis.index(interior.story) < axis.index(band.story) else -1
+    side = 1 if axis.row_of[interior.story] < axis.row_of[band.story] else -1
     h_int = axis.miss(interior.story, side)
-    band_central = band == _central(band.story)
-    int_central = interior == _central(interior.story)
+    band_central = band == central(band.story)
+    int_central = interior == central(interior.story)
     if band_central and int_central:
         # Both sit at closest approach; only the miss distance differs.
         s_band = _nonrigid_state(band, theta_band, theta_band, axis)
@@ -239,7 +239,7 @@ def _random_state_for(
         state = rigid_state(axis.r_k, axis.r_l, max(0.0, base_d + jitter), vel=vel)
         return state if augmented_relation(state, tol) == aug else None
 
-    i = axis.index(aug.story)
+    i = axis.row_of[aug.story]
     lo, hi = axis.spans[i]
     if axis.is_band(aug.story):
         h = max(0.0, lo + float(rng.uniform(-0.9, 0.9)) * eps)
@@ -256,7 +256,7 @@ def _random_state_for(
     # Pin the epoch to closest approach for genuinely central relations; the
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
-    pin_central = aug == _central(aug.story) and (
+    pin_central = aug == central(aug.story) and (
         len(STORY_LABELS[aug.story]) > 1 or rng.uniform() < 0.5
     )
     if pin_central:
@@ -294,7 +294,6 @@ def validate_motion_cng(
     tol: Tolerance = DEFAULT_TOLERANCE,
     n_pairs: int = 200,
     n_trials: int = 10_000,
-    path_samples: int = 25,
     seed: int = 0,
 ) -> ValidationReport:
     """Check the motion graph against continuously reachable transitions.
@@ -305,9 +304,8 @@ def validate_motion_cng(
     endpoints.  Sampled non-edge pairs must admit no such single-step
     transition across `n_trials` random perturbations each.
     """
-    config = _config_of({x.story for x in g.nodes})
-    if radius_config(r_k, r_l, tol) != config:
-        raise ValueError("graph configuration does not match the given radii")
+    if g.nodes != augmented_set(r_k, r_l, tol):
+        raise ValueError("graph nodes are not the augmented relations of the given radii")
     axis = _Axis(r_k, r_l, tol)
     rng = np.random.default_rng(seed)
     report = ValidationReport()
@@ -316,7 +314,7 @@ def validate_motion_cng(
         a, b = sorted(edge, key=str)
         try:
             su, sv = _edge_witness(a, b, axis)
-            witnessed = _continuous_transition(su, sv, a, b, tol, path_samples)
+            witnessed = _continuous_transition(su, sv, a, b, tol)
         except ValueError:
             # No witness is even constructible for this pair; the edge cannot
             # correspond to a continuous single-step transition.
@@ -340,7 +338,7 @@ def validate_motion_cng(
                 continue
             perturbed = _perturb(state, 3.0 * tol.eps, rng)
             if augmented_relation(perturbed, tol) == v and _continuous_transition(
-                state, perturbed, u, v, tol, path_samples
+                state, perturbed, u, v, tol
             ):
                 report.spurious_transitions.append((u, v))
                 break

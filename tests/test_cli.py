@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import motionstories
 from motionstories.cli import (
     EXIT_DEGENERATE,
     EXIT_FORMAT,
@@ -136,6 +140,11 @@ class TestVelocityFits:
         ),
         st.integers(0, 12),
     )
+    @example(  # a subnormal spread: the fits differ by one subnormal step over s_tt
+        t0=0.0,
+        rows=[(1, 0, 0, 0, 0)] * 3 + [(1, 0, 0, 0, 2.2250738585e-313), (0.015625, 0, 0, 0, 0)],
+        window=1,
+    )
     def test_equals_estimate_velocity_on_window_slice(self, t0, rows, window):
         records, t = [], t0
         for step, *coords in rows:
@@ -145,13 +154,21 @@ class TestVelocityFits:
         for i in range(1, len(records)):
             span = records[_trailing(i, window) : i + 1]
             vk, vl = estimate_velocity(span, "k"), estimate_velocity(span, "l")
-            duration = span[-1].t - span[0].t
+            ts = [r.t for r in span]
+            s_tt = sum((t - sum(ts) / len(ts)) ** 2 for t in ts)
             for c, want in enumerate((vk.x, vk.y, vl.x, vl.y)):
                 # Both are float sums in different orders: allow rounding
                 # relative to the coordinate's spread over the window.
                 xs = [(r.xk, r.yk, r.xl, r.yl)[c] for r in span]
-                scale = (max(xs) - min(xs)) / duration
-                assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+                spread = max(xs) - min(xs)
+                bound = 1e-9 * spread / (ts[-1] - ts[0])
+                if 0 < spread < sys.float_info.min:
+                    # Products of subnormal numbers round to absolute steps
+                    # of math.ulp(0.0): up to one per record in the centred
+                    # cross sum, which the slope divides by s_tt, and one in
+                    # the quotient.  Twice that bounds both paths.
+                    bound = max(bound, 2 * math.ulp(0.0) * (1 + len(span) / s_tt))
+                assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=bound)
 
 
 class TestSceneConfig:
@@ -316,6 +333,12 @@ class TestExitCodes:
             # 3e-9 m outside the inner threshold |1 - 1.000001|, with the last
             # record 100 s before closest approach.
             (["--rl", "1.000001"], [(t, t - 102, 1e-6 + 3e-9, 0, 0) for t in range(3)]),
+            # Radii equal within eps: the EQ band is centred on 0, not on
+            # |r_k - r_l| = 5e-10, so 1.2e-9 m lies just outside it.
+            (
+                ["--rk", "1.5", "--rl", "1.5000000005"],
+                [(t, 0, 0, t - 2, 1.2e-9) for t in range(3)],
+            ),
         ]
         for radii, rows in cases:
             csv = "t,xk,yk,xl,yl\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows)
@@ -347,6 +370,8 @@ class TestExitCodes:
             ["--eps", "inf", "stories-set"],
             ["--rk", "inf", "cng", "--motion"],
             ["--rk", "inf", *control],
+            # Each radius is finite, their sum is not.
+            ["--rk", "1e308", "--rl", "1e308", "story", SCENARIO_A_CSV],
         ]
         for i, value in enumerate(['"abc"', "[1]"]):
             cfg = tmp_path / f"cfg{i}.json"
@@ -357,6 +382,29 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error: config:"), err
             assert "Traceback" not in err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # 10^4 lines are well past a pipe's 64 KiB buffer, so the command is
+        # still printing when its reader goes away.
+        rows = [f"{t},{t * 1e-3!r},0,{0.1 + t * 1.01e-3!r},0\n" for t in range(10_000)]
+        path = tmp_path / "long.csv"
+        path.write_text("t,xk,yk,xl,yl\n" + "".join(rows))
+        src = str(Path(motionstories.__file__).parent.parent)
+        path_env = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path_env}
+        argv = [sys.executable, "-m", "motionstories.cli", "--rk", "2", "--rl", "1"]
+        proc = subprocess.Popen(
+            [*argv, "classify", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"S15I(NTPPI)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert err == b""
 
 
 class TestRoundTrip:

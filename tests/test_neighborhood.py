@@ -1,8 +1,10 @@
 import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import motionstories
 import motionstories.neighborhood
 from motionstories.neighborhood import (
     Cng,
@@ -49,7 +51,7 @@ class TestRccCng:
             shortest_path(rcc_cng(), "bogus", R.DC)
 
     def test_edge_override(self):
-        g = rcc_cng(edges=[(R.DC, R.EC)])
+        g = Cng(nodes=frozenset(RccRelation), edges=frozenset({frozenset((R.DC, R.EC))}))
         assert g.has_edge(R.DC, R.EC)
         assert not g.has_edge(R.EC, R.PO)
         # PO is now unreachable from DC.
@@ -66,6 +68,16 @@ def test_graph_module_does_not_import_the_oracle_or_validator():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {name.rpartition(".")[2] for name in imported} & {"oracle", "validate"}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    package = Path(motionstories.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 class TestCngType:
@@ -202,3 +214,11 @@ class TestValidation:
         g = motion_cng(augmented_set(1.0, 2.0))
         with pytest.raises(ValueError):
             validate_motion_cng(g, 2.0, 1.0)
+
+    def test_incomplete_node_set_raises(self):
+        # Every story of the radii still has nodes, but one relation is gone.
+        full = motion_cng(augmented_set(1.0, 2.0))
+        gone = aug("S15(NTPP)")
+        g = Cng(full.nodes - {gone}, frozenset(e for e in full.edges if gone not in e))
+        with pytest.raises(ValueError):
+            validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)

@@ -7,8 +7,8 @@ from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance
 from motionstories.oracle import canonical_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
 from motionstories.stories import (
-    _ROW_OF_REL,
     REGIMES,
+    ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
     DegenerateMotionError,
@@ -343,11 +343,11 @@ class TestCatalogue:
 
 class TestExtremeRelations:
     def test_full_passage(self):
-        s = Story(StoryId.S15, STORY_LABELS[StoryId.S15], False, None)
+        s = Story(StoryId.S15, False, None)
         assert extreme_relations(s) == (R.DC, R.DC)
 
     def test_rigid_singleton(self):
-        s = Story(StoryId.S05, (R.NTPP,), True, None)
+        s = Story(StoryId.S05, True, None)
         assert extreme_relations(s) == (R.NTPP, R.NTPP)
 
 
@@ -414,6 +414,8 @@ class TestRadiusConfig:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             radius_config(0.0, 1.0)
+        with pytest.raises(ValueError, match="finite sum"):
+            radius_config(1e308, 1e308)  # each finite, the sum is not
 
     def test_nonrigid_order_is_by_increasing_miss_distance(self):
         assert REGIMES["lt"][-1].story is StoryId.S11
@@ -430,8 +432,8 @@ class TestRadiusConfig:
         # story_of reads the row off the relation classify_discs gives, so
         # each relation must name one row, and rows must rise with distance.
         config = radius_config(rk, rl)
-        rows = _ROW_OF_REL[config]
-        assert len(rows) == len(REGIMES[config])
+        rows = ROW_OF[config]
+        assert len({r.rel for r in REGIMES[config]}) == len(REGIMES[config])
         eps = DEFAULT_TOLERANCE.eps
         ds = [i * (rk + rl) / 1000 for i in range(2001)]
         for theta in (rk + rl, abs(rk - rl), 0.0):
