@@ -4,7 +4,7 @@ Ingests CSV trajectories, estimates velocities by least squares, classifies
 motion states, reports stories as JSON, exports neighborhood graphs, and runs
 pattern detection.  Exit codes: 0 success (also when the reader closes
 stdout early), 1 usage error, 2 input-format error, 3 degenerate-input
-warning escalated by --strict.
+warning escalated by --strict; a closed stderr changes none of them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -236,9 +236,24 @@ def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[st
     return warnings
 
 
+def _to_devnull(stream: TextIO) -> None:
+    """Point a stream whose reader has gone at devnull; the flush at exit then succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _to_stderr(text: str) -> None:
+    """Print to stderr; a closed stderr loses the text, not the exit code."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _emit_warnings(warnings: list[str], cfg: SceneConfig) -> int:
     for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        _to_stderr(f"warning: {w}")
     if warnings and cfg.strict:
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -246,7 +261,7 @@ def _emit_warnings(warnings: list[str], cfg: SceneConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit with code 2
-        self.print_usage(sys.stderr)
+        _to_stderr(self.format_usage().rstrip("\n"))
         raise SystemExit2(message)
 
 
@@ -360,11 +375,10 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
         warnings = _degenerate_warnings(state, cfg)
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None
     if sampled is not None and sampled.labels != story.labels:
-        print(
+        _to_stderr(
             "verification failed: sampled labels "
             f"{[str(r) for r in sampled.labels]} != analytic "
-            f"{[str(r) for r in story.labels]}",
-            file=sys.stderr,
+            f"{[str(r) for r in story.labels]}"
         )
         return EXIT_FORMAT
     if args.text:
@@ -453,20 +467,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return EXIT_USAGE
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](args, cfg)
     except TrajectoryFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return EXIT_FORMAT
     except BrokenPipeError:
-        # The reader has all it wants; point stdout at devnull so the final
-        # flush at exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # Every stderr write goes through `_to_stderr`, so it is stdout's
+        # reader that has all it wants.
+        _to_devnull(sys.stdout)
         return EXIT_OK
 
 

@@ -53,10 +53,6 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def rotated(self, angle: float) -> "Vec2":
-        c, s = math.cos(angle), math.sin(angle)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
 
 @dataclass(frozen=True)
 class Disc:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .neighborhood import Cng, shortest_path
 from .rcc import RccRelation
-from .stories import STORY_RANK, AugmentedRelation, Phase, StoryId
+from .stories import REGIMES, STORY_RANK, AugmentedRelation, Phase, StoryId, augmented_chain
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,9 @@ def match_pattern(
     return results
 
 
-def _avoidance_chain() -> tuple[AugmentedRelation, ...]:
-    return (
-        AugmentedRelation(StoryId.S15, RccRelation.DC, Phase.MINUS),
-        AugmentedRelation(StoryId.S14, RccRelation.DC, Phase.MINUS),
-        AugmentedRelation(StoryId.S13, RccRelation.DC, Phase.MINUS),
-        AugmentedRelation(StoryId.S12, RccRelation.DC, Phase.MINUS),
-        AugmentedRelation(StoryId.S11, RccRelation.DC, Phase.NONE),
-    )
-
-
-AVOIDANCE_PATTERN = Pattern.from_relations(_avoidance_chain())
+# The first relation of each "lt" story by increasing miss distance: DC while
+# approaching, ending in the forever-disconnected S11(DC).
+AVOIDANCE_PATTERN = Pattern.from_relations([augmented_chain(r.story)[0] for r in REGIMES["lt"]])
 
 
 def detect_avoidance(

@@ -3,12 +3,13 @@
 Under uniform motion the relation sequence of two discs is determined by the
 minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
 and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
-distance axis once per radius configuration; the finite story catalogue, the
-rigid singletons and the transition instants are all read from it, and
-`classify_discs` alone places a distance on it.  Each story is a qualitative
-motion relation, and pairing it with the current spatial relation (plus a
-chronological phase for repeated labels) gives the augmented motion
-relations.
+distance axis, each with the relation holding there, once per radius
+configuration.  It is the only hand-written part of the catalogue: story
+labels, phased chains and relation sets are built from it once, at import,
+and `classify_discs` alone places a distance on it.  Each story is a
+qualitative motion relation, and pairing it with the current spatial
+relation (plus a phase, MINUS before closest approach and PLUS after, for
+the repeated labels) gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -60,44 +61,22 @@ class StoryId(Enum):
         return self.value
 
 
-STORY_LABELS: dict[StoryId, tuple[RccRelation, ...]] = {
-    StoryId.S02: (_R.EC,),
-    StoryId.S03: (_R.PO,),
-    StoryId.S04: (_R.TPP,),
-    StoryId.S05: (_R.NTPP,),
-    StoryId.S04I: (_R.TPPI,),
-    StoryId.S05I: (_R.NTPPI,),
-    StoryId.S0E: (_R.EQ,),
-    StoryId.S11: (_R.DC,),
-    StoryId.S12: (_R.DC, _R.EC, _R.DC),
-    StoryId.S13: (_R.DC, _R.EC, _R.PO, _R.EC, _R.DC),
-    StoryId.S14: (_R.DC, _R.EC, _R.PO, _R.TPP, _R.PO, _R.EC, _R.DC),
-    StoryId.S15: (_R.DC, _R.EC, _R.PO, _R.TPP, _R.NTPP, _R.TPP, _R.PO, _R.EC, _R.DC),
-    StoryId.S14I: (_R.DC, _R.EC, _R.PO, _R.TPPI, _R.PO, _R.EC, _R.DC),
-    StoryId.S15I: (_R.DC, _R.EC, _R.PO, _R.TPPI, _R.NTPPI, _R.TPPI, _R.PO, _R.EC, _R.DC),
-    StoryId.S15E: (_R.DC, _R.EC, _R.PO, _R.EQ, _R.PO, _R.EC, _R.DC),
-}
-
-
 @dataclass(frozen=True)
 class Regime:
     """One stretch of the closest-approach distance axis.
 
-    `story` is the non-rigid story whose minimum distance falls here and
-    `rigid` the singleton story whose relation holds at such a distance.  A
-    regime with a `band` ("sum" for r_k + r_l, "diff" for |r_k - r_l|, "zero")
-    is the eps band around that threshold; otherwise it is the open interval
-    between its neighbours' bands.
+    `rel` is the relation holding at a center distance inside the regime,
+    `story` the non-rigid story whose minimum distance falls here and `rigid`
+    the singleton story that holds `rel` throughout.  A regime with a `band`
+    ("sum" for r_k + r_l, "diff" for |r_k - r_l|, "zero") is the eps band
+    around that threshold; otherwise it is the open interval between its
+    neighbours' bands.
     """
 
     story: StoryId
     rigid: StoryId
+    rel: RccRelation
     band: str | None = None
-
-    @property
-    def rel(self) -> RccRelation:
-        """The relation holding at a center distance inside the regime."""
-        return STORY_LABELS[self.rigid][0]
 
 
 # The regimes of each radius configuration (disc k smaller, larger, or equal
@@ -108,26 +87,42 @@ class Regime:
 # distance, so the story found at the minimum contains the relation now.
 REGIMES: dict[str, tuple[Regime, ...]] = {
     "lt": (
-        Regime(StoryId.S15, StoryId.S05),
-        Regime(StoryId.S14, StoryId.S04, "diff"),
-        Regime(StoryId.S13, StoryId.S03),
-        Regime(StoryId.S12, StoryId.S02, "sum"),
-        Regime(StoryId.S11, StoryId.S11),
+        Regime(StoryId.S15, StoryId.S05, _R.NTPP),
+        Regime(StoryId.S14, StoryId.S04, _R.TPP, "diff"),
+        Regime(StoryId.S13, StoryId.S03, _R.PO),
+        Regime(StoryId.S12, StoryId.S02, _R.EC, "sum"),
+        Regime(StoryId.S11, StoryId.S11, _R.DC),
     ),
     "gt": (
-        Regime(StoryId.S15I, StoryId.S05I),
-        Regime(StoryId.S14I, StoryId.S04I, "diff"),
-        Regime(StoryId.S13, StoryId.S03),
-        Regime(StoryId.S12, StoryId.S02, "sum"),
-        Regime(StoryId.S11, StoryId.S11),
+        Regime(StoryId.S15I, StoryId.S05I, _R.NTPPI),
+        Regime(StoryId.S14I, StoryId.S04I, _R.TPPI, "diff"),
+        Regime(StoryId.S13, StoryId.S03, _R.PO),
+        Regime(StoryId.S12, StoryId.S02, _R.EC, "sum"),
+        Regime(StoryId.S11, StoryId.S11, _R.DC),
     ),
     "eq": (
-        Regime(StoryId.S15E, StoryId.S0E, "zero"),
-        Regime(StoryId.S13, StoryId.S03),
-        Regime(StoryId.S12, StoryId.S02, "sum"),
-        Regime(StoryId.S11, StoryId.S11),
+        Regime(StoryId.S15E, StoryId.S0E, _R.EQ, "zero"),
+        Regime(StoryId.S13, StoryId.S03, _R.PO),
+        Regime(StoryId.S12, StoryId.S02, _R.EC, "sum"),
+        Regime(StoryId.S11, StoryId.S11, _R.DC),
     ),
 }
+
+
+def _labels(story_id: StoryId) -> tuple[RccRelation, ...]:
+    """A non-rigid story comes in from the top row, walks down to its own
+    row's relation at closest approach and climbs back; a rigid one holds its
+    row's relation."""
+    for table in REGIMES.values():
+        for i, r in enumerate(table):
+            if story_id is r.story:
+                return tuple(x.rel for x in table[:i:-1] + table[i:])
+            if story_id is r.rigid:
+                return (r.rel,)
+    raise ValueError(f"story {story_id} is in no regime table")
+
+
+STORY_LABELS: dict[StoryId, tuple[RccRelation, ...]] = {sid: _labels(sid) for sid in StoryId}
 
 # The row of each relation and of each non-rigid story, per table.
 ROW_OF: dict[str, dict[RccRelation | StoryId, int]] = {
@@ -259,7 +254,8 @@ class AugmentedRelation:
     """A story paired with one of its spatial relations and its phase index.
 
     The phase distinguishes repeated occurrences of a label inside a story:
-    MINUS before closest approach, PLUS after, NONE for unique occurrences.
+    MINUS before closest approach, PLUS after.  Only the middle label, the
+    relation at closest approach, occurs once; its phase is NONE.
     """
 
     story: StoryId
@@ -268,12 +264,12 @@ class AugmentedRelation:
 
     def __post_init__(self) -> None:
         labels = STORY_LABELS[self.story]
-        count = labels.count(self.rel)
-        if count == 0:
+        if self.rel not in labels:
             raise ValueError(f"{self.rel} does not occur in story {self.story}")
-        if count == 1 and self.phase is not Phase.NONE:
+        once = self.rel is labels[len(labels) // 2]
+        if once and self.phase is not Phase.NONE:
             raise ValueError(f"{self.story}({self.rel}) occurs once; phase must be NONE")
-        if count > 1 and self.phase is Phase.NONE:
+        if not once and self.phase is Phase.NONE:
             raise ValueError(f"{self.story}({self.rel}) repeats; phase must be +/-")
 
     def __str__(self) -> str:
@@ -292,6 +288,23 @@ class AugmentedRelation:
         except ValueError as exc:
             raise ValueError(f"cannot parse augmented relation {text!r}: {exc}") from None
         return cls(story, rel, Phase(m.group(3)))
+
+
+def _chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
+    labels = STORY_LABELS[story_id]
+    half = len(labels) // 2
+    phases = [Phase.MINUS] * half + [Phase.NONE] + [Phase.PLUS] * half
+    return tuple(AugmentedRelation(story_id, rel, p) for rel, p in zip(labels, phases))
+
+
+# Each story's labels paired with phases, in chronological order.
+_CHAINS: dict[StoryId, tuple[AugmentedRelation, ...]] = {sid: _chain(sid) for sid in StoryId}
+
+# The phase-indexed expansion of each configuration's stories.
+_RELATION_SETS: dict[str, frozenset[AugmentedRelation]] = {
+    config: frozenset(a for r in table for sid in (r.story, r.rigid) for a in _CHAINS[sid])
+    for config, table in REGIMES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -337,22 +350,12 @@ def compress(samples: list[TimedLabel]) -> TemporalSequence:
 
 def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
     """The story's labels paired with phases, in chronological order."""
-    labels = STORY_LABELS[story_id]
-    seen: dict[RccRelation, int] = {}
-    chain = []
-    for rel in labels:
-        if labels.count(rel) == 1:
-            phase = Phase.NONE
-        else:
-            phase = Phase.MINUS if seen.get(rel, 0) == 0 else Phase.PLUS
-        seen[rel] = seen.get(rel, 0) + 1
-        chain.append(AugmentedRelation(story_id, rel, phase))
-    return tuple(chain)
+    return _CHAINS[story_id]
 
 
 def central(story_id: StoryId) -> AugmentedRelation:
     """The relation holding at closest approach (mid-chain)."""
-    chain = augmented_chain(story_id)
+    chain = _CHAINS[story_id]
     return chain[len(chain) // 2]
 
 
@@ -439,10 +442,11 @@ def augmented_relation(
     """Story plus the spatial relation currently holding, with its phase."""
     story = story_of(state, tol)
     rel = classify_discs(state.dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
-    if story.labels.count(rel) <= 1:
+    labels = story.labels
+    if rel is labels[len(labels) // 2]:
         return AugmentedRelation(story.id, rel, Phase.NONE)
-    # A repeated label needs a moving story.  Closest approach is still ahead
-    # (t_min = -dp.dv / |dv|^2 > 0) exactly while the discs close in.
+    # A label off the middle repeats, so the story moves.  Closest approach is
+    # still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly while the discs close in.
     phase = Phase.MINUS if state.dp.dot(state.dv) < 0 else Phase.PLUS
     return AugmentedRelation(story.id, rel, phase)
 
@@ -459,30 +463,19 @@ def stories_set(
     )
 
 
-def _config_relations(config: str) -> frozenset[AugmentedRelation]:
-    return frozenset(
-        a for r in REGIMES[config] for sid in (r.story, r.rigid) for a in augmented_chain(sid)
-    )
-
-
 def augmented_set(
     r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> frozenset[AugmentedRelation]:
     """Phase-indexed expansion of every story realizable for the radii."""
-    return _config_relations(radius_config(r_k, r_l, tol))
+    return _RELATION_SETS[radius_config(r_k, r_l, tol)]
 
 
 def relation_config(relations: frozenset[AugmentedRelation]) -> str:
     """The key of the table whose stories expand to exactly these relations."""
-    for config in REGIMES:
-        if relations == _config_relations(config):
+    for config, expansion in _RELATION_SETS.items():
+        if relations == expansion:
             return config
     raise ValueError("incomplete augmented relation set: not a full configuration")
-
-
-def extreme_relations(story: Story) -> tuple[RccRelation, RccRelation]:
-    """The relations holding as t -> -inf and t -> +inf."""
-    return story.labels[0], story.labels[-1]
 
 
 def asymptotic_direction(state: UniformMotionState, sign: float) -> UnitVec:

@@ -291,6 +291,18 @@ class TestStoriesSetCommand:
         assert "S15(DC-)" in doc["augmented"]
 
 
+def _piped_cli(args: list[str]) -> subprocess.Popen:
+    """`python -m motionstories.cli` on this package, stdout and stderr piped."""
+    src = str(Path(motionstories.__file__).parent.parent)
+    path_env = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen(
+        [sys.executable, "-m", "motionstories.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path_env},
+    )
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -389,22 +401,31 @@ class TestExitCodes:
         rows = [f"{t},{t * 1e-3!r},0,{0.1 + t * 1.01e-3!r},0\n" for t in range(10_000)]
         path = tmp_path / "long.csv"
         path.write_text("t,xk,yk,xl,yl\n" + "".join(rows))
-        src = str(Path(motionstories.__file__).parent.parent)
-        path_env = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path_env}
-        argv = [sys.executable, "-m", "motionstories.cli", "--rk", "2", "--rl", "1"]
-        proc = subprocess.Popen(
-            [*argv, "classify", str(path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        proc = _piped_cli(["--rk", "2", "--rl", "1", "classify", str(path)])
         assert proc.stdout.readline() == b"S15I(NTPPI)\n"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_OK
         assert err == b""
+
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path):
+        # A warning escalated by --strict (closest approach 5e-9 m outside
+        # EC) and a format error each print to stderr before returning.
+        near = tmp_path / "near.csv"
+        rows = [(t, 2 * t, 0, 10 - t, 3.0 + 5e-9) for t in range(3)]
+        near.write_text("t,xk,yk,xl,yl\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,xk,yk,xl,yl\n0,0,0,1\n")
+        for args, code in [
+            (["--strict", "story", str(near)], EXIT_DEGENERATE),
+            (["story", str(bad)], EXIT_FORMAT),
+        ]:
+            proc = _piped_cli(args)
+            proc.stderr.close()
+            proc.stdout.read()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == code, args
 
 
 class TestRoundTrip:

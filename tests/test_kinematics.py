@@ -36,10 +36,6 @@ class TestVec2:
         assert b.norm() == 5
         assert b.norm_sq() == 25
 
-    def test_rotation_preserves_norm(self):
-        v = Vec2(3, 4).rotated(1.234)
-        assert v.norm() == pytest.approx(5)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Vec2(math.nan, 0)

@@ -80,6 +80,12 @@ class TestPattern:
 
 
 class TestMatchPattern:
+    def test_avoidance_pattern_steps(self):
+        assert AVOIDANCE_PATTERN.steps == tuple(
+            StepMatcher.exact(aug(text))
+            for text in ("S15(DC-)", "S14(DC-)", "S13(DC-)", "S12(DC-)", "S11(DC)")
+        )
+
     def test_exact_match(self):
         results = match_pattern(AVOIDANCE, AVOIDANCE_PATTERN)
         assert results == [MatchResult(0, 4)]

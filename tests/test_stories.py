@@ -22,8 +22,8 @@ from motionstories.stories import (
     augmented_chain,
     augmented_relation,
     augmented_set,
+    central,
     compress,
-    extreme_relations,
     format_story,
     radius_config,
     stories_set,
@@ -33,6 +33,32 @@ from motionstories.stories import (
 )
 
 R = RccRelation
+
+# The catalogue written out by hand: every story's chain of augmented
+# relations, in chronological order.
+CHAINS = {
+    StoryId.S02: "S02(EC)",
+    StoryId.S03: "S03(PO)",
+    StoryId.S04: "S04(TPP)",
+    StoryId.S05: "S05(NTPP)",
+    StoryId.S04I: "S04I(TPPI)",
+    StoryId.S05I: "S05I(NTPPI)",
+    StoryId.S0E: "S0E(EQ)",
+    StoryId.S11: "S11(DC)",
+    StoryId.S12: "S12(DC-) S12(EC) S12(DC+)",
+    StoryId.S13: "S13(DC-) S13(EC-) S13(PO) S13(EC+) S13(DC+)",
+    StoryId.S14: "S14(DC-) S14(EC-) S14(PO-) S14(TPP) S14(PO+) S14(EC+) S14(DC+)",
+    StoryId.S15: (
+        "S15(DC-) S15(EC-) S15(PO-) S15(TPP-) S15(NTPP) "
+        "S15(TPP+) S15(PO+) S15(EC+) S15(DC+)"
+    ),
+    StoryId.S14I: "S14I(DC-) S14I(EC-) S14I(PO-) S14I(TPPI) S14I(PO+) S14I(EC+) S14I(DC+)",
+    StoryId.S15I: (
+        "S15I(DC-) S15I(EC-) S15I(PO-) S15I(TPPI-) S15I(NTPPI) "
+        "S15I(TPPI+) S15I(PO+) S15I(EC+) S15I(DC+)"
+    ),
+    StoryId.S15E: "S15E(DC-) S15E(EC-) S15E(PO-) S15E(EQ) S15E(PO+) S15E(EC+) S15E(DC+)",
+}
 
 
 def state(px, py, vx, vy, qx, qy, wx, wy, rk=1.0, rl=2.0, epoch=0.0):
@@ -267,6 +293,10 @@ class TestAugmentedRelation:
             AugmentedRelation(StoryId.S15, R.DC, Phase.NONE)  # repeated label
         with pytest.raises(ValueError):
             AugmentedRelation(StoryId.S12, R.PO, Phase.NONE)  # absent label
+        with pytest.raises(ValueError):
+            AugmentedRelation(StoryId.S02, R.EC, Phase.MINUS)  # rigid singleton
+        with pytest.raises(ValueError):
+            AugmentedRelation(StoryId.S11, R.DC, Phase.PLUS)  # moving singleton
 
     def test_phase_sweep_reproduces_chain(self):
         expected = augmented_chain(StoryId.S15)
@@ -283,12 +313,12 @@ class TestAugmentedRelation:
         assert all(any(aug == e for e in it) for aug in seen)
         assert seen[0] == expected[0] and seen[-1] == expected[-1]
 
-    def test_chain_phases(self):
-        chain = augmented_chain(StoryId.S15)
-        assert [str(a) for a in chain] == [
-            "S15(DC-)", "S15(EC-)", "S15(PO-)", "S15(TPP-)", "S15(NTPP)",
-            "S15(TPP+)", "S15(PO+)", "S15(EC+)", "S15(DC+)",
-        ]
+    @pytest.mark.parametrize("sid", list(CHAINS), ids=str)
+    def test_chain_phases(self, sid):
+        chain = augmented_chain(sid)
+        assert " ".join(map(str, chain)) == CHAINS[sid]
+        assert tuple(a.rel for a in chain) == STORY_LABELS[sid]
+        assert [a for a in chain if a.phase is Phase.NONE] == [central(sid)]
 
 
 class TestCatalogue:
@@ -339,16 +369,6 @@ class TestCatalogue:
     def test_longest_story_is_unique(self):
         lengths = sorted(len(s.labels) for s in stories_set(1.0, 2.0).all)
         assert lengths[-1] == 9 and lengths[-2] < 9
-
-
-class TestExtremeRelations:
-    def test_full_passage(self):
-        s = Story(StoryId.S15, False, None)
-        assert extreme_relations(s) == (R.DC, R.DC)
-
-    def test_rigid_singleton(self):
-        s = Story(StoryId.S05, True, None)
-        assert extreme_relations(s) == (R.NTPP, R.NTPP)
 
 
 class TestAsymptoticDirection:
