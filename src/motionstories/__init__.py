@@ -17,7 +17,7 @@ from .neighborhood import motion_cng
 from .oracle import default_plan, sample_story
 from .patterns import detect_avoidance
 from .rcc import Tolerance
-from .stories import augmented_relation, augmented_set, story_of
+from .stories import augmented_relation, augmented_set, classify_discs, story_of
 from .validate import ValidationReport, validate_motion_cng
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "Vec2",
     "augmented_relation",
     "augmented_set",
+    "classify_discs",
     "default_plan",
     "detect_avoidance",
     "motion_cng",

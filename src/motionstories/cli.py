@@ -323,7 +323,7 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise TrajectoryFormatError(f"config: {exc}") from None
         if not isinstance(raw, dict):
             raise TrajectoryFormatError("config: expected a JSON object")
@@ -348,10 +348,15 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
 
 def _read_records(path: str) -> list[TrajectoryRecord]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_trajectory(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_trajectory(data.decode("utf-8"))
     except OSError as exc:
         raise TrajectoryFormatError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        # Count lines as the parser does; the bad byte's line is the last.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise TrajectoryFormatError(f"line {line}: not valid UTF-8") from None
 
 
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:

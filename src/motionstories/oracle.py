@@ -3,13 +3,15 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach.
+closed-form closest approach.  Its label-change bisection, `resolve_changes`,
+also serves the perturbation validator in `validate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -20,10 +22,11 @@ from .kinematics import (
     center_distance_at,
     closest_approach_state,
 )
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
+from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     TemporalSequence,
     TimedLabel,
+    classify_discs,
     compress,
     distance_inside,
     regime_spans,
@@ -61,12 +64,6 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     return SamplingPlan(t_min - half, t_min + half, 2.0 * half / (n_points - 1))
 
 
-def _classify_at(state: UniformMotionState, t: float, tol: Tolerance) -> RccRelation:
-    return classify_discs(
-        center_distance_at(state, t), state.disc_k.radius, state.disc_l.radius, tol
-    )
-
-
 def _refine_minimum(state: UniformMotionState, lo: float, hi: float) -> float:
     """Golden-section minimum of the center distance on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,29 +86,35 @@ def _refine_minimum(state: UniformMotionState, lo: float, hi: float) -> float:
     return (a + b) / 2.0
 
 
-def _resolve_boundary(
-    state: UniformMotionState,
-    t0: float,
-    r0: RccRelation,
-    t1: float,
-    r1: RccRelation,
-    tol: Tolerance,
-    out: list[TimedLabel],
-) -> None:
-    """Recursively bisect a label change, discovering any bands in between."""
-    width_floor = _REFINE_REL * max(1.0, abs(t0), abs(t1))
-    if t1 - t0 <= width_floor:
-        out.append(TimedLabel(t1, r1))
-        return
-    tm = (t0 + t1) / 2.0
-    rm = _classify_at(state, tm, tol)
-    if rm is r0:
-        _resolve_boundary(state, tm, rm, t1, r1, tol, out)
-    elif rm is r1:
-        _resolve_boundary(state, t0, r0, tm, rm, tol, out)
-    else:
-        _resolve_boundary(state, t0, r0, tm, rm, tol, out)
-        _resolve_boundary(state, tm, rm, t1, r1, tol, out)
+def resolve_changes(
+    classify: Callable[[float], Any], samples: Sequence[tuple[float, Any]], rel_floor: float
+) -> list[tuple[float, Any]]:
+    """Refine chronological (t, label) samples at every label change.
+
+    A change is bisected until its bracket is at most
+    `rel_floor * max(1, |t0|, |t1|)` wide and then ends at the first instant
+    found with the new label; a third label met in between is bisected on
+    both sides, so labels holding for less than the sample spacing are found.
+    """
+    out = [samples[0]]
+
+    def bisect(t0: float, r0: Any, t1: float, r1: Any) -> None:
+        if t1 - t0 <= rel_floor * max(1.0, abs(t0), abs(t1)):
+            out.append((t1, r1))
+            return
+        tm = (t0 + t1) / 2.0
+        rm = classify(tm)
+        if rm != r0:
+            bisect(t0, r0, tm, rm)
+        if rm != r1:
+            bisect(tm, rm, t1, r1)
+
+    for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
+        if r1 == r0:
+            out.append((t1, r1))
+        else:
+            bisect(t0, r0, t1, r1)
+    return out
 
 
 def sample_story(
@@ -132,7 +135,10 @@ def sample_story(
         grid.append(plan.t_end)
     dists = [center_distance_at(state, t) for t in grid]
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
-    samples = [TimedLabel(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
+    samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
+
+    def classify(t: float) -> RccRelation:
+        return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
     i_min = int(np.argmin(dists))
@@ -140,19 +146,12 @@ def sample_story(
     hi = grid[min(len(grid) - 1, i_min + 1)]
     if lo < hi:
         t_at_min = _refine_minimum(state, lo, hi)
-        if plan.t_start < t_at_min < plan.t_end and all(
-            abs(t_at_min - s.t) > 0 for s in samples
-        ):
-            samples.append(TimedLabel(t_at_min, _classify_at(state, t_at_min, tol)))
-            samples.sort(key=lambda s: s.t)
+        if plan.t_start < t_at_min < plan.t_end and t_at_min not in grid:
+            samples.append((t_at_min, classify(t_at_min)))
+            samples.sort(key=lambda s: s[0])
 
-    refined: list[TimedLabel] = [samples[0]]
-    for prev, cur in zip(samples, samples[1:]):
-        if cur.rel is prev.rel:
-            refined.append(cur)
-        else:
-            _resolve_boundary(state, prev.t, prev.rel, cur.t, cur.rel, tol, refined)
-    return compress(refined)
+    refined = resolve_changes(classify, samples, _REFINE_REL)
+    return compress([TimedLabel(t, rel) for t, rel in refined])
 
 
 def canonical_state(

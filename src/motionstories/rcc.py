@@ -1,8 +1,10 @@
-"""RCC-8 classification of two discs from their center distance.
+"""RCC-8 relations of two discs and the tangency tolerance.
 
 The three tangency relations (EC, TPP/TPPI at the internal threshold, EQ)
 hold on measure-zero distance sets, so classification assigns them within a
-configurable band of half-width `eps` around the exact thresholds.
+configurable band of half-width `eps` around the exact thresholds.  The
+classifier of a center distance, `stories.classify_discs`, reads the regime
+table; this module compares no distances.
 """
 
 from __future__ import annotations
@@ -59,33 +61,3 @@ def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     which win over EQ), but results near the thresholds are not meaningful.
     """
     return (r_k + r_l) - abs(r_k - r_l) <= 2.0 * tol.eps
-
-
-def classify_discs(
-    d: float, r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> RccRelation:
-    """Classify the discs' relation at center distance d.
-
-    Band precedence on pathological inputs is EC > TPP/TPPI > EQ; see
-    `bands_overlap` for detecting those inputs.
-    """
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
-    if not (math.isfinite(r_k) and r_k > 0 and math.isfinite(r_l) and r_l > 0):
-        raise ValueError(f"radii must be positive and finite, got {r_k!r}, {r_l!r}")
-
-    eps = tol.eps
-    r_sum = r_k + r_l
-    r_diff = abs(r_k - r_l)
-
-    if abs(d - r_sum) <= eps:
-        return RccRelation.EC
-    if d > r_sum:
-        return RccRelation.DC
-    if r_diff > eps and abs(d - r_diff) <= eps:
-        return RccRelation.TPP if r_k < r_l else RccRelation.TPPI
-    if r_diff <= eps:
-        return RccRelation.EQ if d <= eps else RccRelation.PO
-    if d > r_diff:
-        return RccRelation.PO
-    return RccRelation.NTPP if r_k < r_l else RccRelation.NTPPI

@@ -6,10 +6,11 @@ and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
 distance axis, each with the relation holding there, once per radius
 configuration.  It is the only hand-written part of the catalogue: story
 labels, phased chains and relation sets are built from it once, at import,
-and `classify_discs` alone places a distance on it.  Each story is a
-qualitative motion relation, and pairing it with the current spatial
-relation (plus a phase, MINUS before closest approach and PLUS after, for
-the repeated labels) gives the augmented motion relations.
+and one walk over its band rows places a distance on it, for
+`classify_discs` and `story_of` alike.  Each story is a qualitative motion
+relation, and pairing it with the current spatial relation (plus a phase,
+MINUS before closest approach and PLUS after, for the repeated labels) gives
+the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .kinematics import UniformMotionState, closest_approach_state
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
+from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 
 _R = RccRelation
 
@@ -81,10 +82,10 @@ class Regime:
 
 # The regimes of each radius configuration (disc k smaller, larger, or equal
 # within eps to disc l) by increasing miss distance; bands and open intervals
-# alternate.  Within a table every row holds a distinct relation, so the
-# relation `classify_discs` gives a distance names its row.  Rows rise with
-# distance and the closest approach is never farther than the current
-# distance, so the story found at the minimum contains the relation now.
+# alternate.  Within a table every row holds a distinct relation, so a
+# relation names its row (`ROW_OF`).  Rows rise with distance and the closest
+# approach is never farther than the current distance, so the story found at
+# the minimum contains the relation now.
 REGIMES: dict[str, tuple[Regime, ...]] = {
     "lt": (
         Regime(StoryId.S15, StoryId.S05, _R.NTPP),
@@ -151,6 +152,37 @@ def _threshold(band: str, r_k: float, r_l: float) -> float:
     if band == "sum":
         return r_k + r_l
     return abs(r_k - r_l) if band == "diff" else 0.0
+
+
+# Each table's band rows, outermost first.
+_BANDS_DOWN: dict[str, list[tuple[int, str]]] = {
+    config: [(i, r.band) for i, r in enumerate(table) if r.band][::-1]
+    for config, table in REGIMES.items()
+}
+
+
+def _row_at(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
+    """The row of `REGIMES[config]` holding center distance d.  Walking the
+    bands outermost first, d within eps of a threshold gets the band's row,
+    d above it the row just above, and d below every band row 0; so where
+    bands overlap, EC wins over TPP/TPPI and they win over EQ."""
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
+    for i, band in _BANDS_DOWN[config]:
+        theta = _threshold(band, r_k, r_l)
+        if abs(d - theta) <= eps:
+            return i
+        if d > theta:
+            return i + 1
+    return 0
+
+
+def classify_discs(
+    d: float, r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> RccRelation:
+    """The discs' relation at center distance d: the relation of its row."""
+    config = radius_config(r_k, r_l, tol)
+    return REGIMES[config][_row_at(d, config, r_k, r_l, tol.eps)].rel
 
 
 def regime_spans(
@@ -366,7 +398,7 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
     config = radius_config(r_k, r_l, tol)
     table = REGIMES[config]
     t_min, h = closest_approach_state(state)
-    i = ROW_OF[config][classify_discs(h, r_k, r_l, tol)]
+    i = _row_at(h, config, r_k, r_l, tol.eps)
     # Rigid motion, including a relative speed too small to square in floats;
     # h is then the constant center distance.
     if t_min is None:

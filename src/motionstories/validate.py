@@ -5,7 +5,8 @@ through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
 `stories.regime_spans`.  The graph's nodes must be exactly the radii's
-`stories.augmented_set`.
+`stories.augmented_set`.  Interpolation paths are checked with the
+oracle's label-change bisection, `oracle.resolve_changes`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .kinematics import Disc, UniformMotionState, Vec2, advance
 from .neighborhood import Cng
-from .oracle import canonical_state, rigid_state
+from .oracle import canonical_state, resolve_changes, rigid_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     REGIMES,
@@ -82,30 +83,19 @@ def _continuous_transition(
     classification appearing.
 
     The interpolation parameter is first sampled on a grid of `_PATH_SAMPLES`
-    steps; every label change is then bisected, so intermediate regimes
-    narrower than the grid step are still discovered down to a relative width
-    of `_BISECT_FLOOR`.
+    steps; `oracle.resolve_changes` then bisects every label change, so
+    intermediate regimes narrower than the grid step are still discovered
+    down to a width of `_BISECT_FLOOR`.
     """
 
     def cls(s: float) -> AugmentedRelation:
         return augmented_relation(_lerp_state(u_state, v_state, s), tol)
 
-    if cls(0.0) != u or cls(1.0) != v:
-        return False
     grid = [(i / _PATH_SAMPLES, cls(i / _PATH_SAMPLES)) for i in range(_PATH_SAMPLES + 1)]
-    for (s0, c0), (s1, c1) in zip(grid, grid[1:]):
-        if c0 not in (u, v) or c1 not in (u, v):
-            return False
-        while c0 != c1 and s1 - s0 > _BISECT_FLOOR:
-            sm = (s0 + s1) / 2.0
-            cm = cls(sm)
-            if cm not in (u, v):
-                return False
-            if cm == c0:
-                s0 = sm
-            else:
-                s1, c1 = sm, cm
-    return True
+    # Wrong ends or a third label on the grid decide before any bisection.
+    if grid[0][1] != u or grid[-1][1] != v or any(c not in (u, v) for _, c in grid):
+        return False
+    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
 
 
 class _Axis:

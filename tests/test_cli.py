@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import motionstories
 from motionstories.cli import (
@@ -25,6 +27,7 @@ from motionstories.cli import (
     main,
     parse_trajectory,
 )
+from motionstories.stories import AugmentedRelation
 
 DATA = Path(__file__).parent / "data"
 SCENARIO_A_CSV = str(DATA / "scenario_a.csv")
@@ -395,6 +398,25 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: config:"), err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "contents, argv, first_words",
+        [
+            (
+                b"t,xk,yk,xl,yl\n0,0,0,5,0\n1,\xff,0,4,0\n",
+                ["classify", "{path}"],
+                "error: line 3: not valid UTF-8",
+            ),
+            (b'{"r_k": "\xff"}', ["--config", "{path}", "stories-set"], "error: config:"),
+        ],
+        ids=["trajectory", "config"],
+    )
+    def test_non_utf8_input_is_a_format_error(self, tmp_path, capsys, contents, argv, first_words):
+        path = tmp_path / "input"
+        path.write_bytes(contents)
+        assert main([a.format(path=path) for a in argv]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(first_words), err
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # 10^4 lines are well past a pipe's 64 KiB buffer, so the command is
         # still printing when its reader goes away.
@@ -439,3 +461,62 @@ class TestRoundTrip:
         for entry in stream:
             rel = entry.split("(")[1].rstrip(")").rstrip("+-")
             assert rel in story["labels"]
+
+
+def _strict_json(text: str):
+    """`json.loads` without the NaN and Infinity extensions."""
+
+    def reject(constant: str):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_ROW = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4).map(
+    lambda xs: ",".join(map(repr, xs))
+)
+
+
+@st.composite
+def _trajectory_bytes(draw) -> bytes:
+    """The CSV header, then rows of floats, arbitrary bytes, or both."""
+    rows = draw(st.lists(_ROW, max_size=6))
+    times = sorted(draw(st.sets(st.integers(-5, 50), min_size=len(rows), max_size=len(rows))))
+    text = "".join(f"{t},{row}\n" for t, row in zip(times, rows))
+    tail = draw(st.binary(max_size=40)) if draw(st.booleans()) else b""
+    return ("t,xk,yk,xl,yl\n" + text).encode() + tail
+
+
+class TestMainFuzz:
+    # One input file per test call, rewritten by every example.
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        contents=_trajectory_bytes(),
+        command=st.sampled_from(["classify", "story", "recognize"]),
+        options=st.tuples(
+            st.floats(), st.floats(), st.floats(), st.integers(-3, 10**6)
+        ).map(lambda o: [f"--rk={o[0]!r}", f"--rl={o[1]!r}", f"--eps={o[2]!r}", f"--window={o[3]}"]),
+        pick=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    def test_every_input_gets_an_exit_code(self, tmp_path, contents, command, options, pick):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(contents)
+        argv = [o for o, keep in zip(options, pick) if keep] + [command, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_DEGENERATE), (argv, err.getvalue())
+        if code == EXIT_FORMAT:
+            assert out.getvalue() == "" or command == "classify"
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+            return
+        if command == "classify":
+            for line in out.getvalue().splitlines():
+                AugmentedRelation.parse(line)
+        else:
+            _strict_json(out.getvalue())

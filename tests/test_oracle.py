@@ -9,6 +9,7 @@ from motionstories.oracle import (
     SamplingPlan,
     canonical_state,
     default_plan,
+    resolve_changes,
     rigid_state,
     sample_story,
     sweep_stories,
@@ -121,6 +122,55 @@ class TestSampleStory:
                 slack = 4 * (_REFINE_REL * max(1.0, abs(lo), abs(hi)) + math.ulp(state.epoch))
                 for t in (*sampled.boundaries[2 * j : 2 * j + 2], *analytic[2 * j : 2 * j + 2]):
                     assert lo - slack <= t <= hi + slack
+
+
+def _steps(*edges: float):
+    """A classifier of t: label i between edges i-1 and i; records each call."""
+    calls: list[float] = []
+
+    def classify(t: float) -> int:
+        calls.append(t)
+        return sum(t >= e for e in edges)
+
+    return classify, calls
+
+
+class TestResolveChanges:
+    FLOOR = 1e-7
+
+    def test_finds_a_label_narrower_than_the_sample_spacing(self):
+        # Label 1 holds on [0.33, 0.335): between the grid points 0.3 and 0.4,
+        # wider than the floor.
+        classify, _ = _steps(0.33, 0.335)
+        grid = [(i / 10, classify(i / 10)) for i in range(11)]
+        out = resolve_changes(classify, grid, self.FLOOR)
+        firsts = {label: t for t, label in reversed(out)}
+        assert list(dict.fromkeys(label for _, label in out)) == [0, 1, 2]
+        assert 0 <= firsts[1] - 0.33 <= self.FLOOR
+        assert 0 <= firsts[2] - 0.335 <= self.FLOOR
+        assert [t for t, _ in out] == sorted(t for t, _ in out)
+
+    @pytest.mark.parametrize("t0", [0.0, 1e3])
+    def test_brackets_a_change_within_the_floor(self, t0):
+        # The floor is relative to the time scale: at t ~ 1e3 it is 1e3 wider.
+        edge = t0 + 0.537
+        classify, _ = _steps(edge)
+        grid = [(t0 + i / 10, classify(t0 + i / 10)) for i in range(11)]
+        out = resolve_changes(classify, grid, self.FLOOR)
+        first = next(t for t, label in out if label == 1)
+        assert 0 <= first - edge <= self.FLOOR * max(1.0, abs(first))
+        assert out[:6] == grid[:6] and out[-4:] == grid[-4:]
+
+    def test_unchanged_labels_make_no_calls(self):
+        classify, calls = _steps(1.5)
+        grid = [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)]
+        out = resolve_changes(classify, grid, self.FLOOR)
+        # Only the segment (1, 2) changes label.
+        assert calls and all(1.0 < t < 2.0 for t in calls)
+        assert out[:2] == grid[:2] and out[-1] == grid[-1]
+        calls.clear()
+        assert resolve_changes(classify, grid[:2], self.FLOOR) == grid[:2]
+        assert calls == []
 
 
 class TestSweep:

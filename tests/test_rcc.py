@@ -7,8 +7,8 @@ from motionstories.rcc import (
     RccRelation,
     Tolerance,
     bands_overlap,
-    classify_discs,
 )
+from motionstories.stories import classify_discs
 
 R = RccRelation
 EPS = DEFAULT_TOLERANCE.eps

@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance
 from motionstories.oracle import canonical_state
-from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance, classify_discs
+from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from motionstories.stories import (
     REGIMES,
     ROW_OF,
@@ -23,6 +23,7 @@ from motionstories.stories import (
     augmented_relation,
     augmented_set,
     central,
+    classify_discs,
     compress,
     format_story,
     radius_config,
@@ -449,8 +450,9 @@ class TestRadiusConfig:
         "rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1e-9, 1.0)]
     )
     def test_classify_discs_walks_the_rows_in_order(self, rk, rl):
-        # story_of reads the row off the relation classify_discs gives, so
-        # each relation must name one row, and rows must rise with distance.
+        # The validator looks a relation's row up in ROW_OF, so each relation
+        # must name one row, and the rows the walk gives must rise with
+        # distance.
         config = radius_config(rk, rl)
         rows = ROW_OF[config]
         assert len({r.rel for r in REGIMES[config]}) == len(REGIMES[config])
@@ -461,6 +463,65 @@ class TestRadiusConfig:
                 ds += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
         seen = [rows[classify_discs(d, rk, rl)] for d in sorted(d for d in ds if d >= 0)]
         assert seen == sorted(seen)
+
+
+def _ladder(d: float, r_k: float, r_l: float, eps: float) -> RccRelation:
+    """The branch ladder that classified distances before the table walk,
+    kept as the reference the walk must reproduce."""
+    r_sum = r_k + r_l
+    r_diff = abs(r_k - r_l)
+    if abs(d - r_sum) <= eps:
+        return RccRelation.EC
+    if d > r_sum:
+        return RccRelation.DC
+    if r_diff > eps and abs(d - r_diff) <= eps:
+        return RccRelation.TPP if r_k < r_l else RccRelation.TPPI
+    if r_diff <= eps:
+        return RccRelation.EQ if d <= eps else RccRelation.PO
+    if d > r_diff:
+        return RccRelation.PO
+    return RccRelation.NTPP if r_k < r_l else RccRelation.NTPPI
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _radii_eps_distance(draw):
+    """lt, gt and eq radii (overlapping bands included), an eps, and a
+    distance that is random or an eps-band edge moved by 0-3 ulp."""
+    eps = draw(st.sampled_from([1e-9, 1e-6, 0.3]) | st.floats(1e-12, 1.0))
+    r_l = draw(st.floats(1e-9, 10.0))
+    r_k = draw(
+        st.floats(1e-9, 10.0)  # mostly lt or gt
+        | st.floats(-1.0, 1.0).map(lambda f: r_l + f * eps)  # eq, or just past it
+        | st.floats(0.0, 2.0).map(lambda f: max(f * eps, 1e-12))  # overlapping bands
+    )
+    assume(r_k > 0)
+    theta = draw(st.sampled_from([r_k + r_l, abs(r_k - r_l), 0.0]))
+    edge = theta + draw(st.sampled_from([-eps, 0.0, eps]))
+    d = _nudged(edge, draw(st.integers(-3, 3)))
+    d = draw(st.just(d) | st.floats(0.0, 2.0 * (r_k + r_l)))
+    assume(d >= 0)
+    return r_k, r_l, eps, d
+
+
+class TestClassifyDiscs:
+    @given(_radii_eps_distance())
+    @example((0.5, 0.5 + 2**-20, 2**-20, 2**-20))  # |r_k - r_l| == eps exactly: eq
+    @settings(max_examples=400)
+    def test_walk_equals_the_ladder(self, case):
+        r_k, r_l, eps, d = case
+        assert classify_discs(d, r_k, r_l, Tolerance(eps)) is _ladder(d, r_k, r_l, eps)
+
+    def test_radii_whose_sum_overflows_are_rejected(self):
+        # The one departure from the ladder, which classified them.
+        assert _ladder(1.0, 1e308, 1e308, 1e-9) is RccRelation.PO
+        with pytest.raises(ValueError, match="finite sum"):
+            classify_discs(1.0, 1e308, 1e308)
 
 
 class TestMotionRccRelation:
