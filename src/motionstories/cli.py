@@ -25,16 +25,17 @@ from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .neighborhood import motion_cng, rcc_cng, to_dot, to_json_adjacency
 from .oracle import default_plan, sample_story
 from .patterns import Pattern, control_suggestion, detect_avoidance, match_pattern
-from .rcc import Tolerance, bands_overlap
+from .rcc import Tolerance
 from .stories import (
     AugmentedRelation,
     augmented_relation,
     augmented_set,
+    bands_overlap,
     radius_config,
-    regime_spans,
     stories_set,
     story_of,
     story_to_json_dict,
+    tangency_thresholds,
 )
 
 EXIT_OK = 0
@@ -226,13 +227,10 @@ def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[st
     if bands_overlap(cfg.r_k, cfg.r_l, tol):
         warnings.append("tolerance bands of the tangency thresholds overlap")
     _, d_min = closest_approach_state(state)
-    for lo, hi in regime_spans(cfg.r_k, cfg.r_l, tol):
-        gap = abs(d_min - lo)
-        # Only a tangency band spans one distance, its threshold.
-        if lo == hi and tol.eps < gap <= 10.0 * tol.eps:
-            warnings.append(
-                f"closest approach within {gap:.3g} m of a tangency threshold"
-            )
+    for theta in tangency_thresholds(cfg.r_k, cfg.r_l, tol):
+        gap = abs(d_min - theta)
+        if tol.eps < gap <= 10.0 * tol.eps:
+            warnings.append(f"closest approach within {gap:.3g} m of a tangency threshold")
     return warnings
 
 
@@ -317,14 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: str, what: str):
+    """A file's JSON document; failing to read or parse it is a format error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise TrajectoryFormatError(f"{what}: {exc}") from None
+
+
 def _load_config(args: argparse.Namespace) -> SceneConfig:
     values = {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-            raise TrajectoryFormatError(f"config: {exc}") from None
+        raw = _load_json(args.config, "config")
         if not isinstance(raw, dict):
             raise TrajectoryFormatError("config: expected a JSON object")
         for key in ("r_k", "r_l", "eps"):
@@ -422,11 +425,10 @@ def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
     records = _read_records(args.trajectory)
     stream = _relation_stream(records, cfg, args.window)
     if args.pattern:
+        items = _load_json(args.pattern, "pattern")
         try:
-            with open(args.pattern, encoding="utf-8") as fh:
-                items = json.load(fh)
             pattern = Pattern.from_json_list(items)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
         matches = match_pattern(stream, pattern)
     else:

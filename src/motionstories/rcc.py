@@ -3,8 +3,8 @@
 The three tangency relations (EC, TPP/TPPI at the internal threshold, EQ)
 hold on measure-zero distance sets, so classification assigns them within a
 configurable band of half-width `eps` around the exact thresholds.  The
-classifier of a center distance, `stories.classify_discs`, reads the regime
-table; this module compares no distances.
+classifier of a center distance and the thresholds live in `stories`, next to
+the regime table; this module computes no threshold and compares no distances.
 """
 
 from __future__ import annotations
@@ -53,11 +53,3 @@ class Tolerance:
 
 DEFAULT_TOLERANCE = Tolerance()
 
-
-def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True when the EC and TPP/EQ tolerance bands collide (pathological radii).
-
-    Classification stays deterministic in that case (EC wins over TPP/TPPI,
-    which win over EQ), but results near the thresholds are not meaningful.
-    """
-    return (r_k + r_l) - abs(r_k - r_l) <= 2.0 * tol.eps

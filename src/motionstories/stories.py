@@ -206,6 +206,25 @@ def regime_spans(
     return tuple(spans)
 
 
+def tangency_thresholds(
+    r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[float, ...]:
+    """The threshold of each band row of the radii's table, by increasing row."""
+    table = REGIMES[radius_config(r_k, r_l, tol)]
+    return tuple(_threshold(r.band, r_k, r_l) for r in table if r.band is not None)
+
+
+def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """True when the tolerance bands of two adjacent thresholds collide
+    (pathological radii).
+
+    Classification stays deterministic in that case (EC wins over TPP/TPPI,
+    which win over EQ), but results near the thresholds are not meaningful.
+    """
+    thetas = tangency_thresholds(r_k, r_l, tol)
+    return any(hi - lo <= 2.0 * tol.eps for lo, hi in zip(thetas, thetas[1:]))
+
+
 def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
     """A center distance inside a regime span, not below `floor` where the
     span allows: a band's threshold, else the midpoint of [max(lo, floor), hi],

@@ -4,9 +4,10 @@ Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
-`stories.regime_spans`.  The graph's nodes must be exactly the radii's
-`stories.augmented_set`.  Interpolation paths are checked with the
-oracle's label-change bisection, `oracle.resolve_changes`.
+`stories.regime_spans`; each moving state comes from `_Axis.moving`.  A pair
+of two rigid relations, or of two stories off every band, has no witness.
+The graph's nodes must be exactly the radii's `stories.augmented_set`, and
+interpolation paths are checked with `oracle.resolve_changes`.
 """
 
 from __future__ import annotations
@@ -125,34 +126,28 @@ class _Axis:
         with miss distance h (never below h)."""
         return distance_inside(self.spans[self.row_of[rel]], floor=h)
 
-
-def _nonrigid_state(
-    aug: AugmentedRelation, h: float, d_target: float, axis: _Axis
-) -> UniformMotionState:
-    """Canonical state on a miss-distance-h trajectory currently at d_target,
-    approaching or receding as dictated by the phase."""
-    tta = math.sqrt(max(0.0, d_target * d_target - h * h))
-    if aug.phase is Phase.PLUS:
-        tta = -tta
-    return canonical_state(axis.r_k, axis.r_l, h, tta)
-
-
-def _rigid_state_for(aug: AugmentedRelation, axis: _Axis) -> UniformMotionState:
-    return rigid_state(axis.r_k, axis.r_l, axis.target(aug.rel, 0.0))
+    def moving(self, h: float, d: float, approach: bool, speed: float = 1.0) -> UniformMotionState:
+        """The canonical state with miss distance h now at center distance d,
+        approaching (closest approach ahead) or receding."""
+        tta = math.sqrt(max(0.0, d * d - h * h)) / speed
+        return canonical_state(self.r_k, self.r_l, h, tta if approach else -tta, speed)
 
 
 def _edge_witness(
     a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
 ) -> tuple[UniformMotionState, UniformMotionState]:
-    """Two nearby states classified as the edge's endpoints, in (a, b) order."""
+    """Two nearby states classified as the edge's endpoints, in (a, b) order.
+
+    Raises ValueError when the pair's shape admits no witness."""
     eps = axis.eps
-    r_k, r_l = axis.r_k, axis.r_l
+    if a.story in axis.rigid and b.story in axis.rigid:
+        raise ValueError(f"{a} and {b} are both rigid; no kick joins them")
 
     if a.story in axis.rigid or b.story in axis.rigid:
         # Attachment edge: from the rigid state, an eps-scale velocity on disc
         # k sets the miss-distance regime without changing the epoch relation.
         rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
-        base = _rigid_state_for(rigid, axis)
+        base = rigid_state(axis.r_k, axis.r_l, axis.target(rigid.rel, 0.0))
         d0 = base.dp.norm()
         h = min(axis.miss(moving.story), d0)
         sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
@@ -181,13 +176,9 @@ def _edge_witness(
         h = axis.miss(a.story)
         outward = abs(i_other - center) > abs(i_inst - center)
         d_other = theta + (2.5 * eps if outward else -2.5 * eps)
-        approach = 1.0 if min(i, j) < center else -1.0
-        s_inst = canonical_state(
-            r_k, r_l, h, approach * math.sqrt(max(0.0, theta * theta - h * h))
-        )
-        s_other = canonical_state(
-            r_k, r_l, h, approach * math.sqrt(max(0.0, d_other * d_other - h * h))
-        )
+        approach = min(i, j) < center
+        s_inst = axis.moving(h, theta, approach)
+        s_other = axis.moving(h, d_other, approach)
         return (s_inst, s_other) if inst == a else (s_other, s_inst)
 
     # Cross-story edge: one story is a tangency band, the other an adjacent
@@ -202,17 +193,13 @@ def _edge_witness(
     int_central = interior == central(interior.story)
     if band_central and int_central:
         # Both sit at closest approach; only the miss distance differs.
-        s_band = _nonrigid_state(band, theta_band, theta_band, axis)
-        s_int = _nonrigid_state(interior, h_int, h_int, axis)
+        d_band, d_int = theta_band, h_int
+    elif band_central or int_central:
+        d_band = d_int = theta_band if band_central else h_int
     else:
-        if band_central:
-            d_t = theta_band
-        elif int_central:
-            d_t = h_int
-        else:
-            d_t = axis.target(a.rel, max(h_int, theta_band))
-        s_band = _nonrigid_state(band, theta_band, d_t, axis)
-        s_int = _nonrigid_state(interior, h_int, d_t, axis)
+        d_band = d_int = axis.target(a.rel, max(h_int, theta_band))
+    s_band = axis.moving(theta_band, d_band, band.phase is not Phase.PLUS)
+    s_int = axis.moving(h_int, d_int, interior.phase is not Phase.PLUS)
     return (s_band, s_int) if band == a else (s_int, s_band)
 
 
@@ -256,10 +243,8 @@ def _random_state_for(
         if rng.uniform() < 0.3:
             d_t = max(h, d_t + float(rng.uniform(-3.0, 3.0)) * eps)
     speed = float(rng.uniform(0.5, 2.0))
-    tta = math.sqrt(max(0.0, d_t * d_t - h * h)) / speed
-    if aug.phase is Phase.PLUS or (aug.phase is Phase.NONE and rng.uniform() < 0.5):
-        tta = -tta
-    state = canonical_state(axis.r_k, axis.r_l, h, tta, speed)
+    recede = aug.phase is Phase.PLUS or (aug.phase is Phase.NONE and rng.uniform() < 0.5)
+    state = axis.moving(h, d_t, not recede, speed)
     return state if augmented_relation(state, tol) == aug else None
 
 

@@ -32,6 +32,9 @@ from motionstories.stories import AugmentedRelation
 DATA = Path(__file__).parent / "data"
 SCENARIO_A_CSV = str(DATA / "scenario_a.csv")
 
+# Nested deeper than the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 GOLDEN_STORY_A = (
     '{"id": "S12", "labels": ["DC", "EC", "DC"],'
     ' "boundaries": [3.333333333333333, 3.333333333333333]}\n'
@@ -252,9 +255,13 @@ class TestRecognizeCommand:
         traj = tmp_path / "steered.csv"
         traj.write_text(avoidance_csv)
         pattern = tmp_path / "pattern.json"
-        pattern.write_text("{not json")
         args = ["recognize", "--pattern", str(pattern), str(traj)]
-        assert main(args) == EXIT_FORMAT
+        for contents in ["{not json", DEEP_JSON]:
+            pattern.write_text(contents)
+            assert main(args) == EXIT_FORMAT
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: pattern:"), err
+            assert "pattern: pattern:" not in err
 
 
 class TestCngCommand:
@@ -364,6 +371,20 @@ class TestExitCodes:
             assert main([*radii, "--strict", "story", str(path)]) == EXIT_DEGENERATE
             assert "warning:" in capsys.readouterr().err
 
+    def test_one_warning_per_tangency_threshold(self, tmp_path, capsys):
+        # For radii 1e-17 and 1 both thresholds are 1.0 in floats and the PO
+        # interval between them is empty; a closest approach 5e-9 m outside
+        # 1.0 is near two thresholds, not three regimes.
+        rows = [(t, t - 2, 1.0 + 5e-9, 0, 0) for t in range(3)]
+        path = tmp_path / "near.csv"
+        path.write_text("t,xk,yk,xl,yl\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        assert main(["--rk", "1e-17", "--rl", "1", "classify", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: tolerance bands of the tangency thresholds overlap",
+            "warning: closest approach within 5e-09 m of a tangency threshold",
+            "warning: closest approach within 5e-09 m of a tangency threshold",
+        ]
+
     def test_config_file_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r_k": 2.0, "r_l": 2.0}))
@@ -388,9 +409,9 @@ class TestExitCodes:
             # Each radius is finite, their sum is not.
             ["--rk", "1e308", "--rl", "1e308", "story", SCENARIO_A_CSV],
         ]
-        for i, value in enumerate(['"abc"', "[1]"]):
+        for i, contents in enumerate(['{"r_k": "abc"}', '{"r_k": [1]}', DEEP_JSON]):
             cfg = tmp_path / f"cfg{i}.json"
-            cfg.write_text(f'{{"r_k": {value}}}')
+            cfg.write_text(contents)
             cases.append(["--config", str(cfg), "stories-set"])
         for argv in cases:
             assert main(argv) == EXIT_FORMAT, argv

@@ -14,7 +14,8 @@ from motionstories.neighborhood import (
     to_dot,
     to_json_adjacency,
 )
-from motionstories.rcc import RccRelation
+from motionstories.kinematics import UniformMotionState
+from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
     AugmentedRelation,
     Phase,
@@ -23,7 +24,7 @@ from motionstories.stories import (
     augmented_set,
     stories_set,
 )
-from motionstories.validate import validate_motion_cng
+from motionstories.validate import _Axis, _edge_witness, validate_motion_cng
 
 R = RccRelation
 
@@ -205,10 +206,30 @@ class TestValidation:
 
     def test_extra_edge_is_reported_unwitnessed(self):
         full = motion_cng(augmented_set(1.0, 2.0))
-        extra = frozenset({aug("S15(DC-)"), aug("S11(DC)")})
-        g = Cng(full.nodes, full.edges | {extra})
-        report = validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)
-        assert (aug("S11(DC)"), aug("S15(DC-)")) in report.unwitnessed_edges
+        # A far jump between moving stories, and two rigid relations that
+        # no single kick joins.
+        for first, second in [("S11(DC)", "S15(DC-)"), ("S04(TPP)", "S05(NTPP)")]:
+            extra = frozenset({aug(first), aug(second)})
+            g = Cng(full.nodes, full.edges | {extra})
+            report = validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)
+            assert report.unwitnessed_edges == [(aug(first), aug(second))]
+
+    @pytest.mark.parametrize(
+        "rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6)]
+    )
+    def test_every_node_pair_gets_a_witness_or_a_reason(self, rk, rl):
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        nodes = sorted(augmented_set(rk, rl), key=str)
+        for a in nodes:
+            for b in nodes:
+                if a == b:
+                    continue
+                try:
+                    states = _edge_witness(a, b, axis)
+                except ValueError:
+                    continue
+                assert len(states) == 2, (a, b)
+                assert all(isinstance(s, UniformMotionState) for s in states), (a, b)
 
     def test_radius_mismatch_raises(self):
         g = motion_cng(augmented_set(1.0, 2.0))

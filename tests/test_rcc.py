@@ -1,14 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from motionstories.rcc import (
-    DEFAULT_TOLERANCE,
-    INVERSE,
-    RccRelation,
-    Tolerance,
-    bands_overlap,
-)
-from motionstories.stories import classify_discs
+from motionstories.rcc import DEFAULT_TOLERANCE, INVERSE, RccRelation, Tolerance
+from motionstories.stories import bands_overlap, classify_discs
 
 R = RccRelation
 EPS = DEFAULT_TOLERANCE.eps
@@ -96,6 +90,8 @@ class TestTolerance:
         assert not bands_overlap(1.0, 2.0)
         # A disc tiny enough that the external and internal bands touch.
         assert bands_overlap(0.5e-9, 1.0)
+        # Radii equal within eps: the EQ band sits at 0, 2.5e-9 below EC.
+        assert not bands_overlap(1e-9, 1.5e-9)
 
     def test_precedence_when_bands_overlap(self):
         # Tiny disc k: the EC and TPP thresholds are closer than the band
