@@ -29,6 +29,7 @@ from .rcc import Tolerance
 from .stories import (
     AugmentedRelation,
     augmented_relation,
+    augmented_relations,
     augmented_set,
     bands_overlap,
     radius_config,
@@ -113,6 +114,28 @@ def parse_trajectory(text: str) -> list[TrajectoryRecord]:
     return records
 
 
+def _as_table(records: Sequence[TrajectoryRecord]) -> np.ndarray:
+    """The records as rows (t, xk, yk, xl, yl) of an (n, 5) array."""
+    return np.array([(r.t, r.xk, r.yk, r.xl, r.yl) for r in records], dtype=float)
+
+
+def _parse_table(text: str) -> tuple[np.ndarray, list[int]]:
+    """The `_as_table` of `parse_trajectory(text)` and each record's input line.
+    One numpy conversion, with `float`'s syntax, parses input that passes
+    every check; `parse_trajectory` names the first bad line of the rest."""
+    lines = text.splitlines()
+    numbered = [n for n, line in enumerate(lines) if n and line.strip()]
+    try:
+        data = np.array([lines[n].split(",") for n in numbered], dtype=float)
+    except ValueError:  # a row of the wrong length or a malformed number
+        data = np.empty(0)
+    ok = data.shape[1:] == (5,) and lines[0].strip() == _HEADER and np.isfinite(data).all()
+    if ok and (data[1:, 0] > data[:-1, 0]).all():
+        return data, [n + 1 for n in numbered]
+    records = parse_trajectory(text)
+    return _as_table(records), [r.line for r in records]
+
+
 def _slopes(s_tt: np.ndarray, s_tx: np.ndarray) -> np.ndarray:
     """Least-squares slopes from centred sums (call under np.errstate); NaN
     where the time spread is not positive and finite or the slope overflows."""
@@ -120,15 +143,14 @@ def _slopes(s_tt: np.ndarray, s_tx: np.ndarray) -> np.ndarray:
     return np.where((s_tt > 0) & np.isfinite(s_tt) & np.isfinite(slopes), slopes, np.nan)
 
 
-def _velocity_fits(records: Sequence[TrajectoryRecord], window: int) -> np.ndarray:
-    """Velocities (vxk, vyk, vxl, vyl) fitted at every record, shape (n, 4).
+def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
+    """Velocities (vxk, vyk, vxl, vyl) fitted at every `_as_table` row, shape (n, 4).
 
     Row i is the least-squares slope of each coordinate over the trailing
     window ending at record i: all records up to i when `window` <= 0, else
     the last `window` of them, and at least the two records [i-1, i].  Rows
     whose fit is singular or overflows are NaN; row 0 always is.
     """
-    data = np.array([(r.t, r.xk, r.yk, r.xl, r.yl) for r in records], dtype=float)
     n = len(data)
     width = n + 1 if window <= 0 else max(window, 2)
     fits = np.empty((n, 4))
@@ -171,53 +193,62 @@ def estimate_velocity(records: Sequence[TrajectoryRecord], entity: str) -> Vec2:
         raise ValueError("velocity estimation needs at least 2 records")
     if entity not in ("k", "l"):
         raise ValueError(f"entity must be 'k' or 'l', got {entity!r}")
-    vxk, vyk, vxl, vyl = _checked_fit(_velocity_fits(records, 0)[-1].tolist())
+    vxk, vyk, vxl, vyl = _checked_fit(_velocity_fits(_as_table(records), 0)[-1].tolist())
     return Vec2(vxk, vyk) if entity == "k" else Vec2(vxl, vyl)
 
 
-def _state_at(
-    record: TrajectoryRecord, fit: Sequence[float], cfg: SceneConfig
-) -> UniformMotionState:
+def _state_at(row: np.ndarray, fit: np.ndarray, cfg: SceneConfig) -> UniformMotionState:
     """The record's positions with the velocities fitted at it."""
-    vxk, vyk, vxl, vyl = _checked_fit(fit)
+    t, xk, yk, xl, yl = row.tolist()
+    vxk, vyk, vxl, vyl = _checked_fit(fit.tolist())
     return UniformMotionState(
-        disc_k=Disc(Vec2(record.xk, record.yk), cfg.r_k),
+        disc_k=Disc(Vec2(xk, yk), cfg.r_k),
         vel_k=Vec2(vxk, vyk),
-        disc_l=Disc(Vec2(record.xl, record.yl), cfg.r_l),
+        disc_l=Disc(Vec2(xl, yl), cfg.r_l),
         vel_l=Vec2(vxl, vyl),
-        epoch=record.t,
+        epoch=t,
     )
 
 
 @contextmanager
-def _record_errors(record: TrajectoryRecord) -> Iterator[None]:
+def _record_errors(line: int) -> Iterator[None]:
     """Report a record that the velocity fit or the classifier cannot handle
     (overflow, a singular fit) as a format error naming its input line."""
     try:
         yield
     except ValueError as exc:
-        raise TrajectoryFormatError(f"line {record.line}: {exc}") from None
-
-
-def _last_state(
-    records: Sequence[TrajectoryRecord], cfg: SceneConfig, window: int
-) -> UniformMotionState:
-    return _state_at(records[-1], _velocity_fits(records, window)[-1].tolist(), cfg)
+        raise TrajectoryFormatError(f"line {line}: {exc}") from None
 
 
 def _relation_stream(
-    records: Sequence[TrajectoryRecord], cfg: SceneConfig, window: int
+    data: np.ndarray, lines: Sequence[int], fits: np.ndarray, cfg: SceneConfig
 ) -> list[AugmentedRelation]:
-    """Augmented relation at every record after the first, in input order."""
-    if len(records) < 2:
+    """Augmented relation at every record after the first, in input order:
+    `closest_approach_state`'s float operations on arrays and `math.hypot`, as
+    in `Vec2.norm`.  The first record `augmented_relation` would reject goes
+    through it, for its message."""
+    if len(data) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
-    tol = cfg.tolerance
-    fits = _velocity_fits(records, window).tolist()
-    stream = []
-    for i in range(1, len(records)):
-        with _record_errors(records[i]):
-            stream.append(augmented_relation(_state_at(records[i], fits[i], cfg), tol))
-    return stream
+    pos, vel = data[1:, 1:], fits[1:]
+    with np.errstate(all="ignore"):
+        dpx, dpy = (pos[:, 2:] - pos[:, :2]).T
+        dvx, dvy = (vel[:, 2:] - vel[:, :2]).T
+        a = dvx * dvx + dvy * dvy
+        dot = dpx * dvx + dpy * dvy
+        d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
+        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        rigid = a == 0
+        # hypot is finite exactly when both its arguments are.
+        usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
+            rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
+        )
+    bad = np.flatnonzero(~usable) + 1
+    if bad.size:
+        with _record_errors(lines[bad[0]]):
+            augmented_relation(_state_at(data[bad[0]], fits[bad[0]], cfg), cfg.tolerance)
+    h = np.where(rigid, d, np.minimum(d_min, d))
+    states = zip(h.tolist(), d.tolist(), rigid.tolist(), (dot < 0).tolist())
+    return augmented_relations(states, cfg.r_k, cfg.r_l, cfg.tolerance)
 
 
 def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[str]:
@@ -349,36 +380,38 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
         raise TrajectoryFormatError(f"config: {exc}") from None
 
 
-def _read_records(path: str) -> list[TrajectoryRecord]:
+def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
+    """The `_parse_table` of a UTF-8 trajectory file."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return parse_trajectory(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except OSError as exc:
         raise TrajectoryFormatError(str(exc)) from None
     except UnicodeDecodeError as exc:
         # Count lines as the parser does; the bad byte's line is the last.
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise TrajectoryFormatError(f"line {line}: not valid UTF-8") from None
+    return _parse_table(text)
 
 
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
-    records = _read_records(args.trajectory)
-    stream = _relation_stream(records, cfg, args.window)
-    for aug in stream:
+    data, lines = _read_table(args.trajectory)
+    fits = _velocity_fits(data, args.window)
+    for aug in _relation_stream(data, lines, fits, cfg):
         print(aug)
-    with _record_errors(records[-1]):
-        warnings = _degenerate_warnings(_last_state(records, cfg, args.window), cfg)
+    # The stream has accepted the last record, so its state builds.
+    warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg)
     return _emit_warnings(warnings, cfg)
 
 
 def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
-    records = _read_records(args.trajectory)
-    if len(records) < 2:
+    data, lines = _read_table(args.trajectory)
+    if len(data) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
     tol = cfg.tolerance
-    with _record_errors(records[-1]):
-        state = _last_state(records, cfg, args.window)
+    with _record_errors(lines[-1]):
+        state = _state_at(data[-1], _velocity_fits(data, args.window)[-1], cfg)
         story = story_of(state, tol)
         warnings = _degenerate_warnings(state, cfg)
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None
@@ -422,14 +455,16 @@ def _cmd_cng(args: argparse.Namespace, cfg: SceneConfig) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
-    records = _read_records(args.trajectory)
-    stream = _relation_stream(records, cfg, args.window)
+    pattern = None
     if args.pattern:
         items = _load_json(args.pattern, "pattern")
         try:
             pattern = Pattern.from_json_list(items)
         except (ValueError, TypeError) as exc:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
+    data, lines = _read_table(args.trajectory)
+    stream = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg)
+    if pattern is not None:
         matches = match_pattern(stream, pattern)
     else:
         matches = detect_avoidance(stream, relaxed=args.relaxed)

@@ -5,9 +5,10 @@ minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
 and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
 distance axis, each with the relation holding there, once per radius
 configuration.  It is the only hand-written part of the catalogue: story
-labels, phased chains and relation sets are built from it once, at import,
-and one walk over its band rows places a distance on it, for
-`classify_discs` and `story_of` alike.  Each story is a qualitative motion
+labels, phased chains, relation sets and the table decoding a state's rows
+into its augmented relation are built from it once, at import, and one walk
+over its band rows places a distance on it, for `classify_discs`,
+`story_of` and `augmented_relations` alike.  Each story is a qualitative motion
 relation, and pairing it with the current spatial relation (plus a phase,
 MINUS before closest approach and PLUS after, for the repeated labels) gives
 the augmented motion relations.
@@ -19,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from typing import Iterable
 
 from .kinematics import UniformMotionState, closest_approach_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
@@ -351,11 +354,25 @@ def _chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
 # Each story's labels paired with phases, in chronological order.
 _CHAINS: dict[StoryId, tuple[AugmentedRelation, ...]] = {sid: _chain(sid) for sid in StoryId}
 
-# The phase-indexed expansion of each configuration's stories.
-_RELATION_SETS: dict[str, frozenset[AugmentedRelation]] = {
-    config: frozenset(a for r in table for sid in (r.story, r.rigid) for a in _CHAINS[sid])
-    for config, table in REGIMES.items()
-}
+
+def _decoder(table: tuple[Regime, ...]) -> dict[tuple[int, int, bool, bool], AugmentedRelation]:
+    """The augmented relation of a state by the row of its closest approach,
+    the row of its current distance, whether it moves rigidly and whether the
+    discs close in.  A repeated label comes MINUS first in its story's chain,
+    so closing in picks the first occurrence and moving apart the last."""
+    decode = {}
+    rows = list(enumerate(table))
+    for (i, low), (j, now), rigid, closing in product(rows, rows, *[(False, True)] * 2):
+        hits = [a for a in _CHAINS[low.rigid if rigid else low.story] if a.rel is now.rel]
+        if hits:
+            decode[i, j, rigid, closing] = hits[0] if closing else hits[-1]
+    return decode
+
+
+_DECODERS = {config: _decoder(table) for config, table in REGIMES.items()}
+
+# The phase-indexed expansion of each configuration's stories: all that its states decode to.
+_RELATION_SETS = {config: frozenset(decode.values()) for config, decode in _DECODERS.items()}
 
 
 @dataclass(frozen=True)
@@ -487,19 +504,36 @@ def tsr_over_interval(
     )
 
 
+def _decode(
+    config: str, h: float, d: float, rigid: bool, closing: bool, r_k: float, r_l: float, eps: float
+) -> AugmentedRelation:
+    """The augmented relation of a state from `_row_at` of both its distances."""
+    return _DECODERS[config][
+        _row_at(h, config, r_k, r_l, eps), _row_at(d, config, r_k, r_l, eps), rigid, closing
+    ]
+
+
+def augmented_relations(
+    states: Iterable[tuple[float, float, bool, bool]], r_k: float, r_l: float, tol: Tolerance
+) -> list[AugmentedRelation]:
+    """The augmented relation of each state, given as its closest-approach
+    distance, its current distance, whether it moves rigidly and whether the
+    discs close in (dp.dv < 0)."""
+    config = radius_config(r_k, r_l, tol)
+    return [_decode(config, *state, r_k, r_l, tol.eps) for state in states]
+
+
 def augmented_relation(
     state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
-    story = story_of(state, tol)
-    rel = classify_discs(state.dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
-    labels = story.labels
-    if rel is labels[len(labels) // 2]:
-        return AugmentedRelation(story.id, rel, Phase.NONE)
-    # A label off the middle repeats, so the story moves.  Closest approach is
-    # still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly while the discs close in.
-    phase = Phase.MINUS if state.dp.dot(state.dv) < 0 else Phase.PLUS
-    return AugmentedRelation(story.id, rel, phase)
+    r_k, r_l = state.disc_k.radius, state.disc_l.radius
+    config = radius_config(r_k, r_l, tol)
+    t_min, h = closest_approach_state(state)
+    # Closest approach is still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly
+    # while the discs close in.
+    closing = state.dp.dot(state.dv) < 0
+    return _decode(config, h, state.dp.norm(), t_min is None, closing, r_k, r_l, tol.eps)
 
 
 def stories_set(

@@ -189,12 +189,14 @@ def test_criterion_6_finiteness_and_asymptotics(capsys):
 
 def test_criterion_7_avoidance_detection(capsys):
     t0 = time.monotonic()
-    from motionstories.cli import SceneConfig, _relation_stream, parse_trajectory
+    from motionstories.cli import SceneConfig, _parse_table, _relation_stream, _velocity_fits
 
-    fwd = parse_trajectory(points_to_csv(steered_avoidance_points()))
-    rev = parse_trajectory(points_to_csv(list(reversed(steered_avoidance_points()))))
-    stream_fwd = _relation_stream(fwd, SceneConfig(), window=2)
-    stream_rev = _relation_stream(rev, SceneConfig(), window=2)
+    def stream(points):
+        data, lines = _parse_table(points_to_csv(points))
+        return _relation_stream(data, lines, _velocity_fits(data, 2), SceneConfig())
+
+    stream_fwd = stream(steered_avoidance_points())
+    stream_rev = stream(list(reversed(steered_avoidance_points())))
     ok = len(detect_avoidance(stream_fwd)) == 1 and detect_avoidance(stream_rev) == []
     report(capsys, 7, "steered trajectory: one avoidance match, zero on reversal",
            ok, time.monotonic() - t0, 1.0)

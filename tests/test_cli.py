@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,12 +23,17 @@ from motionstories.cli import (
     SceneConfig,
     TrajectoryFormatError,
     TrajectoryRecord,
+    _as_table,
+    _parse_table,
+    _relation_stream,
     _velocity_fits,
     estimate_velocity,
     main,
     parse_trajectory,
 )
-from motionstories.stories import AugmentedRelation
+from motionstories.kinematics import Disc, UniformMotionState, Vec2
+from motionstories.rcc import Tolerance
+from motionstories.stories import AugmentedRelation, augmented_relation, tangency_thresholds
 
 DATA = Path(__file__).parent / "data"
 SCENARIO_A_CSV = str(DATA / "scenario_a.csv")
@@ -129,7 +135,7 @@ class TestVelocityFits:
             noise = [rng.uniform(-0.05, 0.05) * dt for _ in offsets]
             coords = [o + v * (t - t0) + e for o, v, e in zip(offsets, speeds, noise)]
             records.append(TrajectoryRecord(t, *coords))
-        fits = _velocity_fits(records, window)
+        fits = _velocity_fits(_as_table(records), window)
         assert np.isnan(fits[0]).all()
         for i in range(1, len(records)):
             span = records[_trailing(i, window) : i + 1]
@@ -156,7 +162,7 @@ class TestVelocityFits:
         for step, *coords in rows:
             t += step
             records.append(TrajectoryRecord(t, *coords))
-        fits = _velocity_fits(records, window)
+        fits = _velocity_fits(_as_table(records), window)
         for i in range(1, len(records)):
             span = records[_trailing(i, window) : i + 1]
             vk, vl = estimate_velocity(span, "k"), estimate_velocity(span, "l")
@@ -262,6 +268,12 @@ class TestRecognizeCommand:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error: pattern:"), err
             assert "pattern: pattern:" not in err
+
+    def test_pattern_is_read_before_the_trajectory(self, tmp_path, capsys):
+        missing = [str(tmp_path / "missing.json"), str(tmp_path / "missing.csv")]
+        assert main(["recognize", "--pattern", *missing]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: pattern:"), err
 
 
 class TestCngCommand:
@@ -469,6 +481,201 @@ class TestExitCodes:
             proc.stdout.read()
             proc.stdout.close()
             assert proc.wait(timeout=60) == code, args
+
+
+_PREFIX = "".join(f"{t},{t * 0.1!r},0,5,1\n" for t in range(50))
+
+
+class TestErrorMessages:
+    """Each unusable input is named by its first bad line, blank lines
+    counted, with one error line and nothing on stdout, whatever the command."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,0,0,5,0\n\n\n1,0,0,oops,0\n", "line 5, column 4: malformed number 'oops'"),
+            (_PREFIX + "50,1,2\n", "line 52: expected 5 comma-separated fields, got 3"),
+            (_PREFIX + "50,nan,0,5,1\n", "line 52, column 2: non-finite value 'nan'"),
+            (_PREFIX + "50,0, inf ,5,1\n", "line 52, column 3: non-finite value 'inf'"),
+            (_PREFIX + "49,0,0,5,1\n", "line 52: timestamp 49.0 not after 49.0"),
+            (_PREFIX + "50,x,0,5,1\n51,y,0,5,1\n", "line 52, column 2: malformed number 'x'"),
+            # Two records whose centers are too far apart to subtract, after
+            # blank lines.
+            (
+                _PREFIX + "\n50,-1e308,0,1e308,1\n\n51,-1e308,0,1e308,1\n",
+                "line 53: velocity fit is singular or overflows",
+            ),
+            # Finite relative positions whose length overflows, moving rigidly.
+            (
+                "0,0,0,1.5e308,1.5e308\n\n1,0,0,1.5e308,1.5e308\n",
+                "line 4: center distance must be finite and >= 0, got inf",
+            ),
+        ],
+        ids=[
+            "blank-lines",
+            "field-count",
+            "nan-text",
+            "inf-text",
+            "non-increasing-t",
+            "first-of-two-numbers",
+            "first-of-two-records",
+            "rigid-distance-overflow",
+        ],
+    )
+    @pytest.mark.parametrize("command", [["classify"], ["recognize"]])
+    def test_first_bad_line_is_named(self, tmp_path, capfd, body, message, command):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,xk,yk,xl,yl\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, str(path)]) == EXIT_FORMAT
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["classify"], "line 53: velocity fit is singular or overflows"),
+            (["--window", "3", "classify"], "line 53: x must be finite, got inf"),
+        ],
+    )
+    def test_window_changes_which_check_names_the_line(self, tmp_path, capfd, command, message):
+        # Both records are bad; the whole-history fit overflows at the first,
+        # while a 3-record fit stays finite and the centers fail to subtract.
+        path = tmp_path / "bad.csv"
+        path.write_text("t,xk,yk,xl,yl\n" + _PREFIX + "\n50,-1e308,0,1e308,1\n\n51,-1e308,0,1e308,1\n")
+        assert main([*command, str(path)]) == EXIT_FORMAT
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+
+
+_RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10)]
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _stream_row(draw, r_k: float, r_l: float):
+    """Positions (xk, yk, xl, yl) and fitted velocities (vxk, vyk, vxl, vyl)
+    of one record: noise, a distance on a tangency band's edge, rigid motion,
+    a relative speed whose square underflows, or values near 1e308."""
+    kind = draw(st.sampled_from(["noise", "edge", "rigid", "underflow", "huge"]))
+    finite = st.floats(-1e6, 1e6)
+    if kind == "noise":
+        return draw(st.tuples(*[finite] * 4)), draw(st.tuples(*[finite] * 4))
+    if kind == "edge":
+        eps = SceneConfig().eps
+        theta = draw(st.sampled_from(tangency_thresholds(r_k, r_l, Tolerance(eps))))
+        edge = abs(_nudged(theta + draw(st.sampled_from([-eps, eps])), draw(st.integers(-2, 2))))
+        speed = draw(st.sampled_from([1.0, -1.0, 0.3, 7.0]))
+        if draw(st.booleans()):  # the closest approach on the edge
+            along = draw(st.sampled_from([0.0, 1e-9, -2.5, 4.0]))
+            return (0.0, 0.0, along, edge), (0.0, 0.0, speed, 0.0)
+        return (0.0, 0.0, edge, 0.0), (0.0, 0.0) + draw(st.tuples(finite, finite))
+    if kind == "rigid":
+        v = draw(st.tuples(finite, finite))
+        return draw(st.tuples(*[finite] * 4)), v + v
+    if kind == "underflow":
+        tiny = st.floats(1e-170, 1e-150) | st.just(0.0)
+        return draw(st.tuples(*[finite] * 4)), (0.0, 0.0) + draw(st.tuples(tiny, tiny))
+    huge = st.floats(-1.8e308, 1.8e308, allow_infinity=False) | finite
+    return draw(st.tuples(*[huge] * 4)), draw(st.tuples(*[huge] * 4))
+
+
+def _case(r_k, r_l, rows, lines):
+    """A scene, records after a first one at the origin, their input lines and
+    the velocities fitted at them (none at the first)."""
+    data = np.array([(0.0,) * 5] + [(i + 1.0, *pos) for i, (pos, _) in enumerate(rows)])
+    fits = np.array([(np.nan,) * 4] + [vel for _, vel in rows])
+    return SceneConfig(r_k=r_k, r_l=r_l), data, lines, fits
+
+
+@st.composite
+def _stream_case(draw):
+    r_k, r_l = draw(st.sampled_from(_RADII))
+    rows = draw(st.lists(_stream_row(r_k, r_l), min_size=1, max_size=8))
+    lines = sorted(draw(st.sets(st.integers(2, 40), min_size=len(rows) + 1, max_size=len(rows) + 1)))
+    return _case(r_k, r_l, rows, lines)
+
+
+def _scalar_stream(data, lines, fits, cfg):
+    """The reference: one `UniformMotionState` per record through the scalar
+    `augmented_relation`, stopping at the first record it rejects."""
+    stream = []
+    for i in range(1, len(data)):
+        _, xk, yk, xl, yl = data[i].tolist()
+        vxk, vyk, vxl, vyl = fits[i].tolist()
+        try:
+            if not np.isfinite(fits[i]).all():
+                raise ValueError("velocity fit is singular or overflows")
+            state = UniformMotionState(
+                Disc(Vec2(xk, yk), cfg.r_k), Vec2(vxk, vyk), Disc(Vec2(xl, yl), cfg.r_l), Vec2(vxl, vyl)
+            )
+            stream.append(augmented_relation(state, cfg.tolerance))
+        except ValueError as exc:
+            return stream, f"line {lines[i]}: {exc}"
+    return stream, None
+
+
+class TestRelationStream:
+    @settings(max_examples=400, deadline=None)
+    @given(_stream_case())
+    # math.hypot puts this distance on the EC band's edge; np.hypot one ulp off it.
+    @example(_case(1.0, 2.0, [((0, 0, 1.0042317393859435, 2.8269274167565537), (0,) * 4)], [2, 3]))
+    # t_min = -dp.dv / |dv|^2 overflows while |dv|^2 and d_min do not.
+    @example(_case(1.0, 2.0, [((0, 0, 1e300, 0), (0, 0, 1e-10, 0))], [2, 3]))
+    # |dv|^2 rounds to the least subnormal, so d_min lands in PO at dp.dv == 0
+    # while the distance now is on EC: the phase is PLUS.
+    @example(_case(1.0, 2.0, [((0, 0, 3.0, 0), (0, 0, 0, 2e-162))], [2, 3]))
+    def test_equals_the_scalar_path(self, case):
+        cfg, data, lines, fits = case
+        want, error = _scalar_stream(data, lines, fits, cfg)
+        if error is None:
+            assert _relation_stream(data, lines, fits, cfg) == want
+        else:
+            with pytest.raises(TrajectoryFormatError) as info:
+                _relation_stream(data, lines, fits, cfg)
+            assert str(info.value) == error
+
+
+_FIELD = st.sampled_from(
+    ["0", "1_0", " 1 ", "2.5", "-0", "nan", "inf", "-inf", "1e999", "oops", "", "0x1", "١"]
+) | st.floats(-10, 10).map(repr)
+
+
+@st.composite
+def _csv_text(draw) -> str:
+    """A header (rarely a wrong one), then rows of 5 fields (sometimes not),
+    blank lines, and times that mostly increase."""
+    header = draw(st.sampled_from(["t,xk,yk,xl,yl", " t,xk,yk,xl,yl ", "t,x,y"]))
+    lines = [header]
+    for t in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  "])))
+        fields = draw(st.lists(_FIELD, min_size=4, max_size=5))
+        if len(fields) == 4 or draw(st.booleans()):
+            fields = [repr(t - draw(st.integers(0, 1)) * 0.5), *fields[:4]]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestParseTable:
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_text())
+    def test_equals_parse_trajectory(self, text):
+        try:
+            records = parse_trajectory(text)
+        except TrajectoryFormatError as exc:
+            with pytest.raises(TrajectoryFormatError) as info:
+                _parse_table(text)
+            assert str(info.value) == str(exc)
+            return
+        data, lines = _parse_table(text)
+        assert data.tobytes() == _as_table(records).tobytes() and data.shape == (len(records), 5)
+        assert lines == [r.line for r in records]
 
 
 class TestRoundTrip:
