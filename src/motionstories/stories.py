@@ -504,36 +504,34 @@ def tsr_over_interval(
     )
 
 
-def _decode(
-    config: str, h: float, d: float, rigid: bool, closing: bool, r_k: float, r_l: float, eps: float
-) -> AugmentedRelation:
-    """The augmented relation of a state from `_row_at` of both its distances."""
-    return _DECODERS[config][
-        _row_at(h, config, r_k, r_l, eps), _row_at(d, config, r_k, r_l, eps), rigid, closing
-    ]
-
-
 def augmented_relations(
     states: Iterable[tuple[float, float, bool, bool]], r_k: float, r_l: float, tol: Tolerance
 ) -> list[AugmentedRelation]:
     """The augmented relation of each state, given as its closest-approach
     distance, its current distance, whether it moves rigidly and whether the
-    discs close in (dp.dv < 0)."""
+    discs close in (dp.dv < 0): `_row_at` of both distances, decoded."""
     config = radius_config(r_k, r_l, tol)
-    return [_decode(config, *state, r_k, r_l, tol.eps) for state in states]
+    decode = _DECODERS[config]
+
+    def row(d: float) -> int:
+        return _row_at(d, config, r_k, r_l, tol.eps)
+
+    return [decode[row(h), row(d), rigid, closing] for h, d, rigid, closing in states]
 
 
 def augmented_relation(
     state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
+    story = story_of(state, tol)
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
     config = radius_config(r_k, r_l, tol)
-    t_min, h = closest_approach_state(state)
+    # The story's middle label is the relation of its closest approach's row.
+    low = ROW_OF[config][central(story.id).rel]
+    now = _row_at(state.dp.norm(), config, r_k, r_l, tol.eps)
     # Closest approach is still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly
     # while the discs close in.
-    closing = state.dp.dot(state.dv) < 0
-    return _decode(config, h, state.dp.norm(), t_min is None, closing, r_k, r_l, tol.eps)
+    return _DECODERS[config][low, now, story.rigid, state.dp.dot(state.dv) < 0]
 
 
 def stories_set(

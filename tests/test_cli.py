@@ -26,6 +26,7 @@ from motionstories.cli import (
     _as_table,
     _parse_table,
     _relation_stream,
+    _state_at,
     _velocity_fits,
     estimate_velocity,
     main,
@@ -33,7 +34,14 @@ from motionstories.cli import (
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2
 from motionstories.rcc import Tolerance
-from motionstories.stories import AugmentedRelation, augmented_relation, tangency_thresholds
+from motionstories.stories import (
+    AugmentedRelation,
+    Phase,
+    augmented_relation,
+    classify_discs,
+    story_of,
+    tangency_thresholds,
+)
 
 DATA = Path(__file__).parent / "data"
 SCENARIO_A_CSV = str(DATA / "scenario_a.csv")
@@ -639,6 +647,38 @@ class TestRelationStream:
             with pytest.raises(TrajectoryFormatError) as info:
                 _relation_stream(data, lines, fits, cfg)
             assert str(info.value) == error
+
+
+def _composed_relation(state, tol):
+    """The augmented relation as the story, `classify_discs` of the distance
+    now and the phase rule compose it, without the decode table."""
+    story = story_of(state, tol)
+    rel = classify_discs(state.dp.norm(), state.disc_k.radius, state.disc_l.radius, tol)
+    if rel is story.labels[len(story.labels) // 2]:
+        return AugmentedRelation(story.id, rel, Phase.NONE)
+    closing = state.dp.dot(state.dv) < 0
+    return AugmentedRelation(story.id, rel, Phase.MINUS if closing else Phase.PLUS)
+
+
+class TestScalarDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(_stream_case())
+    @example(_case(1.0, 2.0, [((0, 0, 1.0042317393859435, 2.8269274167565537), (0,) * 4)], [2, 3]))
+    @example(_case(1.0, 2.0, [((0, 0, 1e300, 0), (0, 0, 1e-10, 0))], [2, 3]))
+    @example(_case(1.0, 2.0, [((0, 0, 3.0, 0), (0, 0, 0, 2e-162))], [2, 3]))
+    def test_equals_the_composition(self, case):
+        # Same relation, or the same error, on every record of the stream cases.
+        cfg, data, _, fits = case
+
+        def outcome(classify, state):
+            try:
+                return classify(state, cfg.tolerance)
+            except ValueError as exc:
+                return str(exc)
+
+        for row, fit in zip(data[1:], fits[1:]):
+            state = _state_at(row, fit, cfg)
+            assert outcome(augmented_relation, state) == outcome(_composed_relation, state)
 
 
 _FIELD = st.sampled_from(
