@@ -223,32 +223,21 @@ def _record_errors(line: int) -> Iterator[None]:
 def _relation_stream(
     data: np.ndarray, lines: Sequence[int], fits: np.ndarray, cfg: SceneConfig
 ) -> list[AugmentedRelation]:
-    """Augmented relation at every record after the first, in input order:
-    `closest_approach_state`'s float operations on arrays and `math.hypot`, as
-    in `Vec2.norm`.  The first record `augmented_relation` would reject goes
-    through it, for its message."""
+    """Augmented relation at every record after the first, in input order,
+    from `augmented_relations`.  The first record it marks unusable goes
+    through `augmented_relation`, for its message."""
     if len(data) < 2:
         raise TrajectoryFormatError("need at least 2 records to estimate motion")
     pos, vel = data[1:, 1:], fits[1:]
     with np.errstate(all="ignore"):
         dpx, dpy = (pos[:, 2:] - pos[:, :2]).T
         dvx, dvy = (vel[:, 2:] - vel[:, :2]).T
-        a = dvx * dvx + dvy * dvy
-        dot = dpx * dvx + dpy * dvy
-        d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
-        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
-        rigid = a == 0
-        # hypot is finite exactly when both its arguments are.
-        usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
-            rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
-        )
+    relations, usable = augmented_relations(dpx, dpy, dvx, dvy, cfg.r_k, cfg.r_l, cfg.tolerance)
     bad = np.flatnonzero(~usable) + 1
     if bad.size:
         with _record_errors(lines[bad[0]]):
             augmented_relation(_state_at(data[bad[0]], fits[bad[0]], cfg), cfg.tolerance)
-    h = np.where(rigid, d, np.minimum(d_min, d))
-    states = zip(h.tolist(), d.tolist(), rigid.tolist(), (dot < 0).tolist())
-    return augmented_relations(states, cfg.r_k, cfg.r_l, cfg.tolerance)
+    return relations
 
 
 def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[str]:

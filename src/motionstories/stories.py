@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterable
+
+import numpy as np
 
 from .kinematics import UniformMotionState, closest_approach_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
@@ -231,11 +232,12 @@ def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
 def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
     """A center distance inside a regime span, not below `floor` where the
     span allows: a band's threshold, else the midpoint of [max(lo, floor), hi],
-    or half a meter past that start for the unbounded top interval."""
+    or half a meter past that start for the unbounded top interval.  An
+    array `floor` gives an array, elementwise."""
     lo, hi = span
     if lo == hi:
         return lo
-    lo = max(lo, floor)
+    lo = np.maximum(lo, floor) if np.ndim(floor) else max(lo, floor)
     return lo + 0.5 if hi == math.inf else (lo + hi) / 2.0
 
 
@@ -315,6 +317,8 @@ class AugmentedRelation:
     story: StoryId
     rel: RccRelation
     phase: Phase
+    # `str(self)`, derived once: the CLI prints one per record.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = STORY_LABELS[self.story]
@@ -325,9 +329,10 @@ class AugmentedRelation:
             raise ValueError(f"{self.story}({self.rel}) occurs once; phase must be NONE")
         if not once and self.phase is Phase.NONE:
             raise ValueError(f"{self.story}({self.rel}) repeats; phase must be +/-")
+        object.__setattr__(self, "_text", f"{self.story.value}({self.rel.value}{self.phase.value})")
 
     def __str__(self) -> str:
-        return f"{self.story.value}({self.rel.value}{self.phase.value})"
+        return self._text
 
     _PATTERN = re.compile(r"^(S[0-9]+[IE]?)\(([A-Z]+)([+-]?)\)$")
 
@@ -505,18 +510,33 @@ def tsr_over_interval(
 
 
 def augmented_relations(
-    states: Iterable[tuple[float, float, bool, bool]], r_k: float, r_l: float, tol: Tolerance
-) -> list[AugmentedRelation]:
-    """The augmented relation of each state, given as its closest-approach
-    distance, its current distance, whether it moves rigidly and whether the
-    discs close in (dp.dv < 0): `_row_at` of both distances, decoded."""
+    dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
+    r_k: float, r_l: float, tol: Tolerance,
+) -> tuple[list[AugmentedRelation | None], np.ndarray]:
+    """The augmented relation of each state given by its relative position
+    and velocity, and the mask of the states `augmented_relation` accepts
+    (None stands for each other one).  `closest_approach_state`'s float
+    operations run on arrays, with `math.hypot` as in `Vec2.norm`; `_row_at`
+    of both distances is decoded through the table `augmented_relation` reads."""
     config = radius_config(r_k, r_l, tol)
     decode = _DECODERS[config]
+    with np.errstate(all="ignore"):
+        a = dvx * dvx + dvy * dvy
+        dot = dpx * dvx + dpy * dvy
+        d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
+        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        rigid = a == 0
+        # hypot is finite exactly when both its arguments are.
+        usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
+            rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
+        )
+    h = np.where(rigid, d, np.minimum(d_min, d))
 
-    def row(d: float) -> int:
-        return _row_at(d, config, r_k, r_l, tol.eps)
+    def row(x: float) -> int:
+        return _row_at(x, config, r_k, r_l, tol.eps)
 
-    return [decode[row(h), row(d), rigid, closing] for h, d, rigid, closing in states]
+    states = zip(h.tolist(), d.tolist(), rigid.tolist(), (dot < 0).tolist(), usable.tolist())
+    return [decode[row(h), row(d), r, c] if ok else None for h, d, r, c, ok in states], usable
 
 
 def augmented_relation(

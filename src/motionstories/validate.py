@@ -6,20 +6,22 @@ distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
 `stories.regime_spans`; each moving state comes from `_Axis.moving`.  A pair
 of two rigid relations, or of two stories off every band, has no witness.
-The graph's nodes must be exactly the radii's `stories.augmented_set`, and
-interpolation paths are checked with `oracle.resolve_changes`.
+The graph's nodes must be exactly the radii's `stories.augmented_set`.
+Trials and path grids are classified in batches (`stories.augmented_relations`),
+and label changes along a path are bisected with `oracle.resolve_changes`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import Disc, UniformMotionState, Vec2, advance
+from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
-from .oracle import canonical_state, resolve_changes, rigid_state
+from .oracle import resolve_changes, rigid_state
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     REGIMES,
@@ -30,6 +32,7 @@ from .stories import (
     StoryId,
     augmented_chain,
     augmented_relation,
+    augmented_relations,
     augmented_set,
     central,
     distance_inside,
@@ -39,68 +42,34 @@ from .stories import (
 
 _PATH_SAMPLES = 25
 _BISECT_FLOOR = 1e-7
+Pair = tuple[AugmentedRelation, AugmentedRelation]
+Floats = float | np.ndarray  # a number, or one per state of a batch
+
+
+class TrialCounts(NamedTuple):
+    """The random trials of one sampled non-edge (u, v): drawn, classified u,
+    and of those, perturbed into a state classified v."""
+
+    attempted: int
+    at_u: int
+    to_v: int
 
 
 @dataclass
 class ValidationReport:
-    unwitnessed_edges: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
-        default_factory=list
-    )
-    spurious_transitions: list[tuple[AugmentedRelation, AugmentedRelation]] = field(
-        default_factory=list
-    )
+    unwitnessed_edges: list[Pair] = field(default_factory=list)
+    spurious_transitions: list[Pair] = field(default_factory=list)
+    trial_counts: dict[Pair, TrialCounts] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.unwitnessed_edges and not self.spurious_transitions
 
 
-def _lerp_state(
-    u: UniformMotionState, v: UniformMotionState, s: float
-) -> UniformMotionState:
-    def mix(a: float, b: float) -> float:
-        return a + s * (b - a)
-
-    def mix_v(a: Vec2, b: Vec2) -> Vec2:
-        return Vec2(mix(a.x, b.x), mix(a.y, b.y))
-
-    return UniformMotionState(
-        disc_k=Disc(mix_v(u.disc_k.center, v.disc_k.center), u.disc_k.radius),
-        vel_k=mix_v(u.vel_k, v.vel_k),
-        disc_l=Disc(mix_v(u.disc_l.center, v.disc_l.center), u.disc_l.radius),
-        vel_l=mix_v(u.vel_l, v.vel_l),
-        epoch=mix(u.epoch, v.epoch),
-    )
-
-
-def _continuous_transition(
-    u_state: UniformMotionState,
-    v_state: UniformMotionState,
-    u: AugmentedRelation,
-    v: AugmentedRelation,
-    tol: Tolerance,
-) -> bool:
-    """True if interpolating between the states moves u -> v without any third
-    classification appearing.
-
-    The interpolation parameter is first sampled on a grid of `_PATH_SAMPLES`
-    steps; `oracle.resolve_changes` then bisects every label change, so
-    intermediate regimes narrower than the grid step are still discovered
-    down to a width of `_BISECT_FLOOR`.
-    """
-
-    def cls(s: float) -> AugmentedRelation:
-        return augmented_relation(_lerp_state(u_state, v_state, s), tol)
-
-    grid = [(i / _PATH_SAMPLES, cls(i / _PATH_SAMPLES)) for i in range(_PATH_SAMPLES + 1)]
-    # Wrong ends or a third label on the grid decide before any bisection.
-    if grid[0][1] != u or grid[-1][1] != v or any(c not in (u, v) for _, c in grid):
-        return False
-    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
-
-
 class _Axis:
-    """The regime table of one pair of radii, with each regime's distance span."""
+    """The regime table of one pair of radii, with each regime's distance span,
+    and its states in batches: (9, n) arrays with a column per state and the
+    rows xk, yk, vxk, vyk, xl, yl, vxl, vyl, epoch of `UniformMotionState`."""
 
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
@@ -121,16 +90,73 @@ class _Axis:
             return distance_inside((lo, hi))
         return lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps
 
-    def target(self, rel: RccRelation, h: float) -> float:
+    def target(self, rel: RccRelation, h: Floats) -> Floats:
         """A center distance at which `rel` holds, reachable on a trajectory
-        with miss distance h (never below h)."""
+        with miss distance h (never below h); elementwise for an array h."""
         return distance_inside(self.spans[self.row_of[rel]], floor=h)
 
-    def moving(self, h: float, d: float, approach: bool, speed: float = 1.0) -> UniformMotionState:
-        """The canonical state with miss distance h now at center distance d,
-        approaching (closest approach ahead) or receding."""
-        tta = math.sqrt(max(0.0, d * d - h * h)) / speed
-        return canonical_state(self.r_k, self.r_l, h, tta if approach else -tta, speed)
+    def moving(
+        self, h: Floats, d: Floats, approach: bool | np.ndarray, speed: Floats = 1.0
+    ) -> np.ndarray:
+        """The `oracle.canonical_state` with miss distance h now at center
+        distance d, approaching (closest approach ahead) or receding, as a
+        batch column; elementwise for arrays, as a batch."""
+        tta = np.sqrt(np.maximum(0.0, d * d - h * h)) / speed
+        x = speed * np.where(approach, tta, -tta)
+        return np.stack(np.broadcast_arrays(x, -h, -speed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    def state(self, column: np.ndarray) -> UniformMotionState:
+        """The state of a batch column."""
+        xk, yk, vxk, vyk, xl, yl, vxl, vyl, epoch = column.tolist()
+        k, l = Disc(Vec2(xk, yk), self.r_k), Disc(Vec2(xl, yl), self.r_l)
+        return UniformMotionState(k, Vec2(vxk, vyk), l, Vec2(vxl, vyl), epoch)
+
+    def classify(self, batch: np.ndarray) -> list[AugmentedRelation]:
+        """The `augmented_relation` of each state of the batch; a state it
+        rejects raises its ValueError."""
+        xk, yk, vxk, vyk, xl, yl, vxl, vyl, _ = batch
+        with np.errstate(all="ignore"):
+            dp_dv = xl - xk, yl - yk, vxl - vxk, vyl - vyk
+        relations, usable = augmented_relations(*dp_dv, self.r_k, self.r_l, self.tol)
+        for j in np.flatnonzero(~usable):
+            relations[j] = augmented_relation(self.state(batch[:, j]), self.tol)
+        return relations
+
+
+def _columns(state: UniformMotionState) -> np.ndarray:
+    """The state as a batch column."""
+    k, l, vk, vl = state.disc_k.center, state.disc_l.center, state.vel_k, state.vel_l
+    return np.array([k.x, k.y, vk.x, vk.y, l.x, l.y, vl.x, vl.y, state.epoch])
+
+
+def _path(cu: np.ndarray, cv: np.ndarray, s: Floats) -> np.ndarray:
+    """The batch of states at parameters s on the straight path between two
+    batch columns, componentwise u + s (v - u)."""
+    return cu[:, None] + s * (cv - cu)[:, None]
+
+
+def _continuous_transition(
+    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
+) -> bool:
+    """True if interpolating between the states (batch columns) moves u -> v
+    without any third classification appearing.
+
+    The interpolation parameter is first sampled on a grid of `_PATH_SAMPLES`
+    steps, classified as one batch; `oracle.resolve_changes` then bisects
+    every label change, so intermediate regimes narrower than the grid step
+    are still discovered down to a width of `_BISECT_FLOOR`.
+    """
+    steps = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
+    labels = axis.classify(_path(cu, cv, steps))
+    # Wrong ends or a third label on the grid decide before any bisection.
+    if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
+        return False
+
+    def cls(s: float) -> AugmentedRelation:
+        return augmented_relation(axis.state(_path(cu, cv, s)[:, 0]), axis.tol)
+
+    grid = list(zip(steps.tolist(), labels))
+    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
 
 
 def _edge_witness(
@@ -155,13 +181,7 @@ def _edge_witness(
         if moving.phase is Phase.PLUS:
             cos_a = -cos_a
         omega = 3.0 * eps
-        perturbed = UniformMotionState(
-            disc_k=base.disc_k,
-            vel_k=base.vel_k + Vec2(omega * cos_a, omega * sin_a),
-            disc_l=base.disc_l,
-            vel_l=base.vel_l,
-            epoch=base.epoch,
-        )
+        perturbed = replace(base, vel_k=base.vel_k + Vec2(omega * cos_a, omega * sin_a))
         return (base, perturbed) if rigid == a else (perturbed, base)
 
     if a.story is b.story:
@@ -177,8 +197,8 @@ def _edge_witness(
         outward = abs(i_other - center) > abs(i_inst - center)
         d_other = theta + (2.5 * eps if outward else -2.5 * eps)
         approach = min(i, j) < center
-        s_inst = axis.moving(h, theta, approach)
-        s_other = axis.moving(h, d_other, approach)
+        s_inst = axis.state(axis.moving(h, theta, approach))
+        s_other = axis.state(axis.moving(h, d_other, approach))
         return (s_inst, s_other) if inst == a else (s_other, s_inst)
 
     # Cross-story edge: one story is a tangency band, the other an adjacent
@@ -198,68 +218,68 @@ def _edge_witness(
         d_band = d_int = theta_band if band_central else h_int
     else:
         d_band = d_int = axis.target(a.rel, max(h_int, theta_band))
-    s_band = axis.moving(theta_band, d_band, band.phase is not Phase.PLUS)
-    s_int = axis.moving(h_int, d_int, interior.phase is not Phase.PLUS)
+    s_band = axis.state(axis.moving(theta_band, d_band, band.phase is not Phase.PLUS))
+    s_int = axis.state(axis.moving(h_int, d_int, interior.phase is not Phase.PLUS))
     return (s_band, s_int) if band == a else (s_int, s_band)
 
 
-def _random_state_for(
-    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator
-) -> UniformMotionState | None:
-    """A randomized state classified `aug`, biased toward regime boundaries."""
-    eps, tol = axis.eps, axis.tol
+def _trial_states(
+    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """A batch of n random states meant to classify `aug`, biased toward
+    regime boundaries.  Each trial draws every coin and the numbers of both
+    branches a coin picks between, so all trials draw alike."""
+    eps = axis.eps
+
+    def coin(p: float = 0.5) -> np.ndarray:
+        return rng.uniform(size=n) < p
+
+    def draw(lo: float, hi: float) -> np.ndarray:
+        return rng.uniform(lo, hi, n)
 
     if aug.story in axis.rigid:
-        base_d = axis.target(aug.rel, 0.0)
-        jitter = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(-0.9, 0.9)) * eps
-        vel = Vec2(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        state = rigid_state(axis.r_k, axis.r_l, max(0.0, base_d + jitter), vel=vel)
-        return state if augmented_relation(state, tol) == aug else None
+        jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
+        d = np.maximum(0.0, axis.target(aug.rel, 0.0) + jitter)
+        vx, vy, zero = draw(-2.0, 2.0), draw(-2.0, 2.0), np.zeros(n)
+        # `oracle.rigid_state`: disc k d to the left of disc l, both moving alike.
+        return np.array([-d, zero, vx, vy, zero, zero, vx, vy, zero])
 
     i = axis.row_of[aug.story]
     lo, hi = axis.spans[i]
     if axis.is_band(aug.story):
-        h = max(0.0, lo + float(rng.uniform(-0.9, 0.9)) * eps)
+        h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
     else:
         # Keep 2 eps clear of the bands below and above; the unbounded top
         # interval is sampled 2 m deep.
         hi = hi - 2.0 * eps if hi < math.inf else lo + 2.0
         lo = lo + 2.0 * eps if i > 0 else lo
-        if rng.uniform() < 0.5:
-            h = lo + float(rng.uniform(0.0, 1.0)) * (hi - lo)
-        else:  # hug a regime boundary
-            edge = lo if rng.uniform() < 0.5 else hi
-            h = min(hi, max(lo, edge + float(rng.uniform(-4.0, 4.0)) * eps))
+        spread, inside = coin(), lo + draw(0.0, 1.0) * (hi - lo)
+        edge = np.where(coin(), lo, hi)  # or hug a regime boundary
+        h = np.where(spread, inside, np.minimum(hi, np.maximum(lo, edge + draw(-4.0, 4.0) * eps)))
     # Pin the epoch to closest approach for genuinely central relations; the
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
-    pin_central = aug == central(aug.story) and (
-        len(STORY_LABELS[aug.story]) > 1 or rng.uniform() < 0.5
-    )
-    if pin_central:
-        d_t = h
-    else:
-        d_t = axis.target(aug.rel, h)
-        if rng.uniform() < 0.3:
-            d_t = max(h, d_t + float(rng.uniform(-3.0, 3.0)) * eps)
-    speed = float(rng.uniform(0.5, 2.0))
-    recede = aug.phase is Phase.PLUS or (aug.phase is Phase.NONE and rng.uniform() < 0.5)
-    state = axis.moving(h, d_t, not recede, speed)
-    return state if augmented_relation(state, tol) == aug else None
+    pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
+    d_t = axis.target(aug.rel, h)
+    d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-3.0, 3.0) * eps), d_t))
+    speed = draw(0.5, 2.0)
+    recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
+    return axis.moving(h, d_t, ~recede, speed)
 
 
-def _perturb(
-    state: UniformMotionState, scale: float, rng: np.random.Generator
-) -> UniformMotionState:
-    d = rng.normal(0.0, scale, size=9)
-    out = UniformMotionState(
-        disc_k=Disc(state.disc_k.center + Vec2(d[0], d[1]), state.disc_k.radius),
-        vel_k=state.vel_k + Vec2(d[2], d[3]),
-        disc_l=Disc(state.disc_l.center + Vec2(d[4], d[5]), state.disc_l.radius),
-        vel_l=state.vel_l + Vec2(d[6], d[7]),
-        epoch=state.epoch,
-    )
-    return advance(out, float(d[8]))
+def _pair_trials(
+    u: AugmentedRelation, v: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray, TrialCounts, np.ndarray]:
+    """n random trials of the pair: start states meant to classify u, their
+    ends after a kick of 9 eps-scale normals (on positions and velocities,
+    then a time step), the counts, and the trials from u to v in order."""
+    start = _trial_states(u, axis, rng, n)
+    kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
+    end = start + kick
+    end[[0, 1, 4, 5]] += end[[2, 3, 6, 7]] * kick[8]
+    at_u = np.flatnonzero([a == u for a in axis.classify(start)])
+    to_v = at_u[np.array([a == v for a in axis.classify(end[:, at_u])], dtype=bool)]
+    return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
 
 
 def validate_motion_cng(
@@ -277,7 +297,11 @@ def validate_motion_cng(
     eps-scale perturbation classified as the other, with every intermediate
     classification along the straight interpolation confined to the two
     endpoints.  Sampled non-edge pairs must admit no such single-step
-    transition across `n_trials` random perturbations each.
+    transition across `n_trials` random perturbations each.  `seed` picks
+    the pairs; the pair at index i of the sorted non-edges draws its trials
+    as one batch from `np.random.default_rng([seed, i])`, so a spurious
+    transition replays from (seed, i) alone, and its counts go to
+    `trial_counts`.
     """
     if g.nodes != augmented_set(r_k, r_l, tol):
         raise ValueError("graph nodes are not the augmented relations of the given radii")
@@ -289,7 +313,7 @@ def validate_motion_cng(
         a, b = sorted(edge, key=str)
         try:
             su, sv = _edge_witness(a, b, axis)
-            witnessed = _continuous_transition(su, sv, a, b, tol)
+            witnessed = _continuous_transition(_columns(su), _columns(sv), a, b, axis)
         except ValueError:
             # No witness is even constructible for this pair; the edge cannot
             # correspond to a continuous single-step transition.
@@ -307,14 +331,10 @@ def validate_motion_cng(
     idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
     for i in sorted(int(j) for j in idx):
         u, v = non_edges[i]
-        for _ in range(n_trials):
-            state = _random_state_for(u, axis, rng)
-            if state is None:
-                continue
-            perturbed = _perturb(state, 3.0 * tol.eps, rng)
-            if augmented_relation(perturbed, tol) == v and _continuous_transition(
-                state, perturbed, u, v, tol
-            ):
-                report.spurious_transitions.append((u, v))
-                break
+        # The pair's own generator: its trials replay from (seed, i) alone.
+        rng_i = np.random.default_rng([seed, i])
+        start, end, counts, to_v = _pair_trials(u, v, axis, rng_i, n_trials)
+        report.trial_counts[u, v] = counts
+        if any(_continuous_transition(start[:, k], end[:, k], u, v, axis) for k in to_v):
+            report.spurious_transitions.append((u, v))
     return report

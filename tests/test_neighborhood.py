@@ -2,7 +2,9 @@ import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import motionstories
 import motionstories.neighborhood
@@ -14,17 +16,28 @@ from motionstories.neighborhood import (
     to_dot,
     to_json_adjacency,
 )
-from motionstories.kinematics import UniformMotionState
+from motionstories.kinematics import Disc, UniformMotionState, Vec2
+from motionstories.oracle import rigid_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
     AugmentedRelation,
     Phase,
     StoryId,
     augmented_chain,
+    augmented_relation,
     augmented_set,
     stories_set,
 )
-from motionstories.validate import _Axis, _edge_witness, validate_motion_cng
+from motionstories.validate import (
+    _PATH_SAMPLES,
+    _Axis,
+    _columns,
+    _continuous_transition,
+    _edge_witness,
+    _pair_trials,
+    _path,
+    validate_motion_cng,
+)
 
 R = RccRelation
 
@@ -243,3 +256,99 @@ class TestValidation:
         g = Cng(full.nodes - {gone}, frozenset(e for e in full.edges if gone not in e))
         with pytest.raises(ValueError):
             validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)
+
+
+_RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6)]
+_STEPS = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
+
+
+def _lerp_state(u: UniformMotionState, v: UniformMotionState, s: float) -> UniformMotionState:
+    """The reference path: each field mixed as a + s (b - a) in Python floats."""
+
+    def mix(a: float, b: float) -> float:
+        return a + s * (b - a)
+
+    def mix_v(a: Vec2, b: Vec2) -> Vec2:
+        return Vec2(mix(a.x, b.x), mix(a.y, b.y))
+
+    return UniformMotionState(
+        disc_k=Disc(mix_v(u.disc_k.center, v.disc_k.center), u.disc_k.radius),
+        vel_k=mix_v(u.vel_k, v.vel_k),
+        disc_l=Disc(mix_v(u.disc_l.center, v.disc_l.center), u.disc_l.radius),
+        vel_l=mix_v(u.vel_l, v.vel_l),
+        epoch=mix(u.epoch, v.epoch),
+    )
+
+
+class TestBatchedTrials:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radii=st.sampled_from(_RADII[:4]),
+        pick=st.integers(0, 28),
+        seed=st.integers(0, 2**32 - 1),
+        s=st.floats(0.0, 1.0),
+    )
+    def test_batch_classifier_equals_the_scalar_path(self, radii, pick, seed, s):
+        # Rigid and band trials, their kicked ends, and grid and off-grid
+        # points of the path between the two, through both classifiers.
+        axis = _Axis(*radii, DEFAULT_TOLERANCE)
+        nodes = sorted(augmented_set(*radii), key=str)
+        u = nodes[pick % len(nodes)]
+        start, end, _, _ = _pair_trials(u, u, axis, np.random.default_rng(seed), 6)
+        lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
+        for batch in (start, end, lerped):
+            want = [augmented_relation(axis.state(c), axis.tol) for c in batch.T]
+            assert axis.classify(batch) == want
+
+    @pytest.mark.parametrize("rk, rl", _RADII)
+    def test_witness_grids_equal_the_scalar_path(self, rk, rl):
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        steps = _STEPS.tolist()
+        nodes = sorted(augmented_set(rk, rl), key=str)
+        for a in nodes:
+            for b in nodes:
+                if a == b:
+                    continue
+                try:
+                    su, sv = _edge_witness(a, b, axis)
+                except ValueError:
+                    continue
+                grid = axis.classify(_path(_columns(su), _columns(sv), _STEPS))
+                want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
+                assert grid == want, (a, b)
+
+    def test_rejected_state_raises_the_scalar_error(self):
+        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        fine = _columns(rigid_state(1.0, 2.0, 5.0))
+        overflowing = fine.copy()
+        overflowing[[2, 6]] = 1e300, -1e300  # |dv|^2 overflows
+        with pytest.raises(ValueError) as scalar:
+            augmented_relation(axis.state(overflowing), axis.tol)
+        with pytest.raises(ValueError) as batch:
+            axis.classify(np.stack([fine, overflowing], axis=1))
+        assert str(batch.value) == str(scalar.value)
+
+    def test_trials_replay_from_the_seed_and_pair_index(self):
+        g = motion_cng(augmented_set(1.0, 2.0))
+        report = validate_motion_cng(g, 1.0, 2.0, n_pairs=5, n_trials=60, seed=7)
+        nodes = sorted(g.nodes, key=str)
+        non_edges = [
+            (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if not g.has_edge(u, v)
+        ]
+        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        assert len(report.trial_counts) == 5
+        for (u, v), counts in report.trial_counts.items():
+            rng = np.random.default_rng([7, non_edges.index((u, v))])
+            assert _pair_trials(u, v, axis, rng, 60)[2] == counts
+            assert counts.attempted == 60 and counts.attempted >= counts.at_u >= counts.to_v
+
+    def test_trials_reach_the_removed_edge(self):
+        # The power behind test_missing_edge_is_reported_spurious: about 0.57%
+        # of the pair's trials cross from S11(DC) to S12(DC-) on a continuous
+        # path, so 400 trials miss it about one time in ten, while 20 000
+        # trials reach it about 115 times.
+        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        u, v = aug("S11(DC)"), aug("S12(DC-)")
+        start, end, _, to_v = _pair_trials(u, v, axis, np.random.default_rng(11), 20_000)
+        hits = sum(_continuous_transition(start[:, k], end[:, k], u, v, axis) for k in to_v)
+        assert hits >= 40

@@ -282,6 +282,14 @@ class TestAugmentedRelation:
         for text in ("S15(DC-)", "S12(EC)", "S11(DC)", "S14I(PO+)", "S15E(EQ)"):
             assert str(AugmentedRelation.parse(text)) == text
 
+    def test_text_is_derived_once_and_left_out_of_equality(self):
+        for rk, rl in [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)]:
+            for a in augmented_set(rk, rl):
+                twin = AugmentedRelation(a.story, a.rel, a.phase)
+                assert str(a) == f"{a.story.value}({a.rel.value}{a.phase.value})" == str(twin)
+                assert repr(a) == f"AugmentedRelation(story={a.story!r}, rel={a.rel!r}, phase={a.phase!r})"
+                assert a == twin and hash(a) == hash(twin)
+
     def test_parse_rejects_garbage(self):
         for text in ("S15", "S15(XX-)", "S99(DC-)", "S15(DC?)", ""):
             with pytest.raises(ValueError):
