@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -52,16 +52,6 @@ class TrajectoryFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    t: float
-    xk: float
-    yk: float
-    xl: float
-    yl: float
-    line: int = field(default=0, compare=False)  # input line, for error messages
-
-
-@dataclass(frozen=True)
 class SceneConfig:
     r_k: float = 1.0
     r_l: float = 2.0
@@ -77,11 +67,29 @@ class SceneConfig:
         return Tolerance(self.eps)
 
 
-def parse_trajectory(text: str) -> list[TrajectoryRecord]:
+def parse_trajectory(text: str) -> tuple[np.ndarray, list[int]]:
+    """The records as rows (t, xk, yk, xl, yl) of an (n, 5) array, and their
+    input lines.  One numpy conversion, with `float`'s syntax, parses input
+    that passes every check; `_walk_lines` names the first bad line of the rest."""
     lines = text.splitlines()
+    numbered = [n for n, line in enumerate(lines) if n and line.strip()]
+    try:
+        data = np.array([lines[n].split(",") for n in numbered], dtype=float)
+    except ValueError:  # a row of the wrong length or a malformed number
+        data = np.empty(0)
+    ok = data.shape[1:] == (5,) and lines[0].strip() == _HEADER and np.isfinite(data).all()
+    if ok and (data[1:, 0] > data[:-1, 0]).all():
+        return data, [n + 1 for n in numbered]
+    return _walk_lines(lines)
+
+
+def _walk_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    """The `parse_trajectory` of input numpy rejects, line by line: the first
+    bad line's error, or the rows if `float` accepts what numpy did not."""
     if not lines or lines[0].strip() != _HEADER:
         raise TrajectoryFormatError(f"line 1: expected header '{_HEADER}'")
-    records: list[TrajectoryRecord] = []
+    rows: list[list[float]] = []
+    numbers: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -103,37 +111,15 @@ def parse_trajectory(text: str) -> list[TrajectoryRecord]:
                     f"line {lineno}, column {col}: non-finite value {raw.strip()!r}"
                 )
             values.append(value)
-        record = TrajectoryRecord(*values, lineno)
-        if records and record.t <= records[-1].t:
+        if rows and values[0] <= rows[-1][0]:
             raise TrajectoryFormatError(
-                f"line {lineno}: timestamp {record.t!r} not after {records[-1].t!r}"
+                f"line {lineno}: timestamp {values[0]!r} not after {rows[-1][0]!r}"
             )
-        records.append(record)
-    if not records:
+        rows.append(values)
+        numbers.append(lineno)
+    if not rows:
         raise TrajectoryFormatError("no records")
-    return records
-
-
-def _as_table(records: Sequence[TrajectoryRecord]) -> np.ndarray:
-    """The records as rows (t, xk, yk, xl, yl) of an (n, 5) array."""
-    return np.array([(r.t, r.xk, r.yk, r.xl, r.yl) for r in records], dtype=float)
-
-
-def _parse_table(text: str) -> tuple[np.ndarray, list[int]]:
-    """The `_as_table` of `parse_trajectory(text)` and each record's input line.
-    One numpy conversion, with `float`'s syntax, parses input that passes
-    every check; `parse_trajectory` names the first bad line of the rest."""
-    lines = text.splitlines()
-    numbered = [n for n, line in enumerate(lines) if n and line.strip()]
-    try:
-        data = np.array([lines[n].split(",") for n in numbered], dtype=float)
-    except ValueError:  # a row of the wrong length or a malformed number
-        data = np.empty(0)
-    ok = data.shape[1:] == (5,) and lines[0].strip() == _HEADER and np.isfinite(data).all()
-    if ok and (data[1:, 0] > data[:-1, 0]).all():
-        return data, [n + 1 for n in numbered]
-    records = parse_trajectory(text)
-    return _as_table(records), [r.line for r in records]
+    return np.array(rows, dtype=float), numbers
 
 
 def _slopes(s_tt: np.ndarray, s_tx: np.ndarray) -> np.ndarray:
@@ -144,7 +130,7 @@ def _slopes(s_tt: np.ndarray, s_tx: np.ndarray) -> np.ndarray:
 
 
 def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
-    """Velocities (vxk, vyk, vxl, vyl) fitted at every `_as_table` row, shape (n, 4).
+    """Velocities (vxk, vyk, vxl, vyl) fitted at every `parse_trajectory` row, shape (n, 4).
 
     Row i is the least-squares slope of each coordinate over the trailing
     window ending at record i: all records up to i when `window` <= 0, else
@@ -187,13 +173,13 @@ def _checked_fit(fit: Sequence[float]) -> Sequence[float]:
     return fit
 
 
-def estimate_velocity(records: Sequence[TrajectoryRecord], entity: str) -> Vec2:
-    """Least-squares slope of the entity's position over the records."""
-    if len(records) < 2:
+def estimate_velocity(data: np.ndarray, entity: str) -> Vec2:
+    """Least-squares slope of the entity's position over the table's rows."""
+    if len(data) < 2:
         raise ValueError("velocity estimation needs at least 2 records")
     if entity not in ("k", "l"):
         raise ValueError(f"entity must be 'k' or 'l', got {entity!r}")
-    vxk, vyk, vxl, vyl = _checked_fit(_velocity_fits(_as_table(records), 0)[-1].tolist())
+    vxk, vyk, vxl, vyl = _checked_fit(_velocity_fits(data, 0)[-1].tolist())
     return Vec2(vxk, vyk) if entity == "k" else Vec2(vxl, vyl)
 
 
@@ -226,8 +212,6 @@ def _relation_stream(
     """Augmented relation at every record after the first, in input order,
     from `augmented_relations`.  The first record it marks unusable goes
     through `augmented_relation`, for its message."""
-    if len(data) < 2:
-        raise TrajectoryFormatError("need at least 2 records to estimate motion")
     pos, vel = data[1:, 1:], fits[1:]
     with np.errstate(all="ignore"):
         dpx, dpy = (pos[:, 2:] - pos[:, :2]).T
@@ -370,7 +354,7 @@ def _load_config(args: argparse.Namespace) -> SceneConfig:
 
 
 def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
-    """The `_parse_table` of a UTF-8 trajectory file."""
+    """The `parse_trajectory` of a UTF-8 trajectory file of at least 2 records."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -381,7 +365,10 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
         # Count lines as the parser does; the bad byte's line is the last.
         line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
         raise TrajectoryFormatError(f"line {line}: not valid UTF-8") from None
-    return _parse_table(text)
+    table, lines = parse_trajectory(text)
+    if len(table) < 2:
+        raise TrajectoryFormatError("need at least 2 records to estimate motion")
+    return table, lines
 
 
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
@@ -396,8 +383,6 @@ def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
 
 def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
-    if len(data) < 2:
-        raise TrajectoryFormatError("need at least 2 records to estimate motion")
     tol = cfg.tolerance
     with _record_errors(lines[-1]):
         state = _state_at(data[-1], _velocity_fits(data, args.window)[-1], cfg)

@@ -4,8 +4,9 @@ Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
-`stories.regime_spans`; each moving state comes from `_Axis.moving`.  A pair
-of two rigid relations, or of two stories off every band, has no witness.
+`stories.regime_spans`.  Witnesses and trials are batch columns built by
+`_Axis.moving` and `_Axis.comoving`.  A pair of two rigid relations, or of
+two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 Trials and path grids are classified in batches (`stories.augmented_relations`),
 and label changes along a path are bisected with `oracle.resolve_changes`.
@@ -14,14 +15,14 @@ and label changes along a path are bisected with `oracle.resolve_changes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
-from .oracle import resolve_changes, rigid_state
+from .oracle import resolve_changes
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     REGIMES,
@@ -105,6 +106,11 @@ class _Axis:
         x = speed * np.where(approach, tta, -tta)
         return np.stack(np.broadcast_arrays(x, -h, -speed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
+    def comoving(self, d: Floats, vx: Floats = 0.0, vy: Floats = 0.0) -> np.ndarray:
+        """The `oracle.rigid_state` at center distance d, both discs moving at
+        (vx, vy), as a batch column; elementwise for arrays, as a batch."""
+        return np.stack(np.broadcast_arrays(-d, 0.0, vx, vy, 0.0, 0.0, vx, vy, 0.0))
+
     def state(self, column: np.ndarray) -> UniformMotionState:
         """The state of a batch column."""
         xk, yk, vxk, vyk, xl, yl, vxl, vyl, epoch = column.tolist()
@@ -121,12 +127,6 @@ class _Axis:
         for j in np.flatnonzero(~usable):
             relations[j] = augmented_relation(self.state(batch[:, j]), self.tol)
         return relations
-
-
-def _columns(state: UniformMotionState) -> np.ndarray:
-    """The state as a batch column."""
-    k, l, vk, vl = state.disc_k.center, state.disc_l.center, state.vel_k, state.vel_l
-    return np.array([k.x, k.y, vk.x, vk.y, l.x, l.y, vl.x, vl.y, state.epoch])
 
 
 def _path(cu: np.ndarray, cv: np.ndarray, s: Floats) -> np.ndarray:
@@ -161,8 +161,8 @@ def _continuous_transition(
 
 def _edge_witness(
     a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
-) -> tuple[UniformMotionState, UniformMotionState]:
-    """Two nearby states classified as the edge's endpoints, in (a, b) order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two nearby batch columns classified as the edge's endpoints, in (a, b) order.
 
     Raises ValueError when the pair's shape admits no witness."""
     eps = axis.eps
@@ -173,16 +173,17 @@ def _edge_witness(
         # Attachment edge: from the rigid state, an eps-scale velocity on disc
         # k sets the miss-distance regime without changing the epoch relation.
         rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
-        base = rigid_state(axis.r_k, axis.r_l, axis.target(rigid.rel, 0.0))
-        d0 = base.dp.norm()
+        d0 = axis.target(rigid.rel, 0.0)
         h = min(axis.miss(moving.story), d0)
         sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
         cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
         if moving.phase is Phase.PLUS:
             cos_a = -cos_a
         omega = 3.0 * eps
-        perturbed = replace(base, vel_k=base.vel_k + Vec2(omega * cos_a, omega * sin_a))
-        return (base, perturbed) if rigid == a else (perturbed, base)
+        base = axis.comoving(d0)
+        kicked = base.copy()
+        kicked[2:4] += omega * cos_a, omega * sin_a
+        return (base, kicked) if rigid == a else (kicked, base)
 
     if a.story is b.story:
         # Chronological neighbors: exactly one endpoint (the odd chain index)
@@ -197,9 +198,9 @@ def _edge_witness(
         outward = abs(i_other - center) > abs(i_inst - center)
         d_other = theta + (2.5 * eps if outward else -2.5 * eps)
         approach = min(i, j) < center
-        s_inst = axis.state(axis.moving(h, theta, approach))
-        s_other = axis.state(axis.moving(h, d_other, approach))
-        return (s_inst, s_other) if inst == a else (s_other, s_inst)
+        c_inst = axis.moving(h, theta, approach)
+        c_other = axis.moving(h, d_other, approach)
+        return (c_inst, c_other) if inst == a else (c_other, c_inst)
 
     # Cross-story edge: one story is a tangency band, the other an adjacent
     # interior regime; move the miss distance across the regime boundary.
@@ -218,9 +219,9 @@ def _edge_witness(
         d_band = d_int = theta_band if band_central else h_int
     else:
         d_band = d_int = axis.target(a.rel, max(h_int, theta_band))
-    s_band = axis.state(axis.moving(theta_band, d_band, band.phase is not Phase.PLUS))
-    s_int = axis.state(axis.moving(h_int, d_int, interior.phase is not Phase.PLUS))
-    return (s_band, s_int) if band == a else (s_int, s_band)
+    c_band = axis.moving(theta_band, d_band, band.phase is not Phase.PLUS)
+    c_int = axis.moving(h_int, d_int, interior.phase is not Phase.PLUS)
+    return (c_band, c_int) if band == a else (c_int, c_band)
 
 
 def _trial_states(
@@ -240,9 +241,7 @@ def _trial_states(
     if aug.story in axis.rigid:
         jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
         d = np.maximum(0.0, axis.target(aug.rel, 0.0) + jitter)
-        vx, vy, zero = draw(-2.0, 2.0), draw(-2.0, 2.0), np.zeros(n)
-        # `oracle.rigid_state`: disc k d to the left of disc l, both moving alike.
-        return np.array([-d, zero, vx, vy, zero, zero, vx, vy, zero])
+        return axis.comoving(d, draw(-2.0, 2.0), draw(-2.0, 2.0))
 
     i = axis.row_of[aug.story]
     lo, hi = axis.spans[i]
@@ -261,7 +260,7 @@ def _trial_states(
     # to also cover epochs away from the minimum.
     pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
     d_t = axis.target(aug.rel, h)
-    d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-3.0, 3.0) * eps), d_t))
+    d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
     speed = draw(0.5, 2.0)
     recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
     return axis.moving(h, d_t, ~recede, speed)
@@ -312,8 +311,8 @@ def validate_motion_cng(
     for edge in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
         a, b = sorted(edge, key=str)
         try:
-            su, sv = _edge_witness(a, b, axis)
-            witnessed = _continuous_transition(_columns(su), _columns(sv), a, b, axis)
+            cu, cv = _edge_witness(a, b, axis)
+            witnessed = _continuous_transition(cu, cv, a, b, axis)
         except ValueError:
             # No witness is even constructible for this pair; the edge cannot
             # correspond to a continuous single-step transition.

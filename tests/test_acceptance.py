@@ -189,10 +189,10 @@ def test_criterion_6_finiteness_and_asymptotics(capsys):
 
 def test_criterion_7_avoidance_detection(capsys):
     t0 = time.monotonic()
-    from motionstories.cli import SceneConfig, _parse_table, _relation_stream, _velocity_fits
+    from motionstories.cli import SceneConfig, _relation_stream, _velocity_fits, parse_trajectory
 
     def stream(points):
-        data, lines = _parse_table(points_to_csv(points))
+        data, lines = parse_trajectory(points_to_csv(points))
         return _relation_stream(data, lines, _velocity_fits(data, 2), SceneConfig())
 
     stream_fwd = stream(steered_avoidance_points())

@@ -9,6 +9,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +23,10 @@ from motionstories.cli import (
     EXIT_USAGE,
     SceneConfig,
     TrajectoryFormatError,
-    TrajectoryRecord,
-    _as_table,
-    _parse_table,
     _relation_stream,
     _state_at,
     _velocity_fits,
+    _walk_lines,
     estimate_velocity,
     main,
     parse_trajectory,
@@ -57,15 +56,13 @@ GOLDEN_STORY_A = (
 
 class TestParseTrajectory:
     def test_valid(self):
-        records = parse_trajectory("t,xk,yk,xl,yl\n0,0,0,10,3\n1,2,0,9,3\n")
-        assert records == [
-            TrajectoryRecord(0, 0, 0, 10, 3),
-            TrajectoryRecord(1, 2, 0, 9, 3),
-        ]
+        data, lines = parse_trajectory("t,xk,yk,xl,yl\n0,0,0,10,3\n1,2,0,9,3\n")
+        assert data.tolist() == [[0, 0, 0, 10, 3], [1, 2, 0, 9, 3]]
+        assert lines == [2, 3]
 
     def test_blank_lines_are_skipped(self):
-        records = parse_trajectory("t,xk,yk,xl,yl\n0,0,0,10,3\n\n1,2,0,9,3\n")
-        assert len(records) == 2
+        data, lines = parse_trajectory("t,xk,yk,xl,yl\n0,0,0,10,3\n\n1,2,0,9,3\n")
+        assert data.shape == (2, 5) and lines == [2, 4]
 
     def test_bad_header(self):
         with pytest.raises(TrajectoryFormatError, match="line 1"):
@@ -94,25 +91,25 @@ class TestParseTrajectory:
 
 class TestEstimateVelocity:
     def test_exact_on_affine_data(self):
-        records = [TrajectoryRecord(t, 2 * t, -t, 10 - t, 3.0) for t in range(5)]
-        vk = estimate_velocity(records, "k")
-        vl = estimate_velocity(records, "l")
+        data = np.array([(t, 2 * t, -t, 10 - t, 3.0) for t in range(5)])
+        vk = estimate_velocity(data, "k")
+        vl = estimate_velocity(data, "l")
         assert (vk.x, vk.y) == pytest.approx((2.0, -1.0))
         assert (vl.x, vl.y) == pytest.approx((-1.0, 0.0))
 
     def test_two_points(self):
-        records = [TrajectoryRecord(0, 0, 0, 0, 0), TrajectoryRecord(2, 3, 1, 0, 0)]
-        v = estimate_velocity(records, "k")
+        data = np.array([(0, 0, 0, 0, 0), (2, 3, 1, 0, 0)], dtype=float)
+        v = estimate_velocity(data, "k")
         assert (v.x, v.y) == pytest.approx((1.5, 0.5))
 
     def test_needs_two_records(self):
         with pytest.raises(ValueError):
-            estimate_velocity([TrajectoryRecord(0, 0, 0, 0, 0)], "k")
+            estimate_velocity(np.zeros((1, 5)), "k")
 
     def test_rejects_unknown_entity(self):
-        records = [TrajectoryRecord(0, 0, 0, 0, 0), TrajectoryRecord(1, 1, 0, 0, 0)]
+        data = np.array([(0, 0, 0, 0, 0), (1, 1, 0, 0, 0)], dtype=float)
         with pytest.raises(ValueError):
-            estimate_velocity(records, "m")
+            estimate_velocity(data, "m")
 
 
 def _trailing(i: int, window: int) -> int:
@@ -137,18 +134,19 @@ class TestVelocityFits:
         rng = random.Random(window)
         offsets = (5e6, -5e6, 2e6, 0.0)
         speeds = (3.0, -0.5, -1.0, 2.0)
-        records, t = [], t0
+        rows, t = [], t0
         for _ in range(40):
             t += rng.uniform(0.5, 2.0) * dt
             noise = [rng.uniform(-0.05, 0.05) * dt for _ in offsets]
             coords = [o + v * (t - t0) + e for o, v, e in zip(offsets, speeds, noise)]
-            records.append(TrajectoryRecord(t, *coords))
-        fits = _velocity_fits(_as_table(records), window)
+            rows.append((t, *coords))
+        data = np.array(rows)
+        fits = _velocity_fits(data, window)
         assert np.isnan(fits[0]).all()
-        for i in range(1, len(records)):
-            span = records[_trailing(i, window) : i + 1]
-            for c, name in enumerate(("xk", "yk", "xl", "yl")):
-                exact = _exact_slope([r.t for r in span], [getattr(r, name) for r in span])
+        for i in range(1, len(data)):
+            span = data[_trailing(i, window) : i + 1].tolist()
+            for c in range(4):
+                exact = _exact_slope([r[0] for r in span], [r[1 + c] for r in span])
                 assert fits[i, c] == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     @given(
@@ -166,20 +164,21 @@ class TestVelocityFits:
         window=1,
     )
     def test_equals_estimate_velocity_on_window_slice(self, t0, rows, window):
-        records, t = [], t0
+        table, t = [], t0
         for step, *coords in rows:
             t += step
-            records.append(TrajectoryRecord(t, *coords))
-        fits = _velocity_fits(_as_table(records), window)
-        for i in range(1, len(records)):
-            span = records[_trailing(i, window) : i + 1]
+            table.append((t, *coords))
+        data = np.array(table, dtype=float)
+        fits = _velocity_fits(data, window)
+        for i in range(1, len(data)):
+            span = data[_trailing(i, window) : i + 1]
             vk, vl = estimate_velocity(span, "k"), estimate_velocity(span, "l")
-            ts = [r.t for r in span]
+            ts = span[:, 0].tolist()
             s_tt = sum((t - sum(ts) / len(ts)) ** 2 for t in ts)
             for c, want in enumerate((vk.x, vk.y, vl.x, vl.y)):
                 # Both are float sums in different orders: allow rounding
                 # relative to the coordinate's spread over the window.
-                xs = [(r.xk, r.yk, r.xl, r.yl)[c] for r in span]
+                xs = span[:, 1 + c].tolist()
                 spread = max(xs) - min(xs)
                 bound = 1e-9 * spread / (ts[-1] - ts[0])
                 if 0 < spread < sys.float_info.min:
@@ -343,6 +342,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,xk,yk,xl,yl\n0,0,0,oops,3\n")
         assert main(["story", str(bad)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("command", [["classify"], ["story"], ["recognize"]])
+    def test_one_record_is_a_format_error(self, tmp_path, capfd, command):
+        path = tmp_path / "one.csv"
+        path.write_text("t,xk,yk,xl,yl\n0,0,0,5,0\n")
+        assert main([*command, str(path)]) == EXIT_FORMAT
+        assert capfd.readouterr() == ("", "error: need at least 2 records to estimate motion\n")
 
     @pytest.mark.parametrize(
         "csv",
@@ -706,16 +712,20 @@ class TestParseTable:
     @settings(max_examples=400, deadline=None)
     @given(_csv_text())
     def test_equals_parse_trajectory(self, text):
+        # The numpy path and the line walk give the same table and lines, or
+        # the same message.  Input the walk accepts never reaches it: numpy's
+        # conversion accepts every number `float` does.
         try:
-            records = parse_trajectory(text)
+            want, want_lines = _walk_lines(text.splitlines())
         except TrajectoryFormatError as exc:
             with pytest.raises(TrajectoryFormatError) as info:
-                _parse_table(text)
+                parse_trajectory(text)
             assert str(info.value) == str(exc)
             return
-        data, lines = _parse_table(text)
-        assert data.tobytes() == _as_table(records).tobytes() and data.shape == (len(records), 5)
-        assert lines == [r.line for r in records]
+        with mock.patch("motionstories.cli._walk_lines", side_effect=AssertionError("walked")):
+            data, lines = parse_trajectory(text)
+        assert data.tobytes() == want.tobytes() and data.shape == want.shape
+        assert lines == want_lines
 
 
 class TestRoundTrip:

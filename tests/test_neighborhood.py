@@ -17,7 +17,6 @@ from motionstories.neighborhood import (
     to_json_adjacency,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2
-from motionstories.oracle import rigid_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
     AugmentedRelation,
@@ -31,7 +30,6 @@ from motionstories.stories import (
 from motionstories.validate import (
     _PATH_SAMPLES,
     _Axis,
-    _columns,
     _continuous_transition,
     _edge_witness,
     _pair_trials,
@@ -210,6 +208,18 @@ class TestValidation:
             report.spurious_transitions,
         )
 
+    @pytest.mark.parametrize("rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_every_trial_starts_in_its_relation(self, rk, rl):
+        # Every non-edge is sampled; a trial drawn for u that classifies as a
+        # neighbour of u tests nothing.
+        g = motion_cng(augmented_set(rk, rl))
+        n = len(g.nodes)
+        non_edges = n * (n - 1) // 2 - len(g.edges)
+        report = validate_motion_cng(g, rk, rl, n_pairs=non_edges, n_trials=20)
+        assert len(report.trial_counts) == non_edges
+        short = {pair: c for pair, c in report.trial_counts.items() if c.at_u != c.attempted}
+        assert not short
+
     def test_missing_edge_is_reported_spurious(self):
         full = motion_cng(augmented_set(1.0, 2.0))
         removed = frozenset({aug("S12(DC-)"), aug("S11(DC)")})
@@ -238,11 +248,13 @@ class TestValidation:
                 if a == b:
                     continue
                 try:
-                    states = _edge_witness(a, b, axis)
+                    columns = _edge_witness(a, b, axis)
                 except ValueError:
                     continue
-                assert len(states) == 2, (a, b)
-                assert all(isinstance(s, UniformMotionState) for s in states), (a, b)
+                assert len(columns) == 2, (a, b)
+                for c in columns:
+                    assert isinstance(c, np.ndarray) and c.shape == (9,), (a, b)
+                    assert isinstance(axis.state(c), UniformMotionState), (a, b)
 
     def test_radius_mismatch_raises(self):
         g = motion_cng(augmented_set(1.0, 2.0))
@@ -310,16 +322,17 @@ class TestBatchedTrials:
                 if a == b:
                     continue
                 try:
-                    su, sv = _edge_witness(a, b, axis)
+                    cu, cv = _edge_witness(a, b, axis)
                 except ValueError:
                     continue
-                grid = axis.classify(_path(_columns(su), _columns(sv), _STEPS))
+                grid = axis.classify(_path(cu, cv, _STEPS))
+                su, sv = axis.state(cu), axis.state(cv)
                 want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
                 assert grid == want, (a, b)
 
     def test_rejected_state_raises_the_scalar_error(self):
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
-        fine = _columns(rigid_state(1.0, 2.0, 5.0))
+        fine = axis.comoving(5.0)
         overflowing = fine.copy()
         overflowing[[2, 6]] = 1e300, -1e300  # |dv|^2 overflows
         with pytest.raises(ValueError) as scalar:
