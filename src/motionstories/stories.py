@@ -394,7 +394,7 @@ class UnitVec:
     y: float
 
     def __post_init__(self) -> None:
-        if abs(math.hypot(self.x, self.y) - 1.0) > 1e-12:
+        if not abs(math.hypot(self.x, self.y) - 1.0) <= 1e-12:
             raise ValueError("components must have unit norm")
 
 
@@ -590,7 +590,7 @@ def asymptotic_direction(state: UniformMotionState, sign: float) -> UnitVec:
     dv = state.dv
     if dv.norm_sq() == 0.0:
         raise DegenerateMotionError("direction undefined: discs move rigidly")
-    if sign == 0:
+    if not (sign > 0 or sign < 0):
         raise ValueError("sign must be positive (toward +inf) or negative (toward -inf)")
     s = 1.0 if sign > 0 else -1.0
     n = dv.norm()

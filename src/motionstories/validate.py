@@ -4,9 +4,9 @@ Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
-`stories.regime_spans`.  Witnesses and trials are batch columns built by
-`_Axis.moving` and `_Axis.comoving`.  A pair of two rigid relations, or of
-two stories off every band, has no witness.
+`stories.regime_spans`.  Witnesses and trials are batch columns of disc l's
+position and velocity relative to disc k (`_Axis`).  A pair of two rigid
+relations, or of two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 Trials and path grids are classified in batches (`stories.augmented_relations`),
 and label changes along a path are bisected with `oracle.resolve_changes`.
@@ -69,8 +69,8 @@ class ValidationReport:
 
 class _Axis:
     """The regime table of one pair of radii, with each regime's distance span,
-    and its states in batches: (9, n) arrays with a column per state and the
-    rows xk, yk, vxk, vyk, xl, yl, vxl, vyl, epoch of `UniformMotionState`."""
+    and its states in batches of relative motion: (4, n) arrays, a column per
+    state, rows dpx, dpy, dvx, dvy (`UniformMotionState.dp` and `.dv`)."""
 
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
@@ -103,27 +103,24 @@ class _Axis:
         distance d, approaching (closest approach ahead) or receding, as a
         batch column; elementwise for arrays, as a batch."""
         tta = np.sqrt(np.maximum(0.0, d * d - h * h)) / speed
-        x = speed * np.where(approach, tta, -tta)
-        return np.stack(np.broadcast_arrays(x, -h, -speed, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        dpx = speed * np.where(approach, -tta, tta)
+        return np.stack(np.broadcast_arrays(dpx, h, speed, 0.0))
 
-    def comoving(self, d: Floats, vx: Floats = 0.0, vy: Floats = 0.0) -> np.ndarray:
-        """The `oracle.rigid_state` at center distance d, both discs moving at
-        (vx, vy), as a batch column; elementwise for arrays, as a batch."""
-        return np.stack(np.broadcast_arrays(-d, 0.0, vx, vy, 0.0, 0.0, vx, vy, 0.0))
+    def comoving(self, d: Floats) -> np.ndarray:
+        """The `oracle.rigid_state` at center distance d as a batch column;
+        elementwise for an array d, as a batch."""
+        return np.stack(np.broadcast_arrays(d, 0.0, 0.0, 0.0))
 
     def state(self, column: np.ndarray) -> UniformMotionState:
-        """The state of a batch column."""
-        xk, yk, vxk, vyk, xl, yl, vxl, vyl, epoch = column.tolist()
-        k, l = Disc(Vec2(xk, yk), self.r_k), Disc(Vec2(xl, yl), self.r_l)
-        return UniformMotionState(k, Vec2(vxk, vyk), l, Vec2(vxl, vyl), epoch)
+        """The state of a batch column: disc k at rest at the origin."""
+        dpx, dpy, dvx, dvy = column.tolist()
+        k, l = Disc(Vec2(0.0, 0.0), self.r_k), Disc(Vec2(dpx, dpy), self.r_l)
+        return UniformMotionState(k, Vec2(0.0, 0.0), l, Vec2(dvx, dvy))
 
     def classify(self, batch: np.ndarray) -> list[AugmentedRelation]:
         """The `augmented_relation` of each state of the batch; a state it
         rejects raises its ValueError."""
-        xk, yk, vxk, vyk, xl, yl, vxl, vyl, _ = batch
-        with np.errstate(all="ignore"):
-            dp_dv = xl - xk, yl - yk, vxl - vxk, vyl - vyk
-        relations, usable = augmented_relations(*dp_dv, self.r_k, self.r_l, self.tol)
+        relations, usable = augmented_relations(*batch, self.r_k, self.r_l, self.tol)
         for j in np.flatnonzero(~usable):
             relations[j] = augmented_relation(self.state(batch[:, j]), self.tol)
         return relations
@@ -171,7 +168,7 @@ def _edge_witness(
 
     if a.story in axis.rigid or b.story in axis.rigid:
         # Attachment edge: from the rigid state, an eps-scale velocity on disc
-        # k sets the miss-distance regime without changing the epoch relation.
+        # k, taken off dv, sets the miss regime without changing the epoch relation.
         rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
         d0 = axis.target(rigid.rel, 0.0)
         h = min(axis.miss(moving.story), d0)
@@ -182,7 +179,7 @@ def _edge_witness(
         omega = 3.0 * eps
         base = axis.comoving(d0)
         kicked = base.copy()
-        kicked[2:4] += omega * cos_a, omega * sin_a
+        kicked[2:4] -= omega * cos_a, omega * sin_a
         return (base, kicked) if rigid == a else (kicked, base)
 
     if a.story is b.story:
@@ -240,8 +237,7 @@ def _trial_states(
 
     if aug.story in axis.rigid:
         jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
-        d = np.maximum(0.0, axis.target(aug.rel, 0.0) + jitter)
-        return axis.comoving(d, draw(-2.0, 2.0), draw(-2.0, 2.0))
+        return axis.comoving(np.maximum(0.0, axis.target(aug.rel, 0.0) + jitter))
 
     i = axis.row_of[aug.story]
     lo, hi = axis.spans[i]
@@ -274,8 +270,8 @@ def _pair_trials(
     then a time step), the counts, and the trials from u to v in order."""
     start = _trial_states(u, axis, rng, n)
     kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
-    end = start + kick
-    end[[0, 1, 4, 5]] += end[[2, 3, 6, 7]] * kick[8]
+    end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
+    end[:2] += end[2:] * kick[8]
     at_u = np.flatnonzero([a == u for a in axis.classify(start)])
     to_v = at_u[np.array([a == v for a in axis.classify(end[:, at_u])], dtype=bool)]
     return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v

@@ -414,6 +414,14 @@ class TestAsymptoticDirection:
         with pytest.raises(ValueError):
             UnitVec(1.0, 1.0)
 
+    def test_nan_sign_is_an_error(self):
+        with pytest.raises(ValueError):
+            asymptotic_direction(SCENARIO_B, math.nan)
+
+    def test_unit_vec_rejects_nan(self):
+        with pytest.raises(ValueError):
+            UnitVec(math.nan, math.nan)
+
 
 class TestSerialization:
     def test_json_dict(self):
