@@ -387,6 +387,8 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
     with _record_errors(lines[-1]):
         state = _state_at(data[-1], _velocity_fits(data, args.window)[-1], cfg)
         story = story_of(state, tol)
+        if not all(map(math.isfinite, story.boundaries)):
+            raise ValueError("a transition instant is not finite")
         warnings = _degenerate_warnings(state, cfg)
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None
     if sampled is not None and sampled.labels != story.labels:

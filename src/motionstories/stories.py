@@ -433,7 +433,8 @@ def central(story_id: StoryId) -> AugmentedRelation:
 
 
 def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> Story:
-    """The story this motion state belongs to, with absolute transition instants."""
+    """The story this motion state belongs to, with absolute transition
+    instants; an instant whose half-width overflows floats is -inf or inf."""
     r_k = state.disc_k.radius
     r_l = state.disc_l.radius
     config = radius_config(r_k, r_l, tol)

@@ -4,8 +4,8 @@ Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
-`stories.regime_spans`.  Witnesses and trials are batch columns of disc l's
-position and velocity relative to disc k (`_Axis`).  A pair of two rigid
+`stories.regime_spans`.  Every witness and trial is a batch column of relative
+motion built by `_Axis.moving` or `_Axis.comoving`.  A pair of two rigid
 relations, or of two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 Trials and path grids are classified in batches (`stories.augmented_relations`),
@@ -167,19 +167,14 @@ def _edge_witness(
         raise ValueError(f"{a} and {b} are both rigid; no kick joins them")
 
     if a.story in axis.rigid or b.story in axis.rigid:
-        # Attachment edge: from the rigid state, an eps-scale velocity on disc
-        # k, taken off dv, sets the miss regime without changing the epoch relation.
+        # Attachment edge: the moving state at the rigid relation's distance,
+        # with an eps-scale velocity that sets the miss regime and phase; the
+        # rigid state is the same position at rest.
         rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
         d0 = axis.target(rigid.rel, 0.0)
         h = min(axis.miss(moving.story), d0)
-        sin_a = 1.0 if d0 == 0.0 else min(1.0, h / d0)
-        cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
-        if moving.phase is Phase.PLUS:
-            cos_a = -cos_a
-        omega = 3.0 * eps
-        base = axis.comoving(d0)
-        kicked = base.copy()
-        kicked[2:4] -= omega * cos_a, omega * sin_a
+        kicked = axis.moving(h, d0, moving.phase is not Phase.PLUS, 3.0 * eps)
+        base = kicked * (1.0, 1.0, 0.0, 0.0)
         return (base, kicked) if rigid == a else (kicked, base)
 
     if a.story is b.story:

@@ -374,6 +374,27 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: line 4:")
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize(
+        "csv, relation",
+        [
+            # (theta - h)(theta + h) overflows, so both outer instants are -inf and inf.
+            ("t,xk,yk,xl,yl\n0,-4e200,1e200,0,0\n1e100,-3e200,1e200,0,0\n", "S14(DC-)"),
+            # A half-width near 2.8e310 s: the instant is beyond float range.
+            ("t,xk,yk,xl,yl\n0,-5e39,-1e200,0,0\n1e150,5e39,-1e200,0,0\n", "S14(TPP)"),
+        ],
+        ids=["half-width-overflow", "instant-beyond-range"],
+    )
+    @pytest.mark.parametrize("text", [[], ["--text"]])
+    def test_non_finite_instant_is_a_format_error(self, tmp_path, capfd, csv, relation, text):
+        path = tmp_path / "huge.csv"
+        path.write_text(csv)
+        argv = ["--rk", "1e200", "--rl", "2e200"]
+        assert main([*argv, "story", *text, str(path)]) == EXIT_FORMAT
+        assert capfd.readouterr() == ("", "error: line 3: a transition instant is not finite\n")
+        # The relation at the last record needs no instant; classify prints it.
+        assert main([*argv, "classify", str(path)]) == EXIT_OK
+        assert capfd.readouterr() == (relation + "\n", "")
+
     def test_strict_escalates_degenerate_inputs(self, tmp_path, capsys):
         cases = [
             # Closest approach a few tolerance bands away from outer tangency.
@@ -672,19 +693,20 @@ class TestScalarDecode:
     @example(_case(1.0, 2.0, [((0, 0, 1.0042317393859435, 2.8269274167565537), (0,) * 4)], [2, 3]))
     @example(_case(1.0, 2.0, [((0, 0, 1e300, 0), (0, 0, 1e-10, 0))], [2, 3]))
     @example(_case(1.0, 2.0, [((0, 0, 3.0, 0), (0, 0, 0, 2e-162))], [2, 3]))
+    # The relative velocity overflows, so no state can be built.
+    @example(_case(1.0, 2.0, [((0, 0, 0, 0), (0, -1e308, 0, 1e308))], [2, 3]))
     def test_equals_the_composition(self, case):
         # Same relation, or the same error, on every record of the stream cases.
         cfg, data, _, fits = case
 
-        def outcome(classify, state):
+        def outcome(classify, row, fit):
             try:
-                return classify(state, cfg.tolerance)
+                return classify(_state_at(row, fit, cfg), cfg.tolerance)
             except ValueError as exc:
                 return str(exc)
 
         for row, fit in zip(data[1:], fits[1:]):
-            state = _state_at(row, fit, cfg)
-            assert outcome(augmented_relation, state) == outcome(_composed_relation, state)
+            assert outcome(augmented_relation, row, fit) == outcome(_composed_relation, row, fit)
 
 
 _FIELD = st.sampled_from(
@@ -779,6 +801,12 @@ class TestMainFuzz:
             st.floats(), st.floats(), st.floats(), st.integers(-3, 10**6)
         ).map(lambda o: [f"--rk={o[0]!r}", f"--rl={o[1]!r}", f"--eps={o[2]!r}", f"--window={o[3]}"]),
         pick=st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    @example(
+        contents=b"t,xk,yk,xl,yl\n0,-4e200,1e200,0,0\n1e100,-3e200,1e200,0,0\n",
+        command="story",
+        options=["--rk=1e200", "--rl=2e200", "--eps=1e-09", "--window=0"],
+        pick=[True, True, False, False],
     )
     def test_every_input_gets_an_exit_code(self, tmp_path, contents, command, options, pick):
         path = tmp_path / "fuzz.csv"

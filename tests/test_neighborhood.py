@@ -335,6 +335,17 @@ class TestBatchedTrials:
                 want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
                 assert grid == want, (a, b)
 
+    @pytest.mark.parametrize("rk, rl", _RADII)
+    def test_every_edge_is_witnessed_in_both_directions(self, rk, rl):
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        failed = [
+            (str(x), str(y))
+            for a, b in motion_cng(augmented_set(rk, rl)).edges
+            for x, y in ((a, b), (b, a))
+            if not _continuous_transition(*_edge_witness(x, y, axis), x, y, axis)
+        ]
+        assert failed == []
+
     def test_rejected_state_raises_the_scalar_error(self):
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         fine = axis.comoving(5.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -25,11 +26,14 @@ from motionstories.stories import (
     central,
     classify_discs,
     compress,
+    distance_inside,
     format_story,
     radius_config,
+    regime_spans,
     stories_set,
     story_of,
     story_to_json_dict,
+    tangency_thresholds,
     tsr_over_interval,
 )
 
@@ -479,6 +483,33 @@ class TestRadiusConfig:
                 ds += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
         seen = [rows[classify_discs(d, rk, rl)] for d in sorted(d for d in ds if d >= 0)]
         assert seen == sorted(seen)
+
+
+# lt, gt and eq radii, and lt radii whose two thresholds are both 1.0 in
+# floats, so the PO row between them is empty.
+_SPAN_RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1e-17, 1.0)]
+
+
+class TestRegimeSpans:
+    @pytest.mark.parametrize("rk, rl", _SPAN_RADII)
+    def test_spans_tile_the_distance_axis(self, rk, rl):
+        spans = regime_spans(rk, rl)
+        assert len(spans) == len(REGIMES[radius_config(rk, rl)])
+        assert spans[0][0] == 0.0 and spans[-1][1] == math.inf
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        bands = [s for s, r in zip(spans, REGIMES[radius_config(rk, rl)]) if r.band is not None]
+        assert bands == [(theta, theta) for theta in tangency_thresholds(rk, rl)]
+
+    @pytest.mark.parametrize("rk, rl", _SPAN_RADII)
+    def test_distance_inside_lies_in_its_row(self, rk, rl):
+        eps = DEFAULT_TOLERANCE.eps
+        for (lo, hi), row in zip(regime_spans(rk, rl), REGIMES[radius_config(rk, rl)]):
+            if row.band is None and hi - lo > 2.0 * eps:
+                assert classify_discs(distance_inside((lo, hi)), rk, rl) is row.rel
+            top = hi if hi < math.inf else lo + 10.0
+            floor = np.append(np.linspace(0.0, top, 9), [lo, math.nextafter(top, 0.0)])
+            d = np.broadcast_to(distance_inside((lo, hi), floor=floor), floor.shape)
+            assert np.all(d >= np.maximum(lo, floor)) and np.all(d <= hi), (lo, hi)
 
 
 def _ladder(d: float, r_k: float, r_l: float, eps: float) -> RccRelation:
