@@ -117,7 +117,9 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
 
 def center_distance_at(state: UniformMotionState, t: float) -> float:
     """Center distance at epoch-relative time t, computed from positions."""
-    return (state.dp + state.dv.scaled(t)).norm()
+    d = math.hypot(state.dp.x + state.dv.x * t, state.dp.y + state.dv.y * t)
+    _require_finite("center distance", d)
+    return d
 
 
 def advance(state: UniformMotionState, dt: float) -> UniformMotionState:

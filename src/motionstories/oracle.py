@@ -3,8 +3,9 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach.  Its label-change bisection, `resolve_changes`,
-also serves the perturbation validator in `validate`.
+closed-form closest approach, and classifies its grid in one array pass
+(`stories.rows_at`); only its label-change bisection, `resolve_changes`, which
+also serves the validator in `validate`, and its minimum search are scalar.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from .kinematics import (
 )
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
+    REGIMES,
     TemporalSequence,
     TimedLabel,
     classify_discs,
     compress,
     distance_inside,
+    radius_config,
     regime_spans,
+    rows_at,
     story_of,
 )
 
@@ -55,6 +59,8 @@ class SamplingPlan:
 
 def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan:
     """A window around closest approach wide enough to reach DC at both ends."""
+    if n_points < 11:  # SamplingPlan's dt is at most a tenth of its interval
+        raise ValueError(f"n_points must be at least 11, got {n_points!r}")
     t_min, _ = closest_approach_state(state)
     if t_min is None:  # rigid motion: every window shows the one relation
         return SamplingPlan(-1.0, 1.0, 2.0 / (n_points - 1))
@@ -127,26 +133,34 @@ def sample_story(
     Grid classification alone misses relations holding only for an instant
     (tangencies) with probability one, so the sampler additionally refines
     the distance minimum and recursively bisects every detected boundary.
+    The grid is classified as arrays with `center_distance_at`'s float
+    operations; samples away from a label change and the minimum are dropped.
     Times are epoch-relative, like the plan.
     """
     n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    grid = [plan.t_start + i * plan.dt for i in range(n)]
+    grid = plan.t_start + np.arange(n) * plan.dt
     if grid[-1] < plan.t_end:
-        grid.append(plan.t_end)
-    dists = [center_distance_at(state, t) for t in grid]
+        grid = np.append(grid, plan.t_end)
+    with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
+        xs, ys = state.dp.x + state.dv.x * grid, state.dp.y + state.dv.y * grid
+    dists = np.array(list(map(math.hypot, xs.tolist(), ys.tolist())))
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
-    samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
+    config = radius_config(r_k, r_l, tol)
+    rows = rows_at(dists, config, r_k, r_l, tol.eps)
 
     def classify(t: float) -> RccRelation:
         return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
-    i_min = int(np.argmin(dists))
-    lo = grid[max(0, i_min - 1)]
-    hi = grid[min(len(grid) - 1, i_min + 1)]
-    if lo < hi:
-        t_at_min = _refine_minimum(state, lo, hi)
-        if plan.t_start < t_at_min < plan.t_end and t_at_min not in grid:
+    i_min, last = int(np.argmin(dists)), len(grid) - 1
+    lo, hi = max(0, i_min - 1), min(last, i_min + 1)
+    changes = np.flatnonzero(rows[1:] != rows[:-1])
+    keep = np.unique(np.concatenate(([0, last, lo, i_min, hi], changes, changes + 1)))
+    ts = grid.tolist()
+    samples = [(ts[i], REGIMES[config][r].rel) for i, r in zip(keep.tolist(), rows[keep].tolist())]
+    if ts[lo] < ts[hi]:
+        t_at_min = _refine_minimum(state, ts[lo], ts[hi])
+        if plan.t_start < t_at_min < plan.t_end and t_at_min not in ts[lo : hi + 1]:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
 

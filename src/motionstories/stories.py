@@ -7,11 +7,11 @@ distance axis, each with the relation holding there, once per radius
 configuration.  It is the only hand-written part of the catalogue: story
 labels, phased chains, relation sets and the table decoding a state's rows
 into its augmented relation are built from it once, at import, and one walk
-over its band rows places a distance on it, for `classify_discs`,
-`story_of` and `augmented_relations` alike.  Each story is a qualitative motion
-relation, and pairing it with the current spatial relation (plus a phase,
-MINUS before closest approach and PLUS after, for the repeated labels) gives
-the augmented motion relations.
+over its band rows places a distance on it, for `classify_discs`, `story_of`
+and `augmented_relations` alike, and for an array of them (`rows_at`).  Each
+story is a qualitative motion relation, and pairing it with the current
+spatial relation (plus a phase, MINUS before closest approach and PLUS after,
+for the repeated labels) gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -179,6 +179,20 @@ def _row_at(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
         if d > theta:
             return i + 1
     return 0
+
+
+def rows_at(d: np.ndarray, config: str, r_k: float, r_l: float, eps: float) -> np.ndarray:
+    """`_row_at` of each distance in d, as one walk over the same band rows:
+    each entry takes the row of the first comparison it meets."""
+    bad = ~(np.isfinite(d) & (d >= 0))
+    if bad.any():
+        _row_at(float(d[bad][0]), config, r_k, r_l, eps)  # raises its ValueError
+    tests, rows = [], []
+    for i, band in _BANDS_DOWN[config]:
+        theta = _threshold(band, r_k, r_l)
+        tests += [np.abs(d - theta) <= eps, d > theta]
+        rows += [i, i + 1]
+    return np.select(tests, rows, 0)
 
 
 def classify_discs(
@@ -432,6 +446,11 @@ def central(story_id: StoryId) -> AugmentedRelation:
     return chain[len(chain) // 2]
 
 
+def _root_of_product(a: float, b: float) -> float:
+    ab = a * b
+    return math.sqrt(ab) if math.isfinite(ab) else math.sqrt(a) * math.sqrt(b)
+
+
 def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> Story:
     """The story this motion state belongs to, with absolute transition
     instants; an instant whose half-width overflows floats is -inf or inf."""
@@ -450,8 +469,8 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
     above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
     # Each threshold above the regime is crossed symmetrically about t_min,
     # the outermost first; (theta - h)(theta + h) keeps the half-width exact
-    # when theta and h nearly agree.
-    widths = [math.sqrt((theta - h) * (theta + h)) / speed for theta in reversed(above)]
+    # when theta and h nearly agree, and is split where the product overflows.
+    widths = [_root_of_product(theta - h, theta + h) / speed for theta in reversed(above)]
     instants = [t_min - w for w in widths]
     if table[i].band is not None:
         instants.append(t_min)

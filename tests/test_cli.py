@@ -375,22 +375,35 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize(
-        "csv, relation",
+        "csv, relation, instants",
         [
-            # (theta - h)(theta + h) overflows, so both outer instants are -inf and inf.
-            ("t,xk,yk,xl,yl\n0,-4e200,1e200,0,0\n1e100,-3e200,1e200,0,0\n", "S14(DC-)"),
+            # (theta - h)(theta + h) overflows, but sqrt(theta - h) * sqrt(theta + h)
+            # does not, and every instant is finite: the story is printed.
+            (
+                "t,xk,yk,xl,yl\n0,-4e200,1e200,0,0\n1e100,-3e200,1e200,0,0\n",
+                "S14(DC-)",
+                (1.1715728752538102e100, 4e100, 6.8284271247461905e100),
+            ),
             # A half-width near 2.8e310 s: the instant is beyond float range.
-            ("t,xk,yk,xl,yl\n0,-5e39,-1e200,0,0\n1e150,5e39,-1e200,0,0\n", "S14(TPP)"),
+            ("t,xk,yk,xl,yl\n0,-5e39,-1e200,0,0\n1e150,5e39,-1e200,0,0\n", "S14(TPP)", None),
         ],
         ids=["half-width-overflow", "instant-beyond-range"],
     )
     @pytest.mark.parametrize("text", [[], ["--text"]])
-    def test_non_finite_instant_is_a_format_error(self, tmp_path, capfd, csv, relation, text):
+    def test_non_finite_instant_is_a_format_error(self, tmp_path, capfd, csv, relation, instants, text):
         path = tmp_path / "huge.csv"
         path.write_text(csv)
         argv = ["--rk", "1e200", "--rl", "2e200"]
-        assert main([*argv, "story", *text, str(path)]) == EXIT_FORMAT
-        assert capfd.readouterr() == ("", "error: line 3: a transition instant is not finite\n")
+        code = main([*argv, "story", *text, str(path)])
+        out, err = capfd.readouterr()
+        if instants is None:
+            assert (code, out, err) == (EXIT_FORMAT, "", "error: line 3: a transition instant is not finite\n")
+        elif text:
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith("S14: ") and all(f"{t:g}" in out for t in instants)
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            assert json.loads(out)["boundaries"] == [t for t in instants for _ in (0, 1)]
         # The relation at the last record needs no instant; classify prints it.
         assert main([*argv, "classify", str(path)]) == EXIT_OK
         assert capfd.readouterr() == (relation + "\n", "")

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
+from motionstories.kinematics import (
+    Disc,
+    UniformMotionState,
+    Vec2,
+    center_distance_at,
+    closest_approach_state,
+)
 from motionstories.oracle import (
     _REFINE_REL,
     SamplingPlan,
+    _refine_minimum,
     canonical_state,
     default_plan,
     resolve_changes,
@@ -15,7 +22,17 @@ from motionstories.oracle import (
     sweep_stories,
 )
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
-from motionstories.stories import STORY_LABELS, StoryId, story_of
+from motionstories.stories import (
+    STORY_LABELS,
+    StoryId,
+    TimedLabel,
+    classify_discs,
+    compress,
+    distance_inside,
+    regime_spans,
+    story_of,
+    tangency_thresholds,
+)
 
 R = RccRelation
 
@@ -49,6 +66,15 @@ class TestSamplingPlan:
 
     def test_default_plan_is_deterministic(self):
         assert default_plan(SCENARIO_B) == default_plan(SCENARIO_B)
+
+    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2, 10])
+    @pytest.mark.parametrize("state", [SCENARIO_B, rigid_state(1.0, 2.0, 0.5)], ids=["moving", "rigid"])
+    def test_default_plan_needs_eleven_points(self, state, n_points):
+        with pytest.raises(ValueError, match=f"n_points must be at least 11, got {n_points}"):
+            default_plan(state, n_points)
+
+    def test_default_plan_of_eleven_points(self):
+        assert default_plan(rigid_state(1.0, 2.0, 0.5), 11) == SamplingPlan(-1.0, 1.0, 0.2)
 
 
 class TestSampleStory:
@@ -122,6 +148,105 @@ class TestSampleStory:
                 slack = 4 * (_REFINE_REL * max(1.0, abs(lo), abs(hi)) + math.ulp(state.epoch))
                 for t in (*sampled.boundaries[2 * j : 2 * j + 2], *analytic[2 * j : 2 * j + 2]):
                     assert lo - slack <= t <= hi + slack
+
+
+def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
+    """The sampler before its grid became arrays, kept as the reference:
+    `center_distance_at` at every grid instant, `classify_discs` of each, and
+    every sample into `resolve_changes`."""
+    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
+    grid = [plan.t_start + i * plan.dt for i in range(n)]
+    if grid[-1] < plan.t_end:
+        grid.append(plan.t_end)
+    dists = [center_distance_at(state, t) for t in grid]
+    r_k, r_l = state.disc_k.radius, state.disc_l.radius
+    samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
+
+    def classify(t):
+        return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
+
+    i_min = int(np.argmin(dists))
+    lo = grid[max(0, i_min - 1)]
+    hi = grid[min(len(grid) - 1, i_min + 1)]
+    if lo < hi:
+        t_at_min = _refine_minimum(state, lo, hi)
+        if plan.t_start < t_at_min < plan.t_end and t_at_min not in grid:
+            samples.append((t_at_min, classify(t_at_min)))
+            samples.sort(key=lambda s: s[0])
+    refined = resolve_changes(classify, samples, _REFINE_REL)
+    return compress([TimedLabel(t, rel) for t, rel in refined])
+
+
+def _bits(seq):
+    """A temporal sequence's labels and the bits of its instants."""
+    return seq.labels, [t.hex() for t in (*seq.interval, *seq.boundaries)]
+
+
+def _equivalence_states(r_k, r_l):
+    """Moving states with their miss distance drawn from each regime, in a
+    random direction about a random point; canonical states at each threshold
+    moved by 0, 0.5, 1 and 2 eps either way; rigid states in each regime."""
+    eps = DEFAULT_TOLERANCE.eps
+    rng = np.random.default_rng(15)
+    spans = regime_spans(r_k, r_l)
+    states = []
+    for lo, hi in spans:
+        for _ in range(16):
+            h = rng.uniform(lo, min(hi, lo + 3.0))
+            a, speed, tau = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 5.0), rng.uniform(-4, 4)
+            (cx, cy), (wx, wy) = rng.uniform(-30.0, 30.0, 2), rng.uniform(-3.0, 3.0, 2)
+            dvx, dvy = speed * math.cos(a), speed * math.sin(a)
+            xl = cx - h * math.sin(a) - tau * dvx
+            yl = cy + h * math.cos(a) - tau * dvy
+            states.append(UniformMotionState(
+                Disc(Vec2(cx, cy), r_k), Vec2(wx, wy), Disc(Vec2(xl, yl), r_l), Vec2(wx + dvx, wy + dvy),
+            ))
+    for theta in tangency_thresholds(r_k, r_l):
+        for f in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            if theta + f * eps >= 0:
+                states.append(canonical_state(r_k, r_l, theta + f * eps, rng.uniform(-4, 4)))
+    vel = Vec2(*rng.uniform(-3.0, 3.0, 2))
+    return states + [rigid_state(r_k, r_l, distance_inside(span), vel) for span in spans]
+
+
+class TestArrayGrid:
+    @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)], ids=["lt", "gt", "eq"])
+    def test_equals_the_scalar_sampler(self, r_k, r_l):
+        for state in _equivalence_states(r_k, r_l):
+            # An odd point count puts a grid point at the minimum; 200 does not.
+            for plan in (default_plan(state), default_plan(state, 201), default_plan(state, 200)):
+                assert _bits(sample_story(state, plan)) == _bits(_scalar_sample_story(state, plan))
+
+    def test_center_distance_takes_vec2_float_operations(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            a, b, c, d = (Vec2(*rng.uniform(-50.0, 50.0, 2)) for _ in range(4))
+            state = UniformMotionState(Disc(a, 1.0), b, Disc(c, 2.0), d)
+            t = rng.uniform(-1e3, 1e3)
+            assert center_distance_at(state, t) == (state.dp + state.dv.scaled(t)).norm()
+
+    @pytest.mark.parametrize(
+        "vel, t",
+        [
+            (Vec2(1e300, 0.0), 1e10),  # dv.x * t overflows
+            (Vec2(0.0, -1e300), 1e10),  # dv.y * t overflows
+            (Vec2(1e308, 0.0), 1.0),  # dp.x + dv.x * t overflows
+            (Vec2(0.0, 1.7e308), 1.0),  # only the distance overflows
+            (Vec2(0.0, 0.0), math.inf),  # 0 * inf
+            (Vec2(1.0, 1.0), math.nan),
+        ],
+    )
+    def test_center_distance_overflow_raises(self, vel, t):
+        state = UniformMotionState(Disc(Vec2(-1e308, 0.0), 1.0), Vec2(0.0, 0.0), Disc(Vec2(0.0, 0.0), 2.0), vel)
+        with pytest.raises(ValueError, match="must be finite"):
+            center_distance_at(state, t)
+
+    def test_grid_overflow_raises(self):
+        state = UniformMotionState(
+            Disc(Vec2(0.0, 0.0), 1.0), Vec2(0.0, 0.0), Disc(Vec2(1.0, 0.0), 2.0), Vec2(1e300, 0.0)
+        )
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_story(state, SamplingPlan(-1e10, 1e10, 1e9))
 
 
 def _steps(*edges: float):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance
+from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance, closest_approach_state
 from motionstories.oracle import canonical_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from motionstories.stories import (
+    _row_at,
     REGIMES,
     ROW_OF,
     STORY_LABELS,
@@ -30,6 +31,7 @@ from motionstories.stories import (
     format_story,
     radius_config,
     regime_spans,
+    rows_at,
     stories_set,
     story_of,
     story_to_json_dict,
@@ -138,6 +140,27 @@ class TestTemporalSequence:
 
 
 class TestStoryOf:
+    def test_half_width_is_the_root_of_one_product(self):
+        # sqrt(theta - h) * sqrt(theta + h) is taken only where the product
+        # overflows; it rounds differently on about a third of these states.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            state = canonical_state(1.0, 2.0, rng.uniform(0.0, 2.9), rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0))
+            t_min, h = closest_approach_state(state)
+            width = math.sqrt((3.0 - h) * (3.0 + h)) / state.dv.norm()
+            assert story_of(state).boundaries[0] == t_min - width
+
+    def test_half_width_whose_product_overflows(self):
+        # dp = (3e200, -1e200), dv = (-1e100, 0): h = |r_l - r_k| = 1e200 and
+        # (3e200 - h)(3e200 + h) = 8e400.
+        state = UniformMotionState(
+            Disc(Vec2(-3e200, 1e200), 1e200), Vec2(1e100, 0.0),
+            Disc(Vec2(0.0, 0.0), 2e200), Vec2(0.0, 0.0), epoch=1e100,
+        )
+        story = story_of(state)
+        assert story.id is StoryId.S14
+        assert story.boundaries[::2] == (1.1715728752538102e100, 4e100, 6.8284271247461905e100)
+
     def test_scenario_a_is_grazing(self):
         story = story_of(SCENARIO_A)
         assert story.id is StoryId.S12
@@ -569,6 +592,40 @@ class TestClassifyDiscs:
         assert _ladder(1.0, 1e308, 1e308, 1e-9) is RccRelation.PO
         with pytest.raises(ValueError, match="finite sum"):
             classify_discs(1.0, 1e308, 1e308)
+
+
+@st.composite
+def _radii_eps_distances(draw):
+    """Radii and eps as `_radii_eps_distance` draws them, or the radii
+    (1, 1 + 5e-10) at the default eps, with up to 40 distances, each random
+    or an eps-band edge moved by 0-2 ulp."""
+    overlapping = st.just((1.0, 1.0 + 5e-10, DEFAULT_TOLERANCE.eps, 0.0))
+    r_k, r_l, eps, _ = draw(_radii_eps_distance() | overlapping)
+    edges = [theta + s * eps for theta in (r_k + r_l, abs(r_k - r_l), 0.0) for s in (-1, 0, 1)]
+    edge = st.tuples(st.sampled_from(edges), st.integers(-2, 2)).map(lambda e: _nudged(*e))
+    ds = draw(st.lists(edge | st.floats(0.0, 2.0 * (r_k + r_l)), min_size=1, max_size=40))
+    return r_k, r_l, eps, np.array([d for d in ds if d >= 0])
+
+
+class TestRowsAt:
+    @given(_radii_eps_distances())
+    @example((1.0, 2.0, 1e-9, np.array([3.0 + 1e-9, 1.0 - 1e-9, 0.5, 3.5])))  # lt
+    @example((2.0, 1.0, 1e-9, np.array([3.0 - 1e-9, 1.0 + 1e-9, 1.5, 0.5])))  # gt
+    @example((1.5, 1.5, 1e-9, np.array([1e-9, 3.0, 2.0, 0.0])))  # eq
+    @settings(max_examples=300)
+    def test_array_walk_equals_the_scalar_walk(self, case):
+        r_k, r_l, eps, ds = case
+        config = radius_config(r_k, r_l, Tolerance(eps))
+        expected = [_row_at(d, config, r_k, r_l, eps) for d in ds.tolist()]
+        assert rows_at(ds, config, r_k, r_l, eps).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_rejects_what_the_scalar_walk_rejects(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            _row_at(bad, "lt", 1.0, 2.0, 1e-9)
+        with pytest.raises(ValueError) as array:
+            rows_at(np.array([0.5, 3.0, bad, -2.0]), "lt", 1.0, 2.0, 1e-9)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestMotionRccRelation:
