@@ -4,8 +4,8 @@ Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
 closed-form closest approach, and classifies its grid in one array pass
-(`stories.rows_at`); only its label-change bisection, `resolve_changes`, which
-also serves the validator in `validate`, and its minimum search are scalar.
+(`stories.rows_at`); only its label-change bisection, `resolve_changes`, and
+its minimum search are scalar.
 """
 
 from __future__ import annotations
@@ -67,7 +67,9 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     speed = state.dv.norm()
     r_sum = state.disc_k.radius + state.disc_l.radius
     half = (r_sum + 1.0) / speed + 1.0
-    return SamplingPlan(t_min - half, t_min + half, 2.0 * half / (n_points - 1))
+    # dt from the rounded ends, so that it divides the interval the plan checks.
+    t_start, t_end = t_min - half, t_min + half
+    return SamplingPlan(t_start, t_end, (t_end - t_start) / (n_points - 1))
 
 
 def _refine_minimum(state: UniformMotionState, lo: float, hi: float) -> float:

@@ -5,19 +5,25 @@ minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
 and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
 distance axis, each with the relation holding there, once per radius
 configuration.  It is the only hand-written part of the catalogue: story
-labels, phased chains, relation sets and the table decoding a state's rows
-into its augmented relation are built from it once, at import, and one walk
-over its band rows places a distance on it, for `classify_discs`, `story_of`
-and `augmented_relations` alike, and for an array of them (`rows_at`).  Each
-story is a qualitative motion relation, and pairing it with the current
-spatial relation (plus a phase, MINUS before closest approach and PLUS after,
-for the repeated labels) gives the augmented motion relations.
+labels, phased chains, relation sets and the array decoding a state's rows
+into its augmented relation are built from it once, at import.  One walk over
+its band rows defines where a distance lies on it; since that row only rises
+with the distance, a table of the distances where it steps up, built from the
+walk on first use for each radii and eps, places every distance, for
+`classify_discs`, `story_of` and `augmented_relation_indices` alike, and for
+an array of them (`rows_at`).  Each story is a qualitative motion relation,
+and pairing it with the current spatial relation (plus a phase, MINUS before
+closest approach and PLUS after, for the repeated labels) gives the augmented
+motion relations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -165,13 +171,19 @@ _BANDS_DOWN: dict[str, list[tuple[int, str]]] = {
 }
 
 
+def _require_distance(d: float) -> None:
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
+
+
 def _row_at(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
     """The row of `REGIMES[config]` holding center distance d.  Walking the
     bands outermost first, d within eps of a threshold gets the band's row,
     d above it the row just above, and d below every band row 0; so where
-    bands overlap, EC wins over TPP/TPPI and they win over EQ."""
-    if not (math.isfinite(d) and d >= 0):
-        raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
+    bands overlap, EC wins over TPP/TPPI and they win over EQ.
+
+    This walk defines the rows; callers read them from `_breaks`."""
+    _require_distance(d)
     for i, band in _BANDS_DOWN[config]:
         theta = _threshold(band, r_k, r_l)
         if abs(d - theta) <= eps:
@@ -181,18 +193,43 @@ def _row_at(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
     return 0
 
 
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _breaks(config: str, r_k: float, r_l: float, eps: float) -> tuple[float, ...]:
+    """The distances at which `_row_at` steps up: entry k - 1 is the smallest
+    non-negative float d with `_row_at(d) >= k`, or inf where no finite d
+    reaches row k.  Every comparison of the walk is monotone in d (rounding
+    is), so its row is too, and each entry is found by bisecting the bit
+    patterns of the non-negative floats, which are ordered as their values."""
+    breaks = []
+    for k in range(1, len(REGIMES[config])):
+        lo, hi = 0, 0x7FF0_0000_0000_0000  # the bits of 0.0 and of inf
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _row_at(_float_of_bits(mid), config, r_k, r_l, eps) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        breaks.append(_float_of_bits(lo))
+    return tuple(breaks)
+
+
+def _row(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
+    """`_row_at(d, ...)`, looked up in the breakpoint table."""
+    _require_distance(d)
+    return bisect_right(_breaks(config, r_k, r_l, eps), d)
+
+
 def rows_at(d: np.ndarray, config: str, r_k: float, r_l: float, eps: float) -> np.ndarray:
-    """`_row_at` of each distance in d, as one walk over the same band rows:
-    each entry takes the row of the first comparison it meets."""
+    """`_row_at` of each distance in d, looked up in the breakpoint table;
+    the first NaN, infinite or negative entry raises its ValueError."""
     bad = ~(np.isfinite(d) & (d >= 0))
     if bad.any():
-        _row_at(float(d[bad][0]), config, r_k, r_l, eps)  # raises its ValueError
-    tests, rows = [], []
-    for i, band in _BANDS_DOWN[config]:
-        theta = _threshold(band, r_k, r_l)
-        tests += [np.abs(d - theta) <= eps, d > theta]
-        rows += [i, i + 1]
-    return np.select(tests, rows, 0)
+        _require_distance(float(d[bad][0]))
+    return np.searchsorted(_breaks(config, r_k, r_l, eps), d, "right")
 
 
 def classify_discs(
@@ -200,7 +237,7 @@ def classify_discs(
 ) -> RccRelation:
     """The discs' relation at center distance d: the relation of its row."""
     config = radius_config(r_k, r_l, tol)
-    return REGIMES[config][_row_at(d, config, r_k, r_l, tol.eps)].rel
+    return REGIMES[config][_row(d, config, r_k, r_l, tol.eps)].rel
 
 
 def regime_spans(
@@ -374,24 +411,44 @@ def _chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
 _CHAINS: dict[StoryId, tuple[AugmentedRelation, ...]] = {sid: _chain(sid) for sid in StoryId}
 
 
-def _decoder(table: tuple[Regime, ...]) -> dict[tuple[int, int, bool, bool], AugmentedRelation]:
-    """The augmented relation of a state by the row of its closest approach,
-    the row of its current distance, whether it moves rigidly and whether the
-    discs close in.  A repeated label comes MINUS first in its story's chain,
-    so closing in picks the first occurrence and moving apart the last."""
+def _decoder(table: tuple[Regime, ...]) -> tuple[tuple[AugmentedRelation, ...], np.ndarray]:
+    """The table's augmented relations by text, and the index among them of
+    each state code ((i·R + j)·2 + rigid)·2 + closing: i is the row of the
+    state's closest approach, j the row of its current distance, R the number
+    of rows, rigid whether it moves rigidly and closing whether the discs
+    close in (-1 for codes no state has).  A repeated label comes MINUS first
+    in its story's chain, so closing in picks the first occurrence and moving
+    apart the last."""
     decode = {}
     rows = list(enumerate(table))
-    for (i, low), (j, now), rigid, closing in product(rows, rows, *[(False, True)] * 2):
+    for code, ((i, low), (j, now), rigid, closing) in enumerate(
+        product(rows, rows, *[(False, True)] * 2)
+    ):
         hits = [a for a in _CHAINS[low.rigid if rigid else low.story] if a.rel is now.rel]
         if hits:
-            decode[i, j, rigid, closing] = hits[0] if closing else hits[-1]
-    return decode
+            decode[code] = hits[0] if closing else hits[-1]
+    relations = tuple(sorted(set(decode.values()), key=str))
+    index = np.full(4 * len(table) ** 2, -1)
+    for code, a in decode.items():
+        index[code] = relations.index(a)
+    return relations, index
 
 
 _DECODERS = {config: _decoder(table) for config, table in REGIMES.items()}
 
-# The phase-indexed expansion of each configuration's stories: all that its states decode to.
-_RELATION_SETS = {config: frozenset(decode.values()) for config, decode in _DECODERS.items()}
+# The phase-indexed expansion of each configuration's stories (all that its
+# states decode to), in the order `augmented_relation_indices` counts them.
+RELATIONS: dict[str, tuple[AugmentedRelation, ...]] = {
+    config: relations for config, (relations, _) in _DECODERS.items()
+}
+_RELATION_SETS = {config: frozenset(relations) for config, relations in RELATIONS.items()}
+
+
+def _relation_index(config: str, i, j, rigid, closing):
+    """The index into `RELATIONS[config]` of a state's augmented relation
+    from its code (`_decoder`); elementwise for arrays."""
+    _, index = _DECODERS[config]
+    return index[((i * len(REGIMES[config]) + j) * 2 + rigid) * 2 + closing]
 
 
 @dataclass(frozen=True)
@@ -459,7 +516,7 @@ def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> S
     config = radius_config(r_k, r_l, tol)
     table = REGIMES[config]
     t_min, h = closest_approach_state(state)
-    i = _row_at(h, config, r_k, r_l, tol.eps)
+    i = _row(h, config, r_k, r_l, tol.eps)
     # Rigid motion, including a relative speed too small to square in floats;
     # h is then the constant center distance.
     if t_min is None:
@@ -529,17 +586,17 @@ def tsr_over_interval(
     )
 
 
-def augmented_relations(
+def augmented_relation_indices(
     dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
     r_k: float, r_l: float, tol: Tolerance,
-) -> tuple[list[AugmentedRelation | None], np.ndarray]:
-    """The augmented relation of each state given by its relative position
-    and velocity, and the mask of the states `augmented_relation` accepts
-    (None stands for each other one).  `closest_approach_state`'s float
-    operations run on arrays, with `math.hypot` as in `Vec2.norm`; `_row_at`
-    of both distances is decoded through the table `augmented_relation` reads."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index into the radii's `RELATIONS` of each state's augmented
+    relation, given its relative position and velocity, and the mask of the
+    states `augmented_relation` accepts (-1 is the index of each other one).
+    `closest_approach_state`'s float operations run on arrays, with
+    `math.hypot` as in `Vec2.norm`; the rows of both distances, from the
+    breakpoint table, are decoded as `augmented_relation` decodes them."""
     config = radius_config(r_k, r_l, tol)
-    decode = _DECODERS[config]
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
@@ -551,12 +608,21 @@ def augmented_relations(
             rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
         )
     h = np.where(rigid, d, np.minimum(d_min, d))
+    breaks = _breaks(config, r_k, r_l, tol.eps)
+    # An unusable state's rows are read from NaN or inf, which sort last.
+    i, j = np.searchsorted(breaks, [h, d], "right")
+    return np.where(usable, _relation_index(config, i, j, rigid, dot < 0), -1), usable
 
-    def row(x: float) -> int:
-        return _row_at(x, config, r_k, r_l, tol.eps)
 
-    states = zip(h.tolist(), d.tolist(), rigid.tolist(), (dot < 0).tolist(), usable.tolist())
-    return [decode[row(h), row(d), r, c] if ok else None for h, d, r, c, ok in states], usable
+def augmented_relations(
+    dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
+    r_k: float, r_l: float, tol: Tolerance,
+) -> tuple[list[AugmentedRelation | None], np.ndarray]:
+    """`augmented_relation_indices` as the relations themselves, None
+    standing for each state `augmented_relation` rejects."""
+    indices, usable = augmented_relation_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol)
+    relations = (*RELATIONS[radius_config(r_k, r_l, tol)], None)
+    return list(map(relations.__getitem__, indices.tolist())), usable
 
 
 def augmented_relation(
@@ -568,10 +634,11 @@ def augmented_relation(
     config = radius_config(r_k, r_l, tol)
     # The story's middle label is the relation of its closest approach's row.
     low = ROW_OF[config][central(story.id).rel]
-    now = _row_at(state.dp.norm(), config, r_k, r_l, tol.eps)
+    now = _row(state.dp.norm(), config, r_k, r_l, tol.eps)
     # Closest approach is still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly
     # while the discs close in.
-    return _DECODERS[config][low, now, story.rigid, state.dp.dot(state.dv) < 0]
+    closing = state.dp.dot(state.dv) < 0
+    return RELATIONS[config][_relation_index(config, low, now, story.rigid, closing)]
 
 
 def stories_set(

@@ -8,8 +8,11 @@ regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
 motion built by `_Axis.moving` or `_Axis.comoving`.  A pair of two rigid
 relations, or of two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
-Trials and path grids are classified in batches (`stories.augmented_relations`),
-and label changes along a path are bisected with `oracle.resolve_changes`.
+States are classified in batches, as indices into the radii's
+`stories.RELATIONS` (`stories.augmented_relation_indices`).  Every path of
+one check (all edge witnesses of the graph, or all trials of a pair that end
+in v) is classified on one grid and then bisected at every label change,
+level by level, one batch per level.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 
 from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
-from .oracle import resolve_changes
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
     REGIMES,
+    RELATIONS,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
@@ -33,7 +36,7 @@ from .stories import (
     StoryId,
     augmented_chain,
     augmented_relation,
-    augmented_relations,
+    augmented_relation_indices,
     augmented_set,
     central,
     distance_inside,
@@ -76,6 +79,8 @@ class _Axis:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
         config = radius_config(r_k, r_l, tol)
         self.rows, self.row_of = REGIMES[config], ROW_OF[config]
+        self.relations = RELATIONS[config]
+        self.index = {a: k for k, a in enumerate(self.relations)}
         self.spans = regime_spans(r_k, r_l, tol)
         self.rigid = {r.rigid for r in self.rows if r.rigid is not r.story}
 
@@ -117,43 +122,64 @@ class _Axis:
         k, l = Disc(Vec2(0.0, 0.0), self.r_k), Disc(Vec2(dpx, dpy), self.r_l)
         return UniformMotionState(k, Vec2(0.0, 0.0), l, Vec2(dvx, dvy))
 
-    def classify(self, batch: np.ndarray) -> list[AugmentedRelation]:
-        """The `augmented_relation` of each state of the batch; a state it
-        rejects raises its ValueError."""
-        relations, usable = augmented_relations(*batch, self.r_k, self.r_l, self.tol)
-        for j in np.flatnonzero(~usable):
-            relations[j] = augmented_relation(self.state(batch[:, j]), self.tol)
-        return relations
+    def labels(self, batch: np.ndarray) -> np.ndarray:
+        """The index into `relations` of each state's `augmented_relation`,
+        -1 for a state it rejects."""
+        return augmented_relation_indices(*batch, self.r_k, self.r_l, self.tol)[0]
+
+    def classify(self, batch: np.ndarray) -> np.ndarray:
+        """`labels`, where a state `augmented_relation` rejects raises its
+        ValueError."""
+        labels = self.labels(batch)
+        for j in np.flatnonzero(labels < 0):
+            labels[j] = self.index[augmented_relation(self.state(batch[:, j]), self.tol)]
+        return labels
 
 
-def _path(cu: np.ndarray, cv: np.ndarray, s: Floats) -> np.ndarray:
-    """The batch of states at parameters s on the straight path between two
-    batch columns, componentwise u + s (v - u)."""
-    return cu[:, None] + s * (cv - cu)[:, None]
+def _continuous_transitions(
+    cu: np.ndarray, cv: np.ndarray, u: np.ndarray | int, v: np.ndarray | int, axis: _Axis,
+    strict: bool = True,
+) -> np.ndarray:
+    """For each path p, from batch column cu[:, p] to cv[:, p], True if
+    interpolating componentwise, cu + s (cv - cu) for s from 0 to 1, moves
+    from relation u[p] to v[p] (indices into `axis.relations`) without any
+    third classification appearing.
 
-
-def _continuous_transition(
-    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
-) -> bool:
-    """True if interpolating between the states (batch columns) moves u -> v
-    without any third classification appearing.
-
-    The interpolation parameter is first sampled on a grid of `_PATH_SAMPLES`
-    steps, classified as one batch; `oracle.resolve_changes` then bisects
-    every label change, so intermediate regimes narrower than the grid step
-    are still discovered down to a width of `_BISECT_FLOOR`.
+    Each path is first sampled on a grid of `_PATH_SAMPLES` steps; wrong ends
+    or a third label there fail it.  Then every label change is bisected on
+    both sides of each new midpoint until its bracket is at most
+    `_BISECT_FLOOR * max(1, |s0|, |s1|)` wide, so intermediate regimes
+    narrower than the grid step are still discovered; a third label fails the
+    path.  Every open bracket of every path is bisected together, one batch
+    per level.  A state `augmented_relation` rejects raises its ValueError
+    when `strict`, and otherwise fails its path.
     """
+    classify = axis.classify if strict else axis.labels
+    n = cu.shape[1]
+    u, v = np.broadcast_to(u, n), np.broadcast_to(v, n)
     steps = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
-    labels = axis.classify(_path(cu, cv, steps))
-    # Wrong ends or a third label on the grid decide before any bisection.
-    if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
-        return False
-
-    def cls(s: float) -> AugmentedRelation:
-        return augmented_relation(axis.state(_path(cu, cv, s)[:, 0]), axis.tol)
-
-    grid = list(zip(steps.tolist(), labels))
-    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
+    du = cv - cu
+    grid = classify((cu[:, :, None] + steps * du[:, :, None]).reshape(4, -1)).reshape(n, len(steps))
+    ok = (grid[:, 0] == u) & (grid[:, -1] == v)
+    ok &= ((grid == u[:, None]) | (grid == v[:, None])).all(axis=1)
+    # The brackets (path, s0, r0, s1, r1) of every label change on a grid that passed.
+    p, k = np.nonzero(ok[:, None] & (grid[:, 1:] != grid[:, :-1]))
+    brackets = p, steps[k], grid[p, k], steps[k + 1], grid[p, k + 1]
+    while True:
+        p, s0, r0, s1, r1 = brackets
+        floor = _BISECT_FLOOR * np.maximum(1.0, np.maximum(abs(s0), abs(s1)))
+        live = ok[p] & (s1 - s0 > floor)
+        if not live.any():
+            return ok
+        p, s0, r0, s1, r1 = (x[live] for x in brackets)
+        sm = (s0 + s1) / 2.0
+        rm = classify(cu[:, p] + sm * du[:, p])
+        ok[p[(rm != u[p]) & (rm != v[p])]] = False
+        left, right = rm != r0, rm != r1
+        brackets = tuple(
+            np.concatenate((a[left], b[right]))
+            for a, b in ((p, p), (s0, sm), (r0, rm), (sm, s1), (rm, r1))
+        )
 
 
 def _edge_witness(
@@ -267,8 +293,8 @@ def _pair_trials(
     kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
     end[:2] += end[2:] * kick[8]
-    at_u = np.flatnonzero([a == u for a in axis.classify(start)])
-    to_v = at_u[np.array([a == v for a in axis.classify(end[:, at_u])], dtype=bool)]
+    at_u = np.flatnonzero(axis.classify(start) == axis.index[u])
+    to_v = at_u[axis.classify(end[:, at_u]) == axis.index[v]]
     return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
 
 
@@ -299,17 +325,23 @@ def validate_motion_cng(
     rng = np.random.default_rng(seed)
     report = ValidationReport()
 
-    for edge in sorted(g.edges, key=lambda e: tuple(sorted(map(str, e)))):
-        a, b = sorted(edge, key=str)
+    edges = [tuple(sorted(e, key=str)) for e in g.edges]
+    edges.sort(key=lambda e: tuple(map(str, e)))
+    columns = {}
+    for a, b in edges:
         try:
-            cu, cv = _edge_witness(a, b, axis)
-            witnessed = _continuous_transition(cu, cv, a, b, axis)
+            columns[a, b] = _edge_witness(a, b, axis)
         except ValueError:
             # No witness is even constructible for this pair; the edge cannot
             # correspond to a continuous single-step transition.
-            witnessed = False
-        if not witnessed:
-            report.unwitnessed_edges.append((a, b))
+            pass
+    witnessed = set()
+    if columns:
+        cu, cv = (np.stack(c, axis=1) for c in zip(*columns.values()))
+        u, v = ([axis.index[x] for x in end] for end in zip(*columns))
+        found = _continuous_transitions(cu, cv, u, v, axis, strict=False)
+        witnessed = {pair for pair, ok in zip(columns, found.tolist()) if ok}
+    report.unwitnessed_edges = [pair for pair in edges if pair not in witnessed]
 
     nodes = sorted(g.nodes, key=str)
     non_edges = [
@@ -325,6 +357,7 @@ def validate_motion_cng(
         rng_i = np.random.default_rng([seed, i])
         start, end, counts, to_v = _pair_trials(u, v, axis, rng_i, n_trials)
         report.trial_counts[u, v] = counts
-        if any(_continuous_transition(start[:, k], end[:, k], u, v, axis) for k in to_v):
+        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
+        if _continuous_transitions(*paths).any():
             report.spurious_transitions.append((u, v))
     return report

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import motionstories
 import motionstories.neighborhood
+import motionstories.validate
 from motionstories.neighborhood import (
     Cng,
     motion_cng,
@@ -19,7 +20,7 @@ from motionstories.neighborhood import (
     to_json_adjacency,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
-from motionstories.oracle import canonical_state, rigid_state
+from motionstories.oracle import canonical_state, resolve_changes, rigid_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
     REGIMES,
@@ -33,12 +34,12 @@ from motionstories.stories import (
     stories_set,
 )
 from motionstories.validate import (
+    _BISECT_FLOOR,
     _PATH_SAMPLES,
     _Axis,
-    _continuous_transition,
+    _continuous_transitions,
     _edge_witness,
     _pair_trials,
-    _path,
     validate_motion_cng,
 )
 
@@ -75,8 +76,9 @@ class TestRccCng:
         assert shortest_path(g, R.DC, R.PO) is None
 
 
-def test_graph_module_does_not_import_the_oracle_or_validator():
-    tree = ast.parse(open(motionstories.neighborhood.__file__, encoding="utf-8").read())
+def _imported_names(module) -> set[str]:
+    """The last dotted part of every name a module imports."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -84,7 +86,17 @@ def test_graph_module_does_not_import_the_oracle_or_validator():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not {name.rpartition(".")[2] for name in imported} & {"oracle", "validate"}
+    return {name.rpartition(".")[2] for name in imported}
+
+
+def test_graph_module_does_not_import_the_oracle_or_validator():
+    assert not _imported_names(motionstories.neighborhood) & {"oracle", "validate"}
+
+
+def test_validator_does_not_import_the_oracle():
+    # The graph check bisects its own paths; the brute-force sampler is no
+    # part of it.
+    assert "oracle" not in _imported_names(motionstories.validate)
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
@@ -279,6 +291,12 @@ _RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e
 _STEPS = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
 
 
+def _path(cu: np.ndarray, cv: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """The batch of states at parameters s on the straight path between two
+    batch columns, componentwise u + s (v - u), one path at a time."""
+    return cu[:, None] + s * (cv - cu)[:, None]
+
+
 def _lerp_state(u: UniformMotionState, v: UniformMotionState, s: float) -> UniformMotionState:
     """The reference path: each field mixed as a + s (b - a) in Python floats."""
 
@@ -315,7 +333,7 @@ class TestBatchedTrials:
         lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
         for batch in (start, end, lerped):
             want = [augmented_relation(axis.state(c), axis.tol) for c in batch.T]
-            assert axis.classify(batch) == want
+            assert [axis.relations[k] for k in axis.classify(batch)] == want
 
     @pytest.mark.parametrize("rk, rl", _RADII)
     def test_witness_grids_equal_the_scalar_path(self, rk, rl):
@@ -330,7 +348,7 @@ class TestBatchedTrials:
                     cu, cv = _edge_witness(a, b, axis)
                 except ValueError:
                     continue
-                grid = axis.classify(_path(cu, cv, _STEPS))
+                grid = [axis.relations[k] for k in axis.classify(_path(cu, cv, _STEPS))]
                 su, sv = axis.state(cu), axis.state(cv)
                 want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
                 assert grid == want, (a, b)
@@ -338,13 +356,12 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("rk, rl", _RADII)
     def test_every_edge_is_witnessed_in_both_directions(self, rk, rl):
         axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
-        failed = [
-            (str(x), str(y))
-            for a, b in motion_cng(augmented_set(rk, rl)).edges
-            for x, y in ((a, b), (b, a))
-            if not _continuous_transition(*_edge_witness(x, y, axis), x, y, axis)
-        ]
-        assert failed == []
+        edges = motion_cng(augmented_set(rk, rl)).edges
+        pairs = [(x, y) for a, b in edges for x, y in ((a, b), (b, a))]
+        cu, cv = (np.stack(c, axis=1) for c in zip(*(_edge_witness(x, y, axis) for x, y in pairs)))
+        u, v = ([axis.index[x] for x in end] for end in zip(*pairs))
+        witnessed = _continuous_transitions(cu, cv, u, v, axis, strict=False)
+        assert [(str(x), str(y)) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
 
     def test_rejected_state_raises_the_scalar_error(self):
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
@@ -379,8 +396,89 @@ class TestBatchedTrials:
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         u, v = aug("S11(DC)"), aug("S12(DC-)")
         start, end, _, to_v = _pair_trials(u, v, axis, np.random.default_rng(11), 20_000)
-        hits = sum(_continuous_transition(start[:, k], end[:, k], u, v, axis) for k in to_v)
-        assert hits >= 40
+        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
+        assert _continuous_transitions(*paths).sum() >= 40
+
+
+# The five radius pairs above and two whose reports are not ok: (1e-9, 1),
+# whose bands overlap, and (3e7, 1.1e8), where eps is below an ulp of the
+# thresholds.
+_SEVEN = _RADII + [(1e-9, 1.0), (3e7, 1.1e8)]
+
+
+def _one_transition(
+    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
+) -> bool:
+    """The path check one path at a time: the grid classified as a batch,
+    then every label change bisected by `oracle.resolve_changes` with the
+    scalar `augmented_relation`."""
+    labels = [axis.relations[k] for k in axis.classify(_path(cu, cv, _STEPS))]
+    if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
+        return False
+
+    def cls(s: float) -> AugmentedRelation:
+        return augmented_relation(axis.state(_path(cu, cv, s)[:, 0]), axis.tol)
+
+    grid = list(zip(_STEPS.tolist(), labels))
+    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
+
+
+class TestPathBisection:
+    @pytest.mark.parametrize("rk, rl", _SEVEN)
+    def test_edge_witnesses_equal_the_path_by_path_check(self, rk, rl):
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        paths = []
+        for a, b in motion_cng(augmented_set(rk, rl)).edges:
+            for x, y in ((a, b), (b, a)):
+                try:
+                    paths.append((x, y, *_edge_witness(x, y, axis)))
+                except ValueError:
+                    continue
+        u, v, cu, cv = zip(*paths)
+        got = _continuous_transitions(
+            np.stack(cu, axis=1), np.stack(cv, axis=1),
+            [axis.index[x] for x in u], [axis.index[y] for y in v], axis, strict=False,
+        )
+        assert got.tolist() == [_one_transition(*p[2:], *p[:2], axis) for p in paths]
+        # The two radius pairs whose reports are not ok reach the failing branches.
+        assert got.all() == ((rk, rl) in _RADII)
+
+    @pytest.mark.parametrize("rk, rl", _SEVEN)
+    def test_trial_paths_equal_the_path_by_path_check(self, rk, rl):
+        # 2 000 trial paths of random pairs, each checked from the relation
+        # of its start to that of its end, and once more to a random one.
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        nodes = sorted(augmented_set(rk, rl), key=str)
+        rng = np.random.default_rng(5)
+        trials = [
+            _pair_trials(nodes[i], nodes[j], axis, np.random.default_rng([5, k]), 100)[:2]
+            for k, (i, j) in enumerate(rng.integers(0, len(nodes), (20, 2)))
+        ]
+        start, end = (np.concatenate(c, axis=1) for c in zip(*trials))
+        u = axis.classify(start)
+        for v in (axis.classify(end), rng.integers(0, len(nodes), start.shape[1])):
+            got = _continuous_transitions(start, end, u, v, axis)
+            want = [
+                _one_transition(start[:, k], end[:, k], axis.relations[u[k]], axis.relations[v[k]], axis)
+                for k in range(start.shape[1])
+            ]
+            assert got.tolist() == want
+            assert 0 < sum(want) < len(want)
+
+    def test_a_rejected_state_fails_its_path_or_raises(self):
+        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        a, b = aug("S11(DC)"), aug("S12(DC-)")
+        fine = np.stack(_edge_witness(a, b, axis), axis=1)
+        overflowing = fine.copy()
+        overflowing[2, 1] = 2e300  # |dv|^2 overflows at the path's end
+        paths = np.stack([fine[:, 0]] * 2, axis=1), np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
+        u, v = axis.index[a], axis.index[b]
+        assert _continuous_transitions(*paths, u, v, axis, strict=False).tolist() == [True, False]
+        with pytest.raises(ValueError) as scalar:
+            augmented_relation(axis.state(overflowing[:, 1]), axis.tol)
+        with pytest.raises(ValueError) as batch:
+            _continuous_transitions(*paths, u, v, axis)
+        assert str(batch.value) == str(scalar.value)
 
 
 _CONFIG_RADII = {"lt": (1.0, 2.0), "gt": (2.0, 1.0), "eq": (1.5, 1.5)}

@@ -76,6 +76,16 @@ class TestSamplingPlan:
     def test_default_plan_of_eleven_points(self):
         assert default_plan(rigid_state(1.0, 2.0, 0.5), 11) == SamplingPlan(-1.0, 1.0, 0.2)
 
+    def test_default_plan_of_eleven_points_for_moving_states(self):
+        # dt was 2·half/10, which can exceed a tenth of the rounded interval.
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            state = canonical_state(
+                1.0, 2.0, rng.uniform(0, 5), rng.uniform(-10, 10), rng.uniform(0.1, 3)
+            )
+            plan = default_plan(state, 11)
+            assert plan.dt == (plan.t_end - plan.t_start) / 10
+
 
 class TestSampleStory:
     def test_scenario_b_nine_labels(self):

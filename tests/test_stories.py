@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import motionstories
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance, closest_approach_state
 from motionstories.oracle import canonical_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from motionstories.stories import (
+    _breaks,
+    _row,
     _row_at,
     REGIMES,
     ROW_OF,
@@ -594,14 +601,23 @@ class TestClassifyDiscs:
             classify_discs(1.0, 1e308, 1e308)
 
 
+# Radius pairs at the default eps: lt, gt, eq; eq bands 5e-10 apart; lt bands
+# 1e-6 apart; overlapping lt bands; thresholds whose ulp exceeds eps.
+_TABLE_RADII = [
+    (1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6),
+    (1e-9, 1.0), (3e7, 1.1e8),
+]
+
+
 @st.composite
 def _radii_eps_distances(draw):
-    """Radii and eps as `_radii_eps_distance` draws them, or the radii
-    (1, 1 + 5e-10) at the default eps, with up to 40 distances, each random
-    or an eps-band edge moved by 0-2 ulp."""
-    overlapping = st.just((1.0, 1.0 + 5e-10, DEFAULT_TOLERANCE.eps, 0.0))
-    r_k, r_l, eps, _ = draw(_radii_eps_distance() | overlapping)
+    """Radii and eps as `_radii_eps_distance` draws them, or one of
+    `_TABLE_RADII` at the default eps, with up to 40 distances, each random
+    or an eps-band edge or breakpoint moved by 0-2 ulp."""
+    named = st.sampled_from(_TABLE_RADII).map(lambda r: (*r, DEFAULT_TOLERANCE.eps, 0.0))
+    r_k, r_l, eps, _ = draw(_radii_eps_distance() | named)
     edges = [theta + s * eps for theta in (r_k + r_l, abs(r_k - r_l), 0.0) for s in (-1, 0, 1)]
+    edges += _breaks(radius_config(r_k, r_l, Tolerance(eps)), r_k, r_l, eps)
     edge = st.tuples(st.sampled_from(edges), st.integers(-2, 2)).map(lambda e: _nudged(*e))
     ds = draw(st.lists(edge | st.floats(0.0, 2.0 * (r_k + r_l)), min_size=1, max_size=40))
     return r_k, r_l, eps, np.array([d for d in ds if d >= 0])
@@ -612,12 +628,14 @@ class TestRowsAt:
     @example((1.0, 2.0, 1e-9, np.array([3.0 + 1e-9, 1.0 - 1e-9, 0.5, 3.5])))  # lt
     @example((2.0, 1.0, 1e-9, np.array([3.0 - 1e-9, 1.0 + 1e-9, 1.5, 0.5])))  # gt
     @example((1.5, 1.5, 1e-9, np.array([1e-9, 3.0, 2.0, 0.0])))  # eq
-    @settings(max_examples=300)
+    @settings(max_examples=400)
     def test_array_walk_equals_the_scalar_walk(self, case):
+        # Both lookups in the breakpoint table against the walk it is built from.
         r_k, r_l, eps, ds = case
         config = radius_config(r_k, r_l, Tolerance(eps))
         expected = [_row_at(d, config, r_k, r_l, eps) for d in ds.tolist()]
         assert rows_at(ds, config, r_k, r_l, eps).tolist() == expected
+        assert [_row(d, config, r_k, r_l, eps) for d in ds.tolist()] == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
     def test_rejects_what_the_scalar_walk_rejects(self, bad):
@@ -626,6 +644,40 @@ class TestRowsAt:
         with pytest.raises(ValueError) as array:
             rows_at(np.array([0.5, 3.0, bad, -2.0]), "lt", 1.0, 2.0, 1e-9)
         assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError) as lookup:
+            _row(bad, "lt", 1.0, 2.0, 1e-9)
+        assert str(lookup.value) == str(scalar.value)
+
+
+class TestBreakpointTable:
+    @pytest.mark.parametrize("r_k, r_l", _TABLE_RADII)
+    def test_breaks_are_where_the_walk_steps_up(self, r_k, r_l):
+        config, eps = radius_config(r_k, r_l), DEFAULT_TOLERANCE.eps
+        breaks = _breaks(config, r_k, r_l, eps)
+        assert len(breaks) == len(REGIMES[config]) - 1
+        assert list(breaks) == sorted(breaks)
+        for k, b in enumerate(breaks, start=1):
+            assert _row_at(b, config, r_k, r_l, eps) >= k
+            assert b == 0.0 or _row_at(math.nextafter(b, 0.0), config, r_k, r_l, eps) < k
+
+    def test_a_row_no_finite_distance_reaches_breaks_at_inf(self):
+        # The sum band of these radii reaches past the largest float, so DC
+        # (row 4) holds at no finite distance.
+        r_k, r_l, eps = 0.3e308, 1.4e308, 2e307
+        assert radius_config(r_k, r_l, Tolerance(eps)) == "lt"
+        assert _breaks("lt", r_k, r_l, eps)[-1] == math.inf
+        assert _row(sys.float_info.max, "lt", r_k, r_l, eps) == 3
+
+    def test_no_table_is_built_at_import(self):
+        code = (
+            "import motionstories.cli, motionstories.stories as s; "
+            "print(s._breaks.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(motionstories.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestMotionRccRelation:
