@@ -69,14 +69,25 @@ class SceneConfig:
 
 def parse_trajectory(text: str) -> tuple[np.ndarray, list[int]]:
     """The records as rows (t, xk, yk, xl, yl) of an (n, 5) array, and their
-    input lines.  One numpy conversion, with `float`'s syntax, parses input
-    that passes every check; `_walk_lines` names the first bad line of the rest."""
+    input lines.
+
+    numpy's C `loadtxt` parses input that passes every check, with `float`'s
+    conversion and so `float`'s bits.  It accepts no number `float` rejects,
+    but it rejects some `float` accepts: digit-group underscores (`1_0`) and
+    non-ASCII digits.  That input, input without records, and input failing a
+    check go to `_walk_lines`, which returns the rows `float` accepts or names
+    the first bad line.
+    """
     lines = text.splitlines()
     numbered = [n for n, line in enumerate(lines) if n and line.strip()]
-    try:
-        data = np.array([lines[n].split(",") for n in numbered], dtype=float)
-    except ValueError:  # a row of the wrong length or a malformed number
-        data = np.empty(0)
+    data = np.empty(0)
+    if numbered:  # loadtxt warns on no lines
+        try:
+            data = np.loadtxt(
+                [lines[n] for n in numbered], delimiter=",", comments=None, ndmin=2, dtype=float
+            )
+        except ValueError:  # a row of the wrong length or a malformed number
+            pass
     ok = data.shape[1:] == (5,) and lines[0].strip() == _HEADER and np.isfinite(data).all()
     if ok and (data[1:, 0] > data[:-1, 0]).all():
         return data, [n + 1 for n in numbered]
@@ -84,8 +95,8 @@ def parse_trajectory(text: str) -> tuple[np.ndarray, list[int]]:
 
 
 def _walk_lines(lines: list[str]) -> tuple[np.ndarray, list[int]]:
-    """The `parse_trajectory` of input numpy rejects, line by line: the first
-    bad line's error, or the rows if `float` accepts what numpy did not."""
+    """The `parse_trajectory` of input `loadtxt` rejects, line by line: the
+    first bad line's error, or the rows if `float` accepts what `loadtxt` did not."""
     if not lines or lines[0].strip() != _HEADER:
         raise TrajectoryFormatError(f"line 1: expected header '{_HEADER}'")
     rows: list[list[float]] = []
@@ -165,6 +176,12 @@ def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
             end = lo + width - 1 + len(view)
             fits[lo + width - 1 : end] = _slopes(s_tt, s_tx)
     return fits
+
+
+def _last_fit(data: np.ndarray, window: int) -> np.ndarray:
+    """`_velocity_fits(data, window)[-1]`, from only the rows it reads: a
+    trailing window's, or every row for the running sums of `window` <= 0."""
+    return _velocity_fits(data[-max(window, 2) :] if window > 0 else data, window)[-1]
 
 
 def _checked_fit(fit: Sequence[float]) -> Sequence[float]:
@@ -374,8 +391,8 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     fits = _velocity_fits(data, args.window)
-    for aug in _relation_stream(data, lines, fits, cfg):
-        print(aug)
+    stream = _relation_stream(data, lines, fits, cfg)
+    sys.stdout.write("".join(f"{aug}\n" for aug in stream))
     # The stream has accepted the last record, so its state builds.
     warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg)
     return _emit_warnings(warnings, cfg)
@@ -385,7 +402,7 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     tol = cfg.tolerance
     with _record_errors(lines[-1]):
-        state = _state_at(data[-1], _velocity_fits(data, args.window)[-1], cfg)
+        state = _state_at(data[-1], _last_fit(data, args.window), cfg)
         story = story_of(state, tol)
         if not all(map(math.isfinite, story.boundaries)):
             raise ValueError("a transition instant is not finite")

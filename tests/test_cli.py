@@ -23,6 +23,7 @@ from motionstories.cli import (
     EXIT_USAGE,
     SceneConfig,
     TrajectoryFormatError,
+    _last_fit,
     _relation_stream,
     _state_at,
     _velocity_fits,
@@ -87,6 +88,34 @@ class TestParseTrajectory:
     def test_header_only(self):
         with pytest.raises(TrajectoryFormatError, match="no records"):
             parse_trajectory("t,xk,yk,xl,yl\n")
+
+    @pytest.mark.parametrize(
+        "text", ["t,xk,yk,xl,yl", "t,xk,yk,xl,yl\n", "t,xk,yk,xl,yl\n\n  \n\t\n"]
+    )
+    def test_no_records_warns_nothing(self, text):
+        # The pytest configuration escalates only RuntimeWarning; `loadtxt`
+        # would warn about no data with a UserWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrajectoryFormatError, match="^no records$"):
+                parse_trajectory(text)
+
+    def test_fast_path_at_scale(self):
+        # 2 000 records of 17-digit fields, with blank and whitespace lines
+        # between them: `loadtxt` reads them all, to `float`'s bits.
+        rng = random.Random(17)
+        rows, t = ["t,xk,yk,xl,yl"], 0.0
+        for _ in range(2000):
+            rows.extend(rng.choice(["", " ", "\t", " \t "]) for _ in range(rng.randrange(2)))
+            t += rng.uniform(1e-3, 1.0)
+            rows.append(",".join(map(repr, [t, *(rng.uniform(-1e4, 1e4) for _ in range(4))])))
+        text = "\n".join(rows) + "\n"
+        want, want_lines = _walk_lines(text.splitlines())
+        assert len(want) == 2000 and len(want_lines) < len(rows) - 1
+        with mock.patch("motionstories.cli._walk_lines", side_effect=AssertionError("walked")):
+            data, lines = parse_trajectory(text)
+        assert data.tobytes() == want.tobytes() and data.shape == want.shape
+        assert lines == want_lines
 
 
 class TestEstimateVelocity:
@@ -188,6 +217,23 @@ class TestVelocityFits:
                     # the quotient.  Twice that bounds both paths.
                     bound = max(bound, 2 * math.ulp(0.0) * (1 + len(span) / s_tt))
                 assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1200),
+        window=st.integers(-1, 400),
+        t0=st.sampled_from([0.0, 1.7e9]),
+    )
+    @example(seed=0, n=7000, window=10, t0=0.0)  # the last window is past the first chunk
+    @example(seed=0, n=5, window=1, t0=0.0)  # a window of one record fits two
+    def test_last_fit_reads_only_its_window(self, seed, n, window, t0):
+        rng = np.random.default_rng(seed)
+        t = t0 + np.cumsum(rng.uniform(1e-3, 1.0, n))
+        coords = rng.uniform(-1e6, 1e6, 4) + rng.uniform(-5, 5, 4) * (t - t0)[:, None]
+        data = np.column_stack([t, coords + rng.normal(0, 0.05, (n, 4))])
+        want = _velocity_fits(data, window)[-1]
+        assert _last_fit(data, window).tobytes() == want.tobytes()
 
 
 class TestSceneConfig:
@@ -723,7 +769,8 @@ class TestScalarDecode:
 
 
 _FIELD = st.sampled_from(
-    ["0", "1_0", " 1 ", "2.5", "-0", "nan", "inf", "-inf", "1e999", "oops", "", "0x1", "١"]
+    ["0", "1_0", " 1 ", "2.5", "-0", "nan", "inf", "-inf", "1e999", "oops", "", "0x1", "١",
+     "\t3\x0c", "\u20034", "1 2", "+.5", "1e"]
 ) | st.floats(-10, 10).map(repr)
 
 
@@ -747,9 +794,10 @@ class TestParseTable:
     @settings(max_examples=400, deadline=None)
     @given(_csv_text())
     def test_equals_parse_trajectory(self, text):
-        # The numpy path and the line walk give the same table and lines, or
-        # the same message.  Input the walk accepts never reaches it: numpy's
-        # conversion accepts every number `float` does.
+        # The `loadtxt` path and the line walk give the same table and lines,
+        # or the same message.  Input the walk accepts reaches it only when
+        # it has numbers `loadtxt` rejects and `float` reads: those with
+        # underscores or non-ASCII digits.
         try:
             want, want_lines = _walk_lines(text.splitlines())
         except TrajectoryFormatError as exc:
@@ -757,7 +805,12 @@ class TestParseTable:
                 parse_trajectory(text)
             assert str(info.value) == str(exc)
             return
-        with mock.patch("motionstories.cli._walk_lines", side_effect=AssertionError("walked")):
+
+        def walk(lines):
+            assert not text.isascii() or "_" in text, "walked"
+            return _walk_lines(lines)
+
+        with mock.patch("motionstories.cli._walk_lines", side_effect=walk):
             data, lines = parse_trajectory(text)
         assert data.tobytes() == want.tobytes() and data.shape == want.shape
         assert lines == want_lines
