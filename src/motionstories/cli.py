@@ -72,16 +72,17 @@ def parse_trajectory(text: str) -> tuple[np.ndarray, list[int]]:
     input lines.
 
     numpy's C `loadtxt` parses input that passes every check, with `float`'s
-    conversion and so `float`'s bits.  It accepts no number `float` rejects,
-    but it rejects some `float` accepts: digit-group underscores (`1_0`) and
-    non-ASCII digits.  That input, input without records, and input failing a
+    conversion and so `float`'s bits.  It rejects some numbers `float` accepts:
+    digit-group underscores (`1_0`) and non-ASCII digits.  It also strips the
+    unit separator U+001F around a number, which `float` rejects, so text with
+    one skips it.  That input, input without records, and input failing a
     check go to `_walk_lines`, which returns the rows `float` accepts or names
     the first bad line.
     """
     lines = text.splitlines()
     numbered = [n for n, line in enumerate(lines) if n and line.strip()]
     data = np.empty(0)
-    if numbered:  # loadtxt warns on no lines
+    if numbered and "\x1f" not in text:  # loadtxt warns on no lines and strips U+001F
         try:
             data = np.loadtxt(
                 [lines[n] for n in numbered], delimiter=",", comments=None, ndmin=2, dtype=float
@@ -176,12 +177,6 @@ def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
             end = lo + width - 1 + len(view)
             fits[lo + width - 1 : end] = _slopes(s_tt, s_tx)
     return fits
-
-
-def _last_fit(data: np.ndarray, window: int) -> np.ndarray:
-    """`_velocity_fits(data, window)[-1]`, from only the rows it reads: a
-    trailing window's, or every row for the running sums of `window` <= 0."""
-    return _velocity_fits(data[-max(window, 2) :] if window > 0 else data, window)[-1]
 
 
 def _checked_fit(fit: Sequence[float]) -> Sequence[float]:
@@ -402,7 +397,7 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     tol = cfg.tolerance
     with _record_errors(lines[-1]):
-        state = _state_at(data[-1], _last_fit(data, args.window), cfg)
+        state = _state_at(data[-1], _velocity_fits(data, args.window)[-1], cfg)
         story = story_of(state, tol)
         if not all(map(math.isfinite, story.boundaries)):
             raise ValueError("a transition instant is not finite")
