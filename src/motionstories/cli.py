@@ -31,12 +31,13 @@ from .stories import (
     augmented_relation,
     augmented_relations,
     augmented_set,
+    axis,
     bands_overlap,
+    format_story,
     radius_config,
     stories_set,
     story_of,
     story_to_json_dict,
-    tangency_thresholds,
 )
 
 EXIT_OK = 0
@@ -243,7 +244,7 @@ def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[st
     if bands_overlap(cfg.r_k, cfg.r_l, tol):
         warnings.append("tolerance bands of the tangency thresholds overlap")
     _, d_min = closest_approach_state(state)
-    for theta in tangency_thresholds(cfg.r_k, cfg.r_l, tol):
+    for theta in axis(cfg.r_k, cfg.r_l, tol).thresholds:
         gap = abs(d_min - theta)
         if tol.eps < gap <= 10.0 * tol.eps:
             warnings.append(f"closest approach within {gap:.3g} m of a tangency threshold")
@@ -370,7 +371,9 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        # A leading byte-order mark is no text.  (The "utf-8-sig" codec would
+        # import its module inside the call and decode in Python.)
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise TrajectoryFormatError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -411,8 +414,6 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
         )
         return EXIT_FORMAT
     if args.text:
-        from .stories import format_story
-
         print(format_story(story))
     else:
         print(json.dumps(story_to_json_dict(story)))
@@ -421,9 +422,8 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
 
 def _cmd_stories_set(args: argparse.Namespace, cfg: SceneConfig) -> int:
     tol = cfg.tolerance
-    sset = stories_set(cfg.r_k, cfg.r_l, tol)
     doc = {
-        "stories": [story_to_json_dict(s) for s in sset.all],
+        "stories": [story_to_json_dict(s) for s in stories_set(cfg.r_k, cfg.r_l, tol)],
         "augmented": sorted(str(a) for a in augmented_set(cfg.r_k, cfg.r_l, tol)),
     }
     print(json.dumps(doc, indent=2))

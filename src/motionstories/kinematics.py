@@ -13,7 +13,7 @@ numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -32,14 +32,8 @@ class Vec2:
         _require_finite("x", self.x)
         _require_finite("y", self.y)
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
 
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
@@ -120,14 +114,3 @@ def center_distance_at(state: UniformMotionState, t: float) -> float:
     d = math.hypot(state.dp.x + state.dv.x * t, state.dp.y + state.dv.y * t)
     _require_finite("center distance", d)
     return d
-
-
-def advance(state: UniformMotionState, dt: float) -> UniformMotionState:
-    """Re-epoch the state dt seconds later; the motion itself is unchanged."""
-    _require_finite("dt", dt)
-    return replace(
-        state,
-        disc_k=Disc(state.disc_k.center + state.vel_k.scaled(dt), state.disc_k.radius),
-        disc_l=Disc(state.disc_l.center + state.vel_l.scaled(dt), state.disc_l.radius),
-        epoch=state.epoch + dt,
-    )

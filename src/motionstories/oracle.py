@@ -4,8 +4,8 @@ Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
 closed-form closest approach, and classifies its grid in one array pass
-(`stories.rows_at`); only its label-change bisection, `resolve_changes`, and
-its minimum search are scalar.
+(`stories.Axis.rows_at`); only its label-change bisection, `resolve_changes`,
+and its minimum search are scalar.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from .kinematics import (
 )
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
-    REGIMES,
     TemporalSequence,
     TimedLabel,
+    axis,
     classify_discs,
     compress,
     distance_inside,
-    radius_config,
-    regime_spans,
-    rows_at,
     story_of,
 )
 
@@ -147,8 +144,8 @@ def sample_story(
         xs, ys = state.dp.x + state.dv.x * grid, state.dp.y + state.dv.y * grid
     dists = np.array(list(map(math.hypot, xs.tolist(), ys.tolist())))
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
-    config = radius_config(r_k, r_l, tol)
-    rows = rows_at(dists, config, r_k, r_l, tol.eps)
+    ax = axis(r_k, r_l, tol)
+    rows = ax.rows_at(dists)
 
     def classify(t: float) -> RccRelation:
         return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
@@ -159,7 +156,7 @@ def sample_story(
     changes = np.flatnonzero(rows[1:] != rows[:-1])
     keep = np.unique(np.concatenate(([0, last, lo, i_min, hi], changes, changes + 1)))
     ts = grid.tolist()
-    samples = [(ts[i], REGIMES[config][r].rel) for i, r in zip(keep.tolist(), rows[keep].tolist())]
+    samples = [(ts[i], ax.rows[r].rel) for i, r in zip(keep.tolist(), rows[keep].tolist())]
     if ts[lo] < ts[hi]:
         t_at_min = _refine_minimum(state, ts[lo], ts[hi])
         if plan.t_start < t_at_min < plan.t_end and t_at_min not in ts[lo : hi + 1]:
@@ -214,7 +211,7 @@ def rigid_state(r_k: float, r_l: float, distance: float, vel: Vec2 = Vec2(0.0, 0
 def _targeted_states(r_k: float, r_l: float, tol: Tolerance) -> list[UniformMotionState]:
     """A state with its closest approach inside each miss-distance regime, and
     a rigid state at that distance."""
-    distances = [distance_inside(span) for span in regime_spans(r_k, r_l, tol)]
+    distances = [distance_inside(span) for span in axis(r_k, r_l, tol).spans]
     return [canonical_state(r_k, r_l, h, time_to_approach=3.0) for h in distances] + [
         rigid_state(r_k, r_l, d) for d in distances
     ]

@@ -6,15 +6,15 @@ and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
 distance axis, each with the relation holding there, once per radius
 configuration.  It is the only hand-written part of the catalogue: story
 labels, phased chains, relation sets and the array decoding a state's rows
-into its augmented relation are built from it once, at import.  One walk over
-its band rows defines where a distance lies on it; since that row only rises
-with the distance, a table of the distances where it steps up, built from the
-walk on first use for each radii and eps, places every distance, for
-`classify_discs`, `story_of` and `augmented_relation_indices` alike, and for
-an array of them (`rows_at`).  Each story is a qualitative motion relation,
-and pairing it with the current spatial relation (plus a phase, MINUS before
-closest approach and PLUS after, for the repeated labels) gives the augmented
-motion relations.
+into its augmented relation are built from it once, at import.
+`axis(r_k, r_l, tol)` holds one pair of radii's rows, their thresholds and,
+built on first use from one walk over the band rows, the distances where the
+walk's row steps up; it places every distance, for `classify_discs`,
+`story_of` and `augmented_relation_indices` alike, and an array of them
+(`Axis.rows_at`).  Each story is a qualitative motion relation, and pairing
+it with the current spatial relation (plus a phase, MINUS before closest
+approach and PLUS after, for the repeated labels) gives the augmented motion
+relations.
 """
 
 from __future__ import annotations
@@ -158,34 +158,25 @@ def radius_config(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     return "lt" if r_k < r_l else "gt"
 
 
-def _threshold(band: str, r_k: float, r_l: float) -> float:
-    if band == "sum":
-        return r_k + r_l
-    return abs(r_k - r_l) if band == "diff" else 0.0
-
-
-# Each table's band rows, outermost first.
-_BANDS_DOWN: dict[str, list[tuple[int, str]]] = {
-    config: [(i, r.band) for i, r in enumerate(table) if r.band][::-1]
-    for config, table in REGIMES.items()
-}
-
-
 def _require_distance(d: float) -> None:
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"center distance must be finite and >= 0, got {d!r}")
 
 
-def _row_at(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
-    """The row of `REGIMES[config]` holding center distance d.  Walking the
-    bands outermost first, d within eps of a threshold gets the band's row,
-    d above it the row just above, and d below every band row 0; so where
-    bands overlap, EC wins over TPP/TPPI and they win over EQ.
+def _row_at(d: float, thetas: tuple[float | None, ...], eps: float) -> int:
+    """The row holding center distance d, given each row's band threshold
+    (None off the bands).  Walking the bands outermost first, d within eps of
+    a threshold gets the band's row, d above it the row just above, and d
+    below every band row 0; so where bands overlap, EC wins over TPP/TPPI and
+    they win over EQ.
 
-    This walk defines the rows; callers read them from `_breaks`."""
+    This walk defines the rows; callers read them from `Axis.breaks`."""
     _require_distance(d)
-    for i, band in _BANDS_DOWN[config]:
-        theta = _threshold(band, r_k, r_l)
+    i = len(thetas)
+    for theta in reversed(thetas):
+        i -= 1
+        if theta is None:
+            continue
         if abs(d - theta) <= eps:
             return i
         if d > theta:
@@ -197,76 +188,78 @@ def _float_of_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
+@dataclass(frozen=True)
+class Axis:
+    """The closest-approach distance axis of one pair of radii and eps: the
+    rows of their `REGIMES` table, each band row's threshold (None off the
+    bands), and `breaks`, where entry k - 1 is the smallest non-negative
+    float d with `_row_at(d) >= k`, or inf where no finite d reaches row k."""
+
+    config: str
+    rows: tuple[Regime, ...]
+    thetas: tuple[float | None, ...]
+    eps: float
+    breaks: tuple[float, ...]
+
+    def row(self, d: float) -> int:
+        """`_row_at(d)`, looked up in the breakpoint table."""
+        _require_distance(d)
+        return bisect_right(self.breaks, d)
+
+    def rows_at(self, d: np.ndarray) -> np.ndarray:
+        """`row` of each distance in d; the first NaN, infinite or negative
+        entry raises its ValueError."""
+        bad = ~(np.isfinite(d) & (d >= 0))
+        if bad.any():
+            _require_distance(float(d[bad][0]))
+        return np.searchsorted(self.breaks, d, "right")
+
+    @property
+    def spans(self) -> tuple[tuple[float, float], ...]:
+        """Distance extent (lo, hi) of each row.  A band spans its threshold
+        alone; the lowest interval starts at 0 and the highest ends at
+        infinity."""
+        ends = (0.0, *self.thetas, math.inf)  # row i lies between ends[i] and ends[i + 2]
+        return tuple(
+            (theta, theta) if theta is not None else (ends[i], ends[i + 2])
+            for i, theta in enumerate(self.thetas)
+        )
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        """The threshold of each band row, by increasing row."""
+        return tuple(x for x in self.thetas if x is not None)
+
+
 @functools.lru_cache(maxsize=256)
-def _breaks(config: str, r_k: float, r_l: float, eps: float) -> tuple[float, ...]:
-    """The distances at which `_row_at` steps up: entry k - 1 is the smallest
-    non-negative float d with `_row_at(d) >= k`, or inf where no finite d
-    reaches row k.  Every comparison of the walk is monotone in d (rounding
-    is), so its row is too, and each entry is found by bisecting the bit
-    patterns of the non-negative floats, which are ordered as their values."""
+def axis(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> Axis:
+    """The radii's distance axis, built on first use.  Every comparison of
+    `_row_at` is monotone in d (rounding is), so its row is too, and each
+    break is found by bisecting the bit patterns of the non-negative floats,
+    which are ordered as their values."""
+    config = radius_config(r_k, r_l, tol)
+    r_k, r_l = float(r_k), float(r_l)
+    at = {"sum": r_k + r_l, "diff": abs(r_k - r_l), "zero": 0.0, None: None}
+    thetas = tuple(at[r.band] for r in REGIMES[config])
     breaks = []
-    for k in range(1, len(REGIMES[config])):
+    for k in range(1, len(thetas)):
         lo, hi = 0, 0x7FF0_0000_0000_0000  # the bits of 0.0 and of inf
         while lo < hi:
             mid = (lo + hi) // 2
-            if _row_at(_float_of_bits(mid), config, r_k, r_l, eps) >= k:
+            if _row_at(_float_of_bits(mid), thetas, tol.eps) >= k:
                 hi = mid
             else:
                 lo = mid + 1
         breaks.append(_float_of_bits(lo))
-    return tuple(breaks)
-
-
-def _row(d: float, config: str, r_k: float, r_l: float, eps: float) -> int:
-    """`_row_at(d, ...)`, looked up in the breakpoint table."""
-    _require_distance(d)
-    return bisect_right(_breaks(config, r_k, r_l, eps), d)
-
-
-def rows_at(d: np.ndarray, config: str, r_k: float, r_l: float, eps: float) -> np.ndarray:
-    """`_row_at` of each distance in d, looked up in the breakpoint table;
-    the first NaN, infinite or negative entry raises its ValueError."""
-    bad = ~(np.isfinite(d) & (d >= 0))
-    if bad.any():
-        _require_distance(float(d[bad][0]))
-    return np.searchsorted(_breaks(config, r_k, r_l, eps), d, "right")
+    return Axis(config, REGIMES[config], thetas, tol.eps, tuple(breaks))
 
 
 def classify_discs(
     d: float, r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> RccRelation:
     """The discs' relation at center distance d: the relation of its row."""
-    config = radius_config(r_k, r_l, tol)
-    return REGIMES[config][_row(d, config, r_k, r_l, tol.eps)].rel
-
-
-def regime_spans(
-    r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[tuple[float, float], ...]:
-    """Distance extent (lo, hi) of each regime of the radii's table.
-
-    A band spans its threshold alone; the lowest interval starts at 0 and the
-    highest ends at infinity.
-    """
-    table = REGIMES[radius_config(r_k, r_l, tol)]
-    thetas = [None if r.band is None else _threshold(r.band, r_k, r_l) for r in table]
-    spans = []
-    for i, theta in enumerate(thetas):
-        if theta is None:
-            lo = thetas[i - 1] if i > 0 else 0.0
-            hi = thetas[i + 1] if i + 1 < len(thetas) else math.inf
-            spans.append((lo, hi))
-        else:
-            spans.append((theta, theta))
-    return tuple(spans)
-
-
-def tangency_thresholds(
-    r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[float, ...]:
-    """The threshold of each band row of the radii's table, by increasing row."""
-    table = REGIMES[radius_config(r_k, r_l, tol)]
-    return tuple(_threshold(r.band, r_k, r_l) for r in table if r.band is not None)
+    ax = axis(r_k, r_l, tol)
+    return ax.rows[ax.row(d)].rel
 
 
 def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -276,7 +269,7 @@ def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     Classification stays deterministic in that case (EC wins over TPP/TPPI,
     which win over EQ), but results near the thresholds are not meaningful.
     """
-    thetas = tangency_thresholds(r_k, r_l, tol)
+    thetas = axis(r_k, r_l, tol).thresholds
     return any(hi - lo <= 2.0 * tol.eps for lo, hi in zip(thetas, thetas[1:]))
 
 
@@ -452,14 +445,6 @@ def _relation_index(config: str, i, j, rigid, closing):
 
 
 @dataclass(frozen=True)
-class StoriesSet:
-    """The realizable stories for one radius configuration."""
-
-    nonrigid: frozenset[Story]
-    all: tuple[Story, ...]
-
-
-@dataclass(frozen=True)
 class UnitVec:
     x: float
     y: float
@@ -511,19 +496,17 @@ def _root_of_product(a: float, b: float) -> float:
 def story_of(state: UniformMotionState, tol: Tolerance = DEFAULT_TOLERANCE) -> Story:
     """The story this motion state belongs to, with absolute transition
     instants; an instant whose half-width overflows floats is -inf or inf."""
-    r_k = state.disc_k.radius
-    r_l = state.disc_l.radius
-    config = radius_config(r_k, r_l, tol)
-    table = REGIMES[config]
+    ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
+    table = ax.rows
     t_min, h = closest_approach_state(state)
-    i = _row(h, config, r_k, r_l, tol.eps)
+    i = ax.row(h)
     # Rigid motion, including a relative speed too small to square in floats;
     # h is then the constant center distance.
     if t_min is None:
         return Story(table[i].rigid, rigid=True, boundaries=())
 
     speed = state.dv.norm()
-    above = [_threshold(r.band, r_k, r_l) for r in table[i + 1 :] if r.band is not None]
+    above = [theta for theta in ax.thetas[i + 1 :] if theta is not None]
     # Each threshold above the regime is crossed symmetrically about t_min,
     # the outermost first; (theta - h)(theta + h) keeps the half-width exact
     # when theta and h nearly agree, and is split where the product overflows.
@@ -596,7 +579,7 @@ def augmented_relation_indices(
     `closest_approach_state`'s float operations run on arrays, with
     `math.hypot` as in `Vec2.norm`; the rows of both distances, from the
     breakpoint table, are decoded as `augmented_relation` decodes them."""
-    config = radius_config(r_k, r_l, tol)
+    ax = axis(r_k, r_l, tol)
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
@@ -608,10 +591,9 @@ def augmented_relation_indices(
             rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
         )
     h = np.where(rigid, d, np.minimum(d_min, d))
-    breaks = _breaks(config, r_k, r_l, tol.eps)
     # An unusable state's rows are read from NaN or inf, which sort last.
-    i, j = np.searchsorted(breaks, [h, d], "right")
-    return np.where(usable, _relation_index(config, i, j, rigid, dot < 0), -1), usable
+    i, j = np.searchsorted(ax.breaks, [h, d], "right")
+    return np.where(usable, _relation_index(ax.config, i, j, rigid, dot < 0), -1), usable
 
 
 def augmented_relations(
@@ -621,7 +603,7 @@ def augmented_relations(
     """`augmented_relation_indices` as the relations themselves, None
     standing for each state `augmented_relation` rejects."""
     indices, usable = augmented_relation_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol)
-    relations = (*RELATIONS[radius_config(r_k, r_l, tol)], None)
+    relations = (*RELATIONS[axis(r_k, r_l, tol).config], None)
     return list(map(relations.__getitem__, indices.tolist())), usable
 
 
@@ -630,27 +612,25 @@ def augmented_relation(
 ) -> AugmentedRelation:
     """Story plus the spatial relation currently holding, with its phase."""
     story = story_of(state, tol)
-    r_k, r_l = state.disc_k.radius, state.disc_l.radius
-    config = radius_config(r_k, r_l, tol)
+    ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
     # The story's middle label is the relation of its closest approach's row.
-    low = ROW_OF[config][central(story.id).rel]
-    now = _row(state.dp.norm(), config, r_k, r_l, tol.eps)
+    low = ROW_OF[ax.config][central(story.id).rel]
+    now = ax.row(state.dp.norm())
     # Closest approach is still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly
     # while the discs close in.
     closing = state.dp.dot(state.dv) < 0
-    return RELATIONS[config][_relation_index(config, low, now, story.rigid, closing)]
+    return RELATIONS[ax.config][_relation_index(ax.config, low, now, story.rigid, closing)]
 
 
 def stories_set(
     r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> StoriesSet:
-    """All realizable stories for the given radii; S11 is listed once, as non-rigid."""
+) -> tuple[Story, ...]:
+    """All realizable stories for the given radii, by id; S11 is listed once,
+    as non-rigid."""
     table = REGIMES[radius_config(r_k, r_l, tol)]
-    nonrigid = frozenset(Story(r.story, rigid=False, boundaries=None) for r in table)
+    nonrigid = {Story(r.story, rigid=False, boundaries=None) for r in table}
     rigid = {Story(r.rigid, rigid=True, boundaries=None) for r in table if r.rigid is not r.story}
-    return StoriesSet(
-        nonrigid=nonrigid, all=tuple(sorted(nonrigid | rigid, key=lambda s: s.id.value))
-    )
+    return tuple(sorted(nonrigid | rigid, key=lambda s: s.id.value))
 
 
 def augmented_set(

@@ -3,8 +3,8 @@
 Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
-regime table: rows from `stories.REGIMES` and `stories.ROW_OF`, extents from
-`stories.regime_spans`.  Every witness and trial is a batch column of relative
+`stories.axis`: its rows, looked up through `stories.ROW_OF`, and their
+extents (`Axis.spans`).  Every witness and trial is a batch column of relative
 motion built by `_Axis.moving` or `_Axis.comoving`.  A pair of two rigid
 relations, or of two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
@@ -27,7 +27,6 @@ from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
 from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
-    REGIMES,
     RELATIONS,
     ROW_OF,
     STORY_LABELS,
@@ -38,10 +37,9 @@ from .stories import (
     augmented_relation,
     augmented_relation_indices,
     augmented_set,
+    axis as radii_axis,  # `axis` names each check's `_Axis` below
     central,
     distance_inside,
-    radius_config,
-    regime_spans,
 )
 
 _PATH_SAMPLES = 25
@@ -71,17 +69,16 @@ class ValidationReport:
 
 
 class _Axis:
-    """The regime table of one pair of radii, with each regime's distance span,
-    and its states in batches of relative motion: (4, n) arrays, a column per
-    state, rows dpx, dpy, dvx, dvy (`UniformMotionState.dp` and `.dv`)."""
+    """Lookups on the `stories.axis` of one pair of radii, and its states in
+    batches of relative motion: (4, n) arrays, a column per state, rows dpx,
+    dpy, dvx, dvy (`UniformMotionState.dp` and `.dv`)."""
 
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
-        config = radius_config(r_k, r_l, tol)
-        self.rows, self.row_of = REGIMES[config], ROW_OF[config]
-        self.relations = RELATIONS[config]
+        ax = radii_axis(r_k, r_l, tol)
+        self.rows, self.spans, self.row_of = ax.rows, ax.spans, ROW_OF[ax.config]
+        self.relations = RELATIONS[ax.config]
         self.index = {a: k for k, a in enumerate(self.relations)}
-        self.spans = regime_spans(r_k, r_l, tol)
         self.rigid = {r.rigid for r in self.rows if r.rigid is not r.story}
 
     def is_band(self, sid: StoryId) -> bool:

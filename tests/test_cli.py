@@ -37,9 +37,9 @@ from motionstories.stories import (
     AugmentedRelation,
     Phase,
     augmented_relation,
+    axis,
     classify_discs,
     story_of,
-    tangency_thresholds,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +266,31 @@ class TestClassifyCommand:
         assert main(["--window", "2", "classify", str(path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["S15(DC-)", "S14(DC-)", "S13(DC-)", "S12(DC-)", "S11(DC)"]
+
+    def test_byte_order_mark_is_no_text(self, tmp_path, capsys):
+        # Spreadsheet exports start UTF-8 files with one.
+        text = b"t,xk,yk,xl,yl\n0,0,0,5,0\n1,1,0,4,0\n2,2,0,3,0\n"
+        results = []
+        for name, contents in [("plain.csv", text), ("bom.csv", b"\xef\xbb\xbf" + text)]:
+            path = tmp_path / name
+            path.write_bytes(contents)
+            assert main(["classify", str(path)]) == EXIT_OK
+            results.append(capsys.readouterr())
+        assert results[0] == results[1] and results[0].out and not results[0].err
+
+    @pytest.mark.parametrize(
+        "line_3, error",
+        [
+            (b"1,x,0,4,0", "error: line 3, column 2: malformed number 'x'"),
+            (b"1,\xff,0,4,0", "error: line 3: not valid UTF-8"),
+        ],
+        ids=["number", "utf-8"],
+    )
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path, capsys, line_3, error):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbft,xk,yk,xl,yl\n0,0,0,5,0\n" + line_3 + b"\n")
+        assert main(["classify", str(path)]) == EXIT_FORMAT
+        assert capsys.readouterr().err == error + "\n"
 
 
 class TestRecognizeCommand:
@@ -645,7 +670,7 @@ def _stream_row(draw, r_k: float, r_l: float):
         return draw(st.tuples(*[finite] * 4)), draw(st.tuples(*[finite] * 4))
     if kind == "edge":
         eps = SceneConfig().eps
-        theta = draw(st.sampled_from(tangency_thresholds(r_k, r_l, Tolerance(eps))))
+        theta = draw(st.sampled_from(axis(r_k, r_l, Tolerance(eps)).thresholds))
         edge = abs(_nudged(theta + draw(st.sampled_from([-eps, eps])), draw(st.integers(-2, 2))))
         speed = draw(st.sampled_from([1.0, -1.0, 0.3, 7.0]))
         if draw(st.booleans()):  # the closest approach on the edge

@@ -153,7 +153,7 @@ class TestMotionCng:
         assert len(graph.edges) == 60
 
     def test_within_story_chain_edges(self, graph):
-        for story in stories_set(1.0, 2.0).all:
+        for story in stories_set(1.0, 2.0):
             chain = augmented_chain(story.id)
             for a, b in zip(chain, chain[1:]):
                 assert graph.has_edge(a, b)

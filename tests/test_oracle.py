@@ -26,12 +26,11 @@ from motionstories.stories import (
     STORY_LABELS,
     StoryId,
     TimedLabel,
+    axis,
     classify_discs,
     compress,
     distance_inside,
-    regime_spans,
     story_of,
-    tangency_thresholds,
 )
 
 R = RccRelation
@@ -198,7 +197,7 @@ def _equivalence_states(r_k, r_l):
     moved by 0, 0.5, 1 and 2 eps either way; rigid states in each regime."""
     eps = DEFAULT_TOLERANCE.eps
     rng = np.random.default_rng(15)
-    spans = regime_spans(r_k, r_l)
+    spans = axis(r_k, r_l).spans
     states = []
     for lo, hi in spans:
         for _ in range(16):
@@ -211,7 +210,7 @@ def _equivalence_states(r_k, r_l):
             states.append(UniformMotionState(
                 Disc(Vec2(cx, cy), r_k), Vec2(wx, wy), Disc(Vec2(xl, yl), r_l), Vec2(wx + dvx, wy + dvy),
             ))
-    for theta in tangency_thresholds(r_k, r_l):
+    for theta in axis(r_k, r_l).thresholds:
         for f in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
             if theta + f * eps >= 0:
                 states.append(canonical_state(r_k, r_l, theta + f * eps, rng.uniform(-4, 4)))
@@ -233,7 +232,8 @@ class TestArrayGrid:
             a, b, c, d = (Vec2(*rng.uniform(-50.0, 50.0, 2)) for _ in range(4))
             state = UniformMotionState(Disc(a, 1.0), b, Disc(c, 2.0), d)
             t = rng.uniform(-1e3, 1e3)
-            assert center_distance_at(state, t) == (state.dp + state.dv.scaled(t)).norm()
+            dp, dv = state.dp, state.dv
+            assert center_distance_at(state, t) == Vec2(dp.x + dv.x * t, dp.y + dv.y * t).norm()
 
     @pytest.mark.parametrize(
         "vel, t",

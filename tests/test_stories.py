@@ -9,12 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import motionstories
-from motionstories.kinematics import Disc, UniformMotionState, Vec2, advance, closest_approach_state
+from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import canonical_state
 from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from motionstories.stories import (
-    _breaks,
-    _row,
     _row_at,
     REGIMES,
     ROW_OF,
@@ -31,18 +29,16 @@ from motionstories.stories import (
     augmented_chain,
     augmented_relation,
     augmented_set,
+    axis,
     central,
     classify_discs,
     compress,
     distance_inside,
     format_story,
     radius_config,
-    regime_spans,
-    rows_at,
     stories_set,
     story_of,
     story_to_json_dict,
-    tangency_thresholds,
     tsr_over_interval,
 )
 
@@ -229,7 +225,7 @@ class TestStoryOf:
             story_of(state(0, 0, 1e200, 0, 1e200, 0, -1e200, 0))
 
     def test_boundaries_are_absolute_times(self):
-        shifted = advance(SCENARIO_A, 1.0)
+        shifted = state(2, 0, 2, 0, 9, 3, -1, 0, epoch=1.0)  # SCENARIO_A 1 s on
         assert story_of(shifted).boundaries == pytest.approx((10 / 3, 10 / 3))
 
     @given(
@@ -249,7 +245,7 @@ class TestStoryOf:
 
     @given(st.floats(-50, 50, allow_nan=False))
     def test_epoch_translation_invariance(self, dt):
-        assert story_of(advance(SCENARIO_B, dt)).id is StoryId.S15
+        assert story_of(state(dt, -dt, 1, -1, 10 - dt, -5, -1, 0, epoch=dt)).id is StoryId.S15
 
     @given(st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False))
     def test_common_velocity_boost_invariance(self, bx, by):
@@ -278,11 +274,15 @@ class TestTsrOverInterval:
 class TestAugmentedRelation:
     def test_scenario_b_epochs(self):
         assert str(augmented_relation(SCENARIO_B)) == "S15(DC-)"
-        assert str(augmented_relation(advance(SCENARIO_B, 5.0))) == "S15(NTPP)"
-        assert str(augmented_relation(advance(SCENARIO_B, 5.5))) == "S15(PO+)"
+        # SCENARIO_B 5 s and 5.5 s on.
+        at_5 = state(5, -5, 1, -1, 5, -5, -1, 0, epoch=5.0)
+        at_5_5 = state(5.5, -5.5, 1, -1, 4.5, -5, -1, 0, epoch=5.5)
+        assert str(augmented_relation(at_5)) == "S15(NTPP)"
+        assert str(augmented_relation(at_5_5)) == "S15(PO+)"
 
     def test_scenario_a_unique_ec_has_no_phase(self):
-        at_tangency = advance(SCENARIO_A, 10 / 3)
+        t = 10 / 3
+        at_tangency = state(2 * t, 0, 2, 0, 10 - t, 3, -1, 0, epoch=t)
         aug = augmented_relation(at_tangency)
         assert aug == AugmentedRelation(StoryId.S12, R.EC, Phase.NONE)
 
@@ -346,7 +346,7 @@ class TestAugmentedRelation:
         seen = []
         t = 0.0
         while t <= 10.0:
-            aug = augmented_relation(advance(SCENARIO_B, t))
+            aug = augmented_relation(state(t, -t, 1, -1, 10 - t, -5, -1, 0, epoch=t))
             if not seen or aug != seen[-1]:
                 seen.append(aug)
             t += 0.001
@@ -367,12 +367,12 @@ class TestAugmentedRelation:
 class TestCatalogue:
     def test_canonical_set_has_nine_stories(self):
         ss = stories_set(1.0, 2.0)
-        assert len(ss.all) == 9
-        assert {s.id for s in ss.all} == {
+        assert len(ss) == 9
+        assert {s.id for s in ss} == {
             StoryId.S02, StoryId.S03, StoryId.S04, StoryId.S05,
             StoryId.S11, StoryId.S12, StoryId.S13, StoryId.S14, StoryId.S15,
         }
-        assert {s.labels for s in ss.all} == {
+        assert {s.labels for s in ss} == {
             (R.EC,), (R.PO,), (R.TPP,), (R.NTPP,),
             STORY_LABELS[StoryId.S11], STORY_LABELS[StoryId.S12],
             STORY_LABELS[StoryId.S13], STORY_LABELS[StoryId.S14],
@@ -381,20 +381,20 @@ class TestCatalogue:
 
     def test_duplicate_dc_story_is_merged(self):
         ss = stories_set(1.0, 2.0)
-        dc_stories = [s for s in ss.all if s.labels == (R.DC,)]
+        dc_stories = [s for s in ss if s.labels == (R.DC,)]
         assert len(dc_stories) == 1
         assert dc_stories[0].id is StoryId.S11
 
     def test_mirror_set(self):
-        ids = {s.id for s in stories_set(2.0, 1.0).all}
+        ids = {s.id for s in stories_set(2.0, 1.0)}
         assert StoryId.S04I in ids and StoryId.S15I in ids
         assert StoryId.S04 not in ids and StoryId.S15 not in ids
         assert len(ids) == 9
 
     def test_equal_radii_set_has_seven_stories(self):
         ss = stories_set(1.0, 1.0)
-        assert len(ss.all) == 7
-        assert {s.id for s in ss.all} == {
+        assert len(ss) == 7
+        assert {s.id for s in ss} == {
             StoryId.S02, StoryId.S03, StoryId.S0E,
             StoryId.S11, StoryId.S12, StoryId.S13, StoryId.S15E,
         }
@@ -410,7 +410,7 @@ class TestCatalogue:
             assert aug.rel in STORY_LABELS[aug.story]
 
     def test_longest_story_is_unique(self):
-        lengths = sorted(len(s.labels) for s in stories_set(1.0, 2.0).all)
+        lengths = sorted(len(s.labels) for s in stories_set(1.0, 2.0))
         assert lengths[-1] == 9 and lengths[-2] < 9
 
 
@@ -523,17 +523,18 @@ _SPAN_RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1e-17, 1.0)]
 class TestRegimeSpans:
     @pytest.mark.parametrize("rk, rl", _SPAN_RADII)
     def test_spans_tile_the_distance_axis(self, rk, rl):
-        spans = regime_spans(rk, rl)
-        assert len(spans) == len(REGIMES[radius_config(rk, rl)])
+        ax = axis(rk, rl)
+        spans = ax.spans
+        assert len(spans) == len(ax.rows) == len(REGIMES[radius_config(rk, rl)])
         assert spans[0][0] == 0.0 and spans[-1][1] == math.inf
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        bands = [s for s, r in zip(spans, REGIMES[radius_config(rk, rl)]) if r.band is not None]
-        assert bands == [(theta, theta) for theta in tangency_thresholds(rk, rl)]
+        bands = [s for s, r in zip(spans, ax.rows) if r.band is not None]
+        assert bands == [(theta, theta) for theta in ax.thresholds]
 
     @pytest.mark.parametrize("rk, rl", _SPAN_RADII)
     def test_distance_inside_lies_in_its_row(self, rk, rl):
         eps = DEFAULT_TOLERANCE.eps
-        for (lo, hi), row in zip(regime_spans(rk, rl), REGIMES[radius_config(rk, rl)]):
+        for (lo, hi), row in zip(axis(rk, rl).spans, REGIMES[radius_config(rk, rl)]):
             if row.band is None and hi - lo > 2.0 * eps:
                 assert classify_discs(distance_inside((lo, hi)), rk, rl) is row.rel
             top = hi if hi < math.inf else lo + 10.0
@@ -617,7 +618,7 @@ def _radii_eps_distances(draw):
     named = st.sampled_from(_TABLE_RADII).map(lambda r: (*r, DEFAULT_TOLERANCE.eps, 0.0))
     r_k, r_l, eps, _ = draw(_radii_eps_distance() | named)
     edges = [theta + s * eps for theta in (r_k + r_l, abs(r_k - r_l), 0.0) for s in (-1, 0, 1)]
-    edges += _breaks(radius_config(r_k, r_l, Tolerance(eps)), r_k, r_l, eps)
+    edges += axis(r_k, r_l, Tolerance(eps)).breaks
     edge = st.tuples(st.sampled_from(edges), st.integers(-2, 2)).map(lambda e: _nudged(*e))
     ds = draw(st.lists(edge | st.floats(0.0, 2.0 * (r_k + r_l)), min_size=1, max_size=40))
     return r_k, r_l, eps, np.array([d for d in ds if d >= 0])
@@ -632,52 +633,69 @@ class TestRowsAt:
     def test_array_walk_equals_the_scalar_walk(self, case):
         # Both lookups in the breakpoint table against the walk it is built from.
         r_k, r_l, eps, ds = case
-        config = radius_config(r_k, r_l, Tolerance(eps))
-        expected = [_row_at(d, config, r_k, r_l, eps) for d in ds.tolist()]
-        assert rows_at(ds, config, r_k, r_l, eps).tolist() == expected
-        assert [_row(d, config, r_k, r_l, eps) for d in ds.tolist()] == expected
+        ax = axis(r_k, r_l, Tolerance(eps))
+        expected = [_row_at(d, ax.thetas, eps) for d in ds.tolist()]
+        assert ax.rows_at(ds).tolist() == expected
+        assert [ax.row(d) for d in ds.tolist()] == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
     def test_rejects_what_the_scalar_walk_rejects(self, bad):
+        ax = axis(1.0, 2.0, Tolerance(1e-9))
         with pytest.raises(ValueError) as scalar:
-            _row_at(bad, "lt", 1.0, 2.0, 1e-9)
+            _row_at(bad, ax.thetas, ax.eps)
         with pytest.raises(ValueError) as array:
-            rows_at(np.array([0.5, 3.0, bad, -2.0]), "lt", 1.0, 2.0, 1e-9)
+            ax.rows_at(np.array([0.5, 3.0, bad, -2.0]))
         assert str(array.value) == str(scalar.value)
         with pytest.raises(ValueError) as lookup:
-            _row(bad, "lt", 1.0, 2.0, 1e-9)
+            ax.row(bad)
         assert str(lookup.value) == str(scalar.value)
 
 
 class TestBreakpointTable:
     @pytest.mark.parametrize("r_k, r_l", _TABLE_RADII)
     def test_breaks_are_where_the_walk_steps_up(self, r_k, r_l):
-        config, eps = radius_config(r_k, r_l), DEFAULT_TOLERANCE.eps
-        breaks = _breaks(config, r_k, r_l, eps)
-        assert len(breaks) == len(REGIMES[config]) - 1
+        ax = axis(r_k, r_l)
+        thetas, eps, breaks = ax.thetas, ax.eps, ax.breaks
+        assert len(breaks) == len(REGIMES[radius_config(r_k, r_l)]) - 1
         assert list(breaks) == sorted(breaks)
         for k, b in enumerate(breaks, start=1):
-            assert _row_at(b, config, r_k, r_l, eps) >= k
-            assert b == 0.0 or _row_at(math.nextafter(b, 0.0), config, r_k, r_l, eps) < k
+            assert _row_at(b, thetas, eps) >= k
+            assert b == 0.0 or _row_at(math.nextafter(b, 0.0), thetas, eps) < k
 
     def test_a_row_no_finite_distance_reaches_breaks_at_inf(self):
         # The sum band of these radii reaches past the largest float, so DC
         # (row 4) holds at no finite distance.
-        r_k, r_l, eps = 0.3e308, 1.4e308, 2e307
-        assert radius_config(r_k, r_l, Tolerance(eps)) == "lt"
-        assert _breaks("lt", r_k, r_l, eps)[-1] == math.inf
-        assert _row(sys.float_info.max, "lt", r_k, r_l, eps) == 3
+        ax = axis(0.3e308, 1.4e308, Tolerance(2e307))
+        assert ax.config == "lt"
+        assert ax.breaks[-1] == math.inf
+        assert ax.row(sys.float_info.max) == 3
 
     def test_no_table_is_built_at_import(self):
         code = (
             "import motionstories.cli, motionstories.stories as s; "
-            "print(s._breaks.cache_info().currsize)"
+            "print(s.axis.cache_info().currsize)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(motionstories.__file__).parents[1])}
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         )
         assert out.stdout.strip() == "0"
+
+
+class TestAxis:
+    def test_a_repeat_call_returns_the_same_record(self):
+        for args in [(1.0, 2.0), (2.0, 1.0, Tolerance(1e-6)), (1.5, 1.5, DEFAULT_TOLERANCE)]:
+            assert axis(*args) is axis(*args)
+
+    @pytest.mark.parametrize("r_k, r_l, config", [(1, 3, "lt"), (3, 1, "gt"), (2, 2, "eq")])
+    def test_thetas_are_float_thresholds_also_for_int_radii(self, r_k, r_l, config):
+        axis.cache_clear()  # so that the int radii make the first call
+        ax = axis(r_k, r_l)
+        assert (ax.config, ax.rows, ax.eps) == (config, REGIMES[config], DEFAULT_TOLERANCE.eps)
+        at = {"sum": r_k + r_l, "diff": abs(r_k - r_l), "zero": 0}
+        assert ax.thetas == tuple(None if r.band is None else at[r.band] for r in ax.rows)
+        assert all(type(theta) is float for theta in ax.thresholds)
+        assert axis(float(r_k), float(r_l)) is ax
 
 
 class TestMotionRccRelation:
