@@ -16,8 +16,7 @@ from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import motion_cng
 from .oracle import default_plan, sample_story
 from .patterns import detect_avoidance
-from .rcc import Tolerance
-from .stories import augmented_relation, augmented_set, classify_discs, story_of
+from .stories import Tolerance, augmented_relation, augmented_set, classify_discs, story_of
 from .validate import ValidationReport, validate_motion_cng
 
 __all__ = [

@@ -25,9 +25,9 @@ from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .neighborhood import motion_cng, rcc_cng, to_dot, to_json_adjacency
 from .oracle import default_plan, sample_story
 from .patterns import Pattern, control_suggestion, detect_avoidance, match_pattern
-from .rcc import Tolerance
 from .stories import (
     AugmentedRelation,
+    Tolerance,
     augmented_relation,
     augmented_relations,
     augmented_set,

@@ -13,8 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .rcc import RccRelation
-from .stories import REGIMES, AugmentedRelation, Phase, augmented_chain, central, relation_config
+from .stories import (
+    REGIMES, AugmentedRelation, Phase, RccRelation, augmented_chain, central, relation_config
+)
 
 _R = RccRelation
 

@@ -3,9 +3,9 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach, and classifies its grid in one array pass
-(`stories.Axis.rows_at`); only its label-change bisection, `resolve_changes`,
-and its minimum search are scalar.
+closed-form closest approach, in the time frame of its plan's middle, and
+classifies its grid in one array pass (`stories.Axis.rows_at`); only its
+label-change bisection, `resolve_changes`, and its minimum search are scalar.
 """
 
 from __future__ import annotations
@@ -23,10 +23,12 @@ from .kinematics import (
     center_distance_at,
     closest_approach_state,
 )
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
+    DEFAULT_TOLERANCE,
+    RccRelation,
     TemporalSequence,
     TimedLabel,
+    Tolerance,
     axis,
     classify_discs,
     compress,
@@ -134,16 +136,22 @@ def sample_story(
     the distance minimum and recursively bisects every detected boundary.
     The grid is classified as arrays with `center_distance_at`'s float
     operations; samples away from a label change and the minimum are dropped.
-    Times are epoch-relative, like the plan.
+    It runs in the frame tau = t - mid of the plan's middle, as far from the
+    epoch a tangency can be shorter than a float step there; the interval and
+    boundaries return to epoch-relative times last, as shifted samples merge.
     """
+    mid = (plan.t_start + plan.t_end) / 2.0
+    t_start, t_end = plan.t_start - mid, plan.t_end - mid
+    r_k, r_l, dp, dv = state.disc_k.radius, state.disc_l.radius, state.dp, state.dv
+    at_mid = Disc(Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid), r_l)  # disc l relative to disc k
+    state = UniformMotionState(Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), at_mid, dv)
     n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    grid = plan.t_start + np.arange(n) * plan.dt
-    if grid[-1] < plan.t_end:
-        grid = np.append(grid, plan.t_end)
+    grid = t_start + np.arange(n) * plan.dt
+    if grid[-1] < t_end:
+        grid = np.append(grid, t_end)
     with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
         xs, ys = state.dp.x + state.dv.x * grid, state.dp.y + state.dv.y * grid
     dists = np.array(list(map(math.hypot, xs.tolist(), ys.tolist())))
-    r_k, r_l = state.disc_k.radius, state.disc_l.radius
     ax = axis(r_k, r_l, tol)
     rows = ax.rows_at(dists)
 
@@ -159,12 +167,14 @@ def sample_story(
     samples = [(ts[i], ax.rows[r].rel) for i, r in zip(keep.tolist(), rows[keep].tolist())]
     if ts[lo] < ts[hi]:
         t_at_min = _refine_minimum(state, ts[lo], ts[hi])
-        if plan.t_start < t_at_min < plan.t_end and t_at_min not in ts[lo : hi + 1]:
+        if t_start < t_at_min < t_end and t_at_min not in ts[lo : hi + 1]:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
 
     refined = resolve_changes(classify, samples, _REFINE_REL)
-    return compress([TimedLabel(t, rel) for t, rel in refined])
+    seq = compress([TimedLabel(t, rel) for t, rel in refined])
+    shifted = tuple(t + mid for t in (*seq.interval, *seq.boundaries))
+    return TemporalSequence(seq.labels, shifted[:2], shifted[2:])
 
 
 def canonical_state(

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .neighborhood import Cng, shortest_path
-from .rcc import RccRelation
-from .stories import REGIMES, STORY_RANK, AugmentedRelation, Phase, StoryId, augmented_chain
+from .stories import (
+    REGIMES, STORY_RANK, AugmentedRelation, Phase, RccRelation, StoryId, augmented_chain
+)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
 """Stories: finite relation sequences of two discs over the whole time line.
 
-Under uniform motion the relation sequence of two discs is determined by the
-minimum center distance relative to the thresholds r_k + r_l, |r_k - r_l|
-and, for equal radii, 0.  `REGIMES` lists the resulting stretches of the
-distance axis, each with the relation holding there, once per radius
-configuration.  It is the only hand-written part of the catalogue: story
-labels, phased chains, relation sets and the array decoding a state's rows
-into its augmented relation are built from it once, at import.
-`axis(r_k, r_l, tol)` holds one pair of radii's rows, their thresholds and,
-built on first use from one walk over the band rows, the distances where the
-walk's row steps up; it places every distance, for `classify_discs`,
-`story_of` and `augmented_relation_indices` alike, and an array of them
-(`Axis.rows_at`).  Each story is a qualitative motion relation, and pairing
-it with the current spatial relation (plus a phase, MINUS before closest
-approach and PLUS after, for the repeated labels) gives the augmented motion
-relations.
+The relations are RCC-8's for two discs (`RccRelation`, `INVERSE`).  The
+tangencies (EC, TPP/TPPI, EQ) hold on measure-zero distance sets, so they are
+assigned within `Tolerance.eps` of their exact thresholds.  Under uniform
+motion the relation sequence of two discs is determined by the minimum center
+distance relative to the thresholds r_k + r_l, |r_k - r_l| and, for equal
+radii, 0.  `REGIMES` lists the resulting stretches of the distance axis, each
+with the relation holding there, once per radius configuration.  It is the
+only hand-written part of the catalogue: story labels, phased chains,
+relation sets and the array decoding a state's rows into its augmented
+relation are built from it once, at import.  `axis(r_k, r_l, tol)` holds one
+pair of radii's rows, their thresholds and, built on first use from one walk
+over the band rows, the distances where the walk's row steps up; it places
+every distance, for `classify_discs`, `story_of` and
+`augmented_relation_indices` alike, and an array of them (`Axis.rows_at`).
+Each story is a qualitative motion relation, and pairing it with the current
+spatial relation (plus a phase, MINUS before closest approach and PLUS after,
+for the repeated labels) gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -31,7 +33,46 @@ from itertools import product
 import numpy as np
 
 from .kinematics import UniformMotionState, closest_approach_state
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
+
+
+class RccRelation(Enum):
+    DC = "DC"          # disconnected
+    EC = "EC"          # externally connected (tangent, no overlap)
+    PO = "PO"          # partial overlap
+    TPP = "TPP"        # k tangential proper part of l
+    NTPP = "NTPP"      # k non-tangential proper part of l
+    EQ = "EQ"          # identical regions
+    TPPI = "TPPI"      # l tangential proper part of k
+    NTPPI = "NTPPI"    # l non-tangential proper part of k
+
+    def __str__(self) -> str:
+        return self.value
+
+
+INVERSE: dict[RccRelation, RccRelation] = {
+    RccRelation.DC: RccRelation.DC,
+    RccRelation.EC: RccRelation.EC,
+    RccRelation.PO: RccRelation.PO,
+    RccRelation.EQ: RccRelation.EQ,
+    RccRelation.TPP: RccRelation.TPPI,
+    RccRelation.TPPI: RccRelation.TPP,
+    RccRelation.NTPP: RccRelation.NTPPI,
+    RccRelation.NTPPI: RccRelation.NTPP,
+}
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Half-width (m) of the band within which tangency relations apply."""
+
+    eps: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+
+
+DEFAULT_TOLERANCE = Tolerance()
 
 _R = RccRelation
 

@@ -25,14 +25,16 @@ import numpy as np
 
 from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
-from .rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from .stories import (
+    DEFAULT_TOLERANCE,
     RELATIONS,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
     Phase,
+    RccRelation,
     StoryId,
+    Tolerance,
     augmented_chain,
     augmented_relation,
     augmented_relation_indices,

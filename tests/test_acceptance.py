@@ -21,10 +21,11 @@ from motionstories.neighborhood import (
 )
 from motionstories.oracle import default_plan, sample_story, sweep_stories
 from motionstories.patterns import detect_avoidance
-from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
+    DEFAULT_TOLERANCE,
     STORY_LABELS,
     AugmentedRelation,
+    RccRelation,
     StoryId,
     asymptotic_direction,
     augmented_chain,

@@ -32,10 +32,10 @@ from motionstories.cli import (
     parse_trajectory,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2
-from motionstories.rcc import Tolerance
 from motionstories.stories import (
     AugmentedRelation,
     Phase,
+    Tolerance,
     augmented_relation,
     axis,
     classify_discs,
@@ -243,6 +243,15 @@ class TestStoryCommand:
     def test_verify_agrees_with_oracle(self, capsys):
         assert main(["story", "--verify", SCENARIO_A_CSV]) == EXIT_OK
         assert capsys.readouterr().out == GOLDEN_STORY_A
+
+    def test_verify_far_from_closest_approach(self, tmp_path, capsys):
+        # Closest approach (S15, miss 0.5 m) 1e5 s after the last record.
+        path = tmp_path / "far.csv"
+        path.write_text("t,xk,yk,xl,yl\n0,-100001,0.5,0,0\n1,-100000,0.5,0,0\n")
+        assert main(["story", "--verify", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["id"] == "S15"
 
     def test_text_mode(self, capsys):
         assert main(["story", "--text", SCENARIO_A_CSV]) == EXIT_OK

@@ -21,11 +21,12 @@ from motionstories.neighborhood import (
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import canonical_state, resolve_changes, rigid_state
-from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
+    DEFAULT_TOLERANCE,
     REGIMES,
     AugmentedRelation,
     Phase,
+    RccRelation,
     StoryId,
     augmented_chain,
     augmented_relation,

@@ -21,10 +21,12 @@ from motionstories.oracle import (
     sample_story,
     sweep_stories,
 )
-from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation
 from motionstories.stories import (
+    DEFAULT_TOLERANCE,
     STORY_LABELS,
+    RccRelation,
     StoryId,
+    TemporalSequence,
     TimedLabel,
     axis,
     classify_discs,
@@ -118,6 +120,21 @@ class TestSampleStory:
         assert story_of(state).id is StoryId.S14
         assert sample_story(state, default_plan(state)).labels == STORY_LABELS[StoryId.S14]
 
+    # At 1e5 s the float step is 1.5e-11 s, and the TPP band of a 0.5 m miss
+    # lasts 2.3e-9 s: absolute-time bisection stopped at 1e-8 s and lost it.
+    @pytest.mark.parametrize("speed", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("tta", [1e5, 1e6, 1e8])
+    def test_far_from_the_epoch(self, tta, speed):
+        state = canonical_state(1.0, 2.0, 0.5, tta, speed)
+        assert sample_story(state, default_plan(state)).labels == story_of(state).labels
+
+    def test_random_states_far_from_the_epoch(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            miss, speed = rng.uniform(0.0, 4.0), rng.uniform(0.5, 5.0)
+            state = canonical_state(1.0, 2.0, miss, 1e5, speed)
+            assert sample_story(state, default_plan(state)).labels == story_of(state).labels
+
     @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)])
     def test_instants_agree_with_analytic(self, r_k, r_l):
         # Random states as in acceptance criterion 5, at random epochs.  Each
@@ -162,13 +179,19 @@ class TestSampleStory:
 def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
     """The sampler before its grid became arrays, kept as the reference:
     `center_distance_at` at every grid instant, `classify_discs` of each, and
-    every sample into `resolve_changes`."""
-    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    grid = [plan.t_start + i * plan.dt for i in range(n)]
-    if grid[-1] < plan.t_end:
-        grid.append(plan.t_end)
-    dists = [center_distance_at(state, t) for t in grid]
+    every sample into `resolve_changes`, all in the frame of the plan's
+    middle, with the interval and boundaries shifted back at the end."""
+    mid = (plan.t_start + plan.t_end) / 2.0
+    t_start, t_end = plan.t_start - mid, plan.t_end - mid
+    dp, dv = state.dp, state.dv
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
+    at_mid = Disc(Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid), r_l)
+    state = UniformMotionState(Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), at_mid, dv)
+    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
+    grid = [t_start + i * plan.dt for i in range(n)]
+    if grid[-1] < t_end:
+        grid.append(t_end)
+    dists = [center_distance_at(state, t) for t in grid]
     samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
 
     def classify(t):
@@ -179,11 +202,13 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
     hi = grid[min(len(grid) - 1, i_min + 1)]
     if lo < hi:
         t_at_min = _refine_minimum(state, lo, hi)
-        if plan.t_start < t_at_min < plan.t_end and t_at_min not in grid:
+        if t_start < t_at_min < t_end and t_at_min not in grid:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
     refined = resolve_changes(classify, samples, _REFINE_REL)
-    return compress([TimedLabel(t, rel) for t, rel in refined])
+    seq = compress([TimedLabel(t, rel) for t, rel in refined])
+    interval = (seq.interval[0] + mid, seq.interval[1] + mid)
+    return TemporalSequence(seq.labels, interval, tuple(b + mid for b in seq.boundaries))
 
 
 def _bits(seq):

@@ -11,10 +11,10 @@ from motionstories.patterns import (
     detect_avoidance,
     match_pattern,
 )
-from motionstories.rcc import RccRelation
 from motionstories.stories import (
     AugmentedRelation,
     Phase,
+    RccRelation,
     StoryId,
     augmented_chain,
     augmented_set,

@@ -1,8 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from motionstories.rcc import DEFAULT_TOLERANCE, INVERSE, RccRelation, Tolerance
-from motionstories.stories import bands_overlap, classify_discs
+from motionstories.stories import (
+    DEFAULT_TOLERANCE,
+    INVERSE,
+    RccRelation,
+    Tolerance,
+    bands_overlap,
+    classify_discs,
+)
 
 R = RccRelation
 EPS = DEFAULT_TOLERANCE.eps

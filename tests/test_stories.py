@@ -11,19 +11,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 import motionstories
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import canonical_state
-from motionstories.rcc import DEFAULT_TOLERANCE, RccRelation, Tolerance
 from motionstories.stories import (
     _row_at,
+    DEFAULT_TOLERANCE,
     REGIMES,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
     DegenerateMotionError,
     Phase,
+    RccRelation,
     Story,
     StoryId,
     TemporalSequence,
     TimedLabel,
+    Tolerance,
     UnitVec,
     asymptotic_direction,
     augmented_chain,
