@@ -110,7 +110,11 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
 
 
 def center_distance_at(state: UniformMotionState, t: float) -> float:
-    """Center distance at epoch-relative time t, computed from positions."""
+    """Center distance at epoch-relative time t, computed from positions.
+
+    This is the scalar definition of the distance; the sampling oracle's
+    float closure and its `math.hypot` re-evaluations reproduce it bit for
+    bit in the frame of their plan's middle."""
     d = math.hypot(state.dp.x + state.dv.x * t, state.dp.y + state.dv.y * t)
     _require_finite("center distance", d)
     return d

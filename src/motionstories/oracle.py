@@ -3,26 +3,26 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach, in the time frame of its plan's middle, and
-classifies its grid in one array pass (`stories.Axis.rows_at`); only its
-label-change bisection, `resolve_changes`, and its minimum search are scalar.
+closed-form closest approach, in the time frame of its plan's middle.  It
+takes its grid distances with `np.hypot` and classifies them in one array
+pass (`stories.Axis.rows_at`); `math.hypot` is taken again only on samples
+whose last bit could move a row or the minimum's index, and on subnormal and
+nearly overflowing ones, so the grid equals `center_distance_at`'s bit for
+bit.  Only its label-change bisection, `resolve_changes`, and its minimum
+search are scalar, and both read one float closure of the motion.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .kinematics import (
-    Disc,
-    UniformMotionState,
-    Vec2,
-    center_distance_at,
-    closest_approach_state,
-)
+from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .stories import (
     DEFAULT_TOLERANCE,
     RccRelation,
@@ -30,7 +30,6 @@ from .stories import (
     TimedLabel,
     Tolerance,
     axis,
-    classify_discs,
     compress,
     distance_inside,
     story_of,
@@ -41,6 +40,13 @@ from .stories import (
 # bracketing interval is far below the band's time width (well past the
 # dt/1024 a pure grid refinement would give).
 _REFINE_REL = 1e-13
+
+# np.hypot and math.hypot may round a distance to neighbouring floats.  A grid
+# distance is taken again with math.hypot where a relative change far above
+# that 1-ulp error could move it across a break or tie it with the minimum;
+# below the smallest normal float an ulp is no longer relative.
+_HYPOT_MARGIN = 2.0**-40
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -71,23 +77,23 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     return SamplingPlan(t_start, t_end, (t_end - t_start) / (n_points - 1))
 
 
-def _refine_minimum(state: UniformMotionState, lo: float, hi: float) -> float:
-    """Golden-section minimum of the center distance on [lo, hi]."""
+def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section minimum of `distance` on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = center_distance_at(state, c)
-    fd = center_distance_at(state, d)
+    fc = distance(c)
+    fd = distance(d)
     for _ in range(120):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = center_distance_at(state, c)
+            fc = distance(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = center_distance_at(state, d)
+            fd = distance(d)
         if b - a <= _REFINE_REL * max(1.0, abs(a), abs(b)):
             break
     return (a + b) / 2.0
@@ -134,29 +140,48 @@ def sample_story(
     Grid classification alone misses relations holding only for an instant
     (tangencies) with probability one, so the sampler additionally refines
     the distance minimum and recursively bisects every detected boundary.
-    The grid is classified as arrays with `center_distance_at`'s float
-    operations; samples away from a label change and the minimum are dropped.
+    The grid distances are `np.hypot` of `center_distance_at`'s coordinates;
+    `math.hypot` is taken again only where the last bit could change a row
+    or the minimum's index, and on subnormal and nearly overflowing samples.
+    Samples away from a label change and the minimum are dropped.  The
+    minimum search and the bisection read one float closure of the motion.
     It runs in the frame tau = t - mid of the plan's middle, as far from the
     epoch a tangency can be shorter than a float step there; the interval and
     boundaries return to epoch-relative times last, as shifted samples merge.
     """
     mid = (plan.t_start + plan.t_end) / 2.0
     t_start, t_end = plan.t_start - mid, plan.t_end - mid
-    r_k, r_l, dp, dv = state.disc_k.radius, state.disc_l.radius, state.dp, state.dv
-    at_mid = Disc(Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid), r_l)  # disc l relative to disc k
-    state = UniformMotionState(Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), at_mid, dv)
+    dp, dv = state.dp, state.dv
+    at_mid = Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid)  # disc l relative to disc k
+    px, py, vx, vy = at_mid.x, at_mid.y, dv.x, dv.y
+
+    def distance(tau: float) -> float:
+        d = math.hypot(px + vx * tau, py + vy * tau)
+        if not d < math.inf:  # center_distance_at's error
+            raise ValueError(f"center distance must be finite, got {d!r}")
+        return d
+
     n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
     grid = t_start + np.arange(n) * plan.dt
     if grid[-1] < t_end:
         grid = np.append(grid, t_end)
+    ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
+    rels, breaks = [row.rel for row in ax.rows], ax.breaks
     with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
-        xs, ys = state.dp.x + state.dv.x * grid, state.dp.y + state.dv.y * grid
-    dists = np.array(list(map(math.hypot, xs.tolist(), ys.tolist())))
-    ax = axis(r_k, r_l, tol)
+        xs, ys = px + vx * grid, py + vy * grid
+        dists = np.hypot(xs, ys)
+        below, above = dists * (1.0 - _HYPOT_MARGIN), dists * (1.0 + _HYPOT_MARGIN)
+        # searchsorted, as rows_at would reject the overflowing margin.
+        redo = np.searchsorted(breaks, below, "right") != np.searchsorted(breaks, above, "right")
+        redo |= (dists < _SMALLEST_NORMAL) | (above == math.inf)
+        if vx or vy:  # under rigid motion every sample is one float and argmin is 0
+            redo |= dists <= dists.min() * (1.0 + _HYPOT_MARGIN)
+    at = np.flatnonzero(redo)
+    dists[at] = list(map(math.hypot, xs[at].tolist(), ys[at].tolist()))
     rows = ax.rows_at(dists)
 
-    def classify(t: float) -> RccRelation:
-        return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
+    def classify(tau: float) -> RccRelation:
+        return rels[bisect_right(breaks, distance(tau))]
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
     i_min, last = int(np.argmin(dists)), len(grid) - 1
@@ -164,9 +189,9 @@ def sample_story(
     changes = np.flatnonzero(rows[1:] != rows[:-1])
     keep = np.unique(np.concatenate(([0, last, lo, i_min, hi], changes, changes + 1)))
     ts = grid.tolist()
-    samples = [(ts[i], ax.rows[r].rel) for i, r in zip(keep.tolist(), rows[keep].tolist())]
+    samples = [(ts[i], rels[r]) for i, r in zip(keep.tolist(), rows[keep].tolist())]
     if ts[lo] < ts[hi]:
-        t_at_min = _refine_minimum(state, ts[lo], ts[hi])
+        t_at_min = _refine_minimum(distance, ts[lo], ts[hi])
         if t_start < t_at_min < t_end and t_at_min not in ts[lo : hi + 1]:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
