@@ -9,7 +9,9 @@ pass (`stories.Axis.rows_at`); `math.hypot` is taken again only on samples
 whose last bit could move a row or the minimum's index, and on subnormal and
 nearly overflowing ones, so the grid equals `center_distance_at`'s bit for
 bit.  Only its label-change bisection, `resolve_changes`, and its minimum
-search are scalar, and both read one float closure of the motion.
+search are scalar, and both read one float closure of the motion.  The
+bisection returns the story itself: the first label and one (instant, label)
+per change.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ from .stories import (
     DEFAULT_TOLERANCE,
     RccRelation,
     TemporalSequence,
-    TimedLabel,
     Tolerance,
     axis,
-    compress,
     distance_inside,
     story_of,
 )
@@ -102,10 +102,11 @@ def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) ->
 def resolve_changes(
     classify: Callable[[float], Any], samples: Sequence[tuple[float, Any]], rel_floor: float
 ) -> list[tuple[float, Any]]:
-    """Refine chronological (t, label) samples at every label change.
+    """Reduce chronological (t, label) samples to the first sample and one
+    (t, label) per label change, so consecutive labels differ.
 
     A change is bisected until its bracket is at most
-    `rel_floor * max(1, |t0|, |t1|)` wide and then ends at the first instant
+    `rel_floor * max(1, |t0|, |t1|)` wide and then yields the first instant
     found with the new label; a third label met in between is bisected on
     both sides, so labels holding for less than the sample spacing are found.
     """
@@ -123,9 +124,7 @@ def resolve_changes(
             bisect(tm, rm, t1, r1)
 
     for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
-        if r1 == r0:
-            out.append((t1, r1))
-        else:
+        if r1 != r0:
             bisect(t0, r0, t1, r1)
     return out
 
@@ -146,8 +145,10 @@ def sample_story(
     Samples away from a label change and the minimum are dropped.  The
     minimum search and the bisection read one float closure of the motion.
     It runs in the frame tau = t - mid of the plan's middle, as far from the
-    epoch a tangency can be shorter than a float step there; the interval and
-    boundaries return to epoch-relative times last, as shifted samples merge.
+    epoch a tangency can be shorter than a float step there.  The sequence's
+    labels and boundaries are `resolve_changes`'s, and its interval is the
+    whole grid, from `t_start - mid` to `t_end - mid`; each instant returns
+    to epoch-relative time by adding `mid` back, last.
     """
     mid = (plan.t_start + plan.t_end) / 2.0
     t_start, t_end = plan.t_start - mid, plan.t_end - mid
@@ -197,9 +198,11 @@ def sample_story(
             samples.sort(key=lambda s: s[0])
 
     refined = resolve_changes(classify, samples, _REFINE_REL)
-    seq = compress([TimedLabel(t, rel) for t, rel in refined])
-    shifted = tuple(t + mid for t in (*seq.interval, *seq.boundaries))
-    return TemporalSequence(seq.labels, shifted[:2], shifted[2:])
+    return TemporalSequence(
+        tuple(rel for _, rel in refined),
+        (ts[0] + mid, ts[-1] + mid),
+        tuple(t + mid for t, _ in refined[1:]),
+    )
 
 
 def canonical_state(

@@ -327,16 +327,6 @@ def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class TimedLabel:
-    t: float
-    rel: RccRelation
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t):
-            raise ValueError(f"timestamp must be finite, got {self.t!r}")
-
-
-@dataclass(frozen=True)
 class TemporalSequence:
     """Consecutive-duplicate-free labels over a (possibly unbounded) interval.
 
@@ -493,29 +483,6 @@ class UnitVec:
     def __post_init__(self) -> None:
         if not abs(math.hypot(self.x, self.y) - 1.0) <= 1e-12:
             raise ValueError("components must have unit norm")
-
-
-def compress(samples: list[TimedLabel]) -> TemporalSequence:
-    """Merge consecutive duplicate labels of a chronological sample list.
-
-    Each boundary is the first timestamp at which the new label is observed.
-    """
-    if not samples:
-        raise ValueError("cannot compress an empty sample list")
-    for a, b in zip(samples, samples[1:]):
-        if b.t <= a.t:
-            raise ValueError(f"timestamps must be strictly increasing at t={b.t!r}")
-    labels = [samples[0].rel]
-    boundaries: list[float] = []
-    for s in samples[1:]:
-        if s.rel is not labels[-1]:
-            labels.append(s.rel)
-            boundaries.append(s.t)
-    return TemporalSequence(
-        labels=tuple(labels),
-        interval=(samples[0].t, samples[-1].t),
-        boundaries=tuple(boundaries),
-    )
 
 
 def augmented_chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:

@@ -1,9 +1,11 @@
+import bisect
 import functools
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from motionstories.kinematics import (
     Disc,
@@ -29,11 +31,9 @@ from motionstories.stories import (
     RccRelation,
     StoryId,
     TemporalSequence,
-    TimedLabel,
     Tolerance,
     axis,
     classify_discs,
-    compress,
     distance_inside,
     story_of,
 )
@@ -149,6 +149,33 @@ class TestSampleStory:
         )
         assert sample_story(state, default_plan(state)).labels == story_of(state).labels
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="default_plan works in absolute time: t_min -/+ 5 s round to the one float 1e17 "
+        "(ulp 16), and SamplingPlan rejects the empty interval",
+    )
+    def test_closest_approach_1e17_s_away(self):
+        state = canonical_state(1.0, 2.0, 0.5, 1e17, 1.0)
+        assert sample_story(state, default_plan(state)).labels == story_of(state).labels
+
+    # Each plan's last grid step holds a label change: the interval must still
+    # end at the plan's end, after the last boundary.
+    @pytest.mark.parametrize(
+        "state, plan",
+        [
+            (canonical_state(3.0, 1e4, 0.0, 0.0, 1.0), None),
+            (canonical_state(1.0, 2.0, 0.0, -2.05), SamplingPlan(-1.0, 1.0, 0.2)),
+        ],
+        ids=["default-plan", "explicit-plan"],
+    )
+    def test_interval_ends_at_the_plan_end(self, state, plan):
+        plan = plan or default_plan(state)
+        mid = (plan.t_start + plan.t_end) / 2.0
+        seq = sample_story(state, plan)
+        assert seq.interval[1] == (plan.t_end - mid) + mid
+        assert seq.boundaries[-1] < seq.interval[1]
+
     @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)])
     def test_instants_agree_with_analytic(self, r_k, r_l):
         # Random states as in acceptance criterion 5, at random epochs.  Each
@@ -194,7 +221,8 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
     """The sampler before its grid became arrays, kept as the reference:
     `center_distance_at` at every grid instant, `classify_discs` of each, and
     every sample into `resolve_changes`, all in the frame of the plan's
-    middle, with the interval and boundaries shifted back at the end."""
+    middle; the sequence spans the whole grid, and its interval and
+    boundaries are shifted back at the end."""
     mid = (plan.t_start + plan.t_end) / 2.0
     t_start, t_end = plan.t_start - mid, plan.t_end - mid
     dp, dv = state.dp, state.dv
@@ -220,9 +248,11 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
     refined = resolve_changes(classify, samples, _REFINE_REL)
-    seq = compress([TimedLabel(t, rel) for t, rel in refined])
-    interval = (seq.interval[0] + mid, seq.interval[1] + mid)
-    return TemporalSequence(seq.labels, interval, tuple(b + mid for b in seq.boundaries))
+    return TemporalSequence(
+        tuple(rel for _, rel in refined),
+        (grid[0] + mid, grid[-1] + mid),
+        tuple(t + mid for t, _ in refined[1:]),
+    )
 
 
 def _bits(seq):
@@ -458,11 +488,10 @@ class TestResolveChanges:
         classify, _ = _steps(0.33, 0.335)
         grid = [(i / 10, classify(i / 10)) for i in range(11)]
         out = resolve_changes(classify, grid, self.FLOOR)
-        firsts = {label: t for t, label in reversed(out)}
-        assert list(dict.fromkeys(label for _, label in out)) == [0, 1, 2]
-        assert 0 <= firsts[1] - 0.33 <= self.FLOOR
-        assert 0 <= firsts[2] - 0.335 <= self.FLOOR
-        assert [t for t, _ in out] == sorted(t for t, _ in out)
+        assert [label for _, label in out] == [0, 1, 2]
+        assert out[0] == grid[0]
+        assert 0 <= out[1][0] - 0.33 <= self.FLOOR
+        assert 0 <= out[2][0] - 0.335 <= self.FLOOR
 
     @pytest.mark.parametrize("t0", [0.0, 1e3])
     def test_brackets_a_change_within_the_floor(self, t0):
@@ -471,20 +500,39 @@ class TestResolveChanges:
         classify, _ = _steps(edge)
         grid = [(t0 + i / 10, classify(t0 + i / 10)) for i in range(11)]
         out = resolve_changes(classify, grid, self.FLOOR)
-        first = next(t for t, label in out if label == 1)
+        assert out[0] == grid[0] and [label for _, label in out] == [0, 1]
+        first = out[1][0]
         assert 0 <= first - edge <= self.FLOOR * max(1.0, abs(first))
-        assert out[:6] == grid[:6] and out[-4:] == grid[-4:]
 
     def test_unchanged_labels_make_no_calls(self):
         classify, calls = _steps(1.5)
         grid = [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)]
         out = resolve_changes(classify, grid, self.FLOOR)
-        # Only the segment (1, 2) changes label.
+        # Only the segment (1, 2) changes label; the repeats add nothing.
         assert calls and all(1.0 < t < 2.0 for t in calls)
-        assert out[:2] == grid[:2] and out[-1] == grid[-1]
+        assert out[0] == grid[0] and len(out) == 2
+        assert out[1][1] == 1 and 0 <= out[1][0] - 1.5 <= self.FLOOR
         calls.clear()
-        assert resolve_changes(classify, grid[:2], self.FLOOR) == grid[:2]
+        assert resolve_changes(classify, grid[:2], self.FLOOR) == grid[:1]
         assert calls == []
+
+    @given(
+        edges=st.lists(st.floats(0.0, 10.0), max_size=8),
+        labels=st.lists(st.integers(0, 2), min_size=9, max_size=9),
+        times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20, unique=True),
+    )
+    def test_no_consecutive_duplicates(self, edges, labels, times):
+        # A step classifier whose neighbouring steps may share a label.
+        edges.sort()
+
+        def classify(t):
+            return labels[bisect.bisect_right(edges, t)]
+
+        samples = [(t, classify(t)) for t in sorted(times)]
+        out = resolve_changes(classify, samples, self.FLOOR)
+        assert out[0] == samples[0] and out[-1][1] == samples[-1][1]
+        assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(out, out[1:]))
+        assert all(classify(t) == label for t, label in out)
 
 
 class TestSweep:

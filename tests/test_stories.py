@@ -24,7 +24,6 @@ from motionstories.stories import (
     Story,
     StoryId,
     TemporalSequence,
-    TimedLabel,
     Tolerance,
     UnitVec,
     asymptotic_direction,
@@ -34,7 +33,6 @@ from motionstories.stories import (
     axis,
     central,
     classify_discs,
-    compress,
     distance_inside,
     format_story,
     radius_config,
@@ -93,46 +91,6 @@ def at_closest_approach(miss, phi, speed, rk, rl):
     """Disc l passing disc k at perpendicular offset `miss`, now."""
     c, s = math.cos(phi), math.sin(phi)
     return state(0, 0, 0, 0, -miss * s, miss * c, speed * c, speed * s, rk=rk, rl=rl)
-
-
-class TestCompress:
-    def test_dedup(self):
-        seq = compress(
-            [
-                TimedLabel(0, R.DC),
-                TimedLabel(1, R.DC),
-                TimedLabel(2, R.EC),
-                TimedLabel(3, R.DC),
-            ]
-        )
-        assert seq.labels == (R.DC, R.EC, R.DC)
-        assert seq.boundaries == (2.0, 3.0)
-        assert seq.interval == (0.0, 3.0)
-
-    def test_single_sample(self):
-        seq = compress([TimedLabel(0, R.PO)])
-        assert seq.labels == (R.PO,)
-        assert seq.boundaries == ()
-
-    def test_rejects_empty_and_non_monotone(self):
-        with pytest.raises(ValueError):
-            compress([])
-        with pytest.raises(ValueError):
-            compress([TimedLabel(1, R.DC), TimedLabel(1, R.EC)])
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 100, allow_nan=False), st.sampled_from(list(R))),
-            min_size=1,
-            max_size=30,
-            unique_by=lambda x: x[0],
-        )
-    )
-    def test_no_consecutive_duplicates(self, raw):
-        raw.sort()
-        seq = compress([TimedLabel(t, rel) for t, rel in raw])
-        assert all(a is not b for a, b in zip(seq.labels, seq.labels[1:]))
-        assert len(seq.boundaries) == len(seq.labels) - 1
 
 
 class TestTemporalSequence:
