@@ -407,12 +407,11 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
         warnings = _degenerate_warnings(state, cfg)
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None
     if sampled is not None and sampled.labels != story.labels:
-        _to_stderr(
-            "verification failed: sampled labels "
-            f"{[str(r) for r in sampled.labels]} != analytic "
-            f"{[str(r) for r in story.labels]}"
+        # The last record's fitted state is the one checked.
+        raise TrajectoryFormatError(
+            f"line {lines[-1]}: verification failed: sampled labels "
+            f"{[str(r) for r in sampled.labels]} != analytic {[str(r) for r in story.labels]}"
         )
-        return EXIT_FORMAT
     if args.text:
         print(format_story(story))
     else:

@@ -38,7 +38,7 @@ from .stories import (
 # Bisection refinement floor, relative to the local time scale.  Tangency
 # labels occupy eps-wide distance bands, so boundaries are resolved until the
 # bracketing interval is far below the band's time width (well past the
-# dt/1024 a pure grid refinement would give).
+# spacing/1024 a pure grid refinement would give).
 _REFINE_REL = 1e-13
 
 # np.hypot and math.hypot may round a distance to neighbouring floats.  A grid
@@ -51,30 +51,33 @@ _SMALLEST_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    t_start: float
-    t_end: float
-    dt: float
+    """`points` evenly spaced instants from `middle - half_width` to
+    `middle + half_width`, both finite, as is the grid's width; the sampler
+    works in the frame of `middle`."""
+
+    middle: float
+    half_width: float
+    points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end) and self.t_start < self.t_end):
-            raise ValueError("need a finite interval with t_start < t_end")
-        if not (math.isfinite(self.dt) and 0 < self.dt <= (self.t_end - self.t_start) / 10):
-            raise ValueError("dt must be positive and at most a tenth of the interval")
+        if not math.isfinite(self.middle):
+            raise ValueError(f"middle must be finite, got {self.middle!r}")
+        w = self.half_width
+        if not (w > 0 and math.isfinite(2.0 * w) and math.isfinite(abs(self.middle) + w)):
+            raise ValueError(f"half_width must be positive and keep the grid finite, got {w!r}")
+        if self.points < 11:
+            raise ValueError(f"points must be at least 11, got {self.points!r}")
 
 
 def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan:
-    """A window around closest approach wide enough to reach DC at both ends."""
-    if n_points < 11:  # SamplingPlan's dt is at most a tenth of its interval
-        raise ValueError(f"n_points must be at least 11, got {n_points!r}")
+    """`n_points` instants about closest approach, reaching DC at both ends;
+    under rigid motion, where every window shows the one relation, about the
+    epoch."""
     t_min, _ = closest_approach_state(state)
-    if t_min is None:  # rigid motion: every window shows the one relation
-        return SamplingPlan(-1.0, 1.0, 2.0 / (n_points - 1))
-    speed = state.dv.norm()
+    if t_min is None:
+        return SamplingPlan(0.0, 1.0, n_points)
     r_sum = state.disc_k.radius + state.disc_l.radius
-    half = (r_sum + 1.0) / speed + 1.0
-    # dt from the rounded ends, so that it divides the interval the plan checks.
-    t_start, t_end = t_min - half, t_min + half
-    return SamplingPlan(t_start, t_end, (t_end - t_start) / (n_points - 1))
+    return SamplingPlan(t_min, (r_sum + 1.0) / state.dv.norm() + 1.0, n_points)
 
 
 def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) -> float:
@@ -144,15 +147,13 @@ def sample_story(
     or the minimum's index, and on subnormal and nearly overflowing samples.
     Samples away from a label change and the minimum are dropped.  The
     minimum search and the bisection read one float closure of the motion.
-    It runs in the frame tau = t - mid of the plan's middle, as far from the
-    epoch a tangency can be shorter than a float step there.  The sequence's
-    labels and boundaries are `resolve_changes`'s, and its interval is the
-    whole grid, from `t_start - mid` to `t_end - mid`; each instant returns
-    to epoch-relative time by adding `mid` back, last.
+    It samples `np.linspace(-half_width, half_width, points)` in the frame
+    tau = t - middle of the plan, as far from the epoch a tangency can be
+    shorter than a float step there.  The sequence's labels and boundaries
+    are `resolve_changes`'s, and its interval is the whole grid; each instant
+    returns to epoch-relative time by adding `middle` back, last.
     """
-    mid = (plan.t_start + plan.t_end) / 2.0
-    t_start, t_end = plan.t_start - mid, plan.t_end - mid
-    dp, dv = state.dp, state.dv
+    mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     at_mid = Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid)  # disc l relative to disc k
     px, py, vx, vy = at_mid.x, at_mid.y, dv.x, dv.y
 
@@ -162,10 +163,7 @@ def sample_story(
             raise ValueError(f"center distance must be finite, got {d!r}")
         return d
 
-    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    grid = t_start + np.arange(n) * plan.dt
-    if grid[-1] < t_end:
-        grid = np.append(grid, t_end)
+    grid = np.linspace(-half, half, plan.points)
     ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
     rels, breaks = [row.rel for row in ax.rows], ax.breaks
     with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
@@ -193,7 +191,7 @@ def sample_story(
     samples = [(ts[i], rels[r]) for i, r in zip(keep.tolist(), rows[keep].tolist())]
     if ts[lo] < ts[hi]:
         t_at_min = _refine_minimum(distance, ts[lo], ts[hi])
-        if t_start < t_at_min < t_end and t_at_min not in ts[lo : hi + 1]:
+        if abs(t_at_min) < half and t_at_min not in ts[lo : hi + 1]:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
 

@@ -35,6 +35,8 @@ from motionstories.kinematics import Disc, UniformMotionState, Vec2
 from motionstories.stories import (
     AugmentedRelation,
     Phase,
+    RccRelation,
+    TemporalSequence,
     Tolerance,
     augmented_relation,
     axis,
@@ -252,6 +254,27 @@ class TestStoryCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["id"] == "S15"
+
+    def test_verify_failure_names_the_last_record(self, capsys):
+        # The oracle agrees on every input known to parse, so it is made to
+        # disagree: the last record's state is the one checked.
+        sampled = TemporalSequence((RccRelation.DC,), (0.0, 1.0), ())
+        with mock.patch("motionstories.cli.sample_story", return_value=sampled):
+            assert main(["story", "--verify", SCENARIO_A_CSV]) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: line 4: verification failed: sampled labels ['DC'] != analytic ['DC', 'EC', 'DC']"
+        ]
+
+    def test_verify_plan_overflow_names_the_half_width(self, tmp_path, capsys):
+        # Speed 1e-108 and radii summing to 1e200: the oracle's window is 2e308 s wide.
+        path = tmp_path / "slow.csv"
+        path.write_text("t,xk,yk,xl,yl\n0,0,0,0,0\n1,1e-108,0,0,0\n")
+        assert main(["--rk", "4e199", "--rl", "6e199", "story", "--verify", str(path)]) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 3: half_width must be positive and keep the grid finite, got 1e+308\n"
 
     def test_text_mode(self, capsys):
         assert main(["story", "--text", SCENARIO_A_CSV]) == EXIT_OK

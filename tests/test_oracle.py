@@ -56,12 +56,26 @@ SCENARIO_B = UniformMotionState(
 
 class TestSamplingPlan:
     def test_rejects_bad_intervals(self):
-        with pytest.raises(ValueError):
-            SamplingPlan(1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            SamplingPlan(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            SamplingPlan(0.0, 1.0, 0.5)  # dt too coarse
+        for middle in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="middle must be finite"):
+                SamplingPlan(middle, 1.0, 11)
+        for half_width in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="half_width must be positive"):
+                SamplingPlan(0.0, half_width, 11)
+        with pytest.raises(ValueError, match="points must be at least 11, got 10"):
+            SamplingPlan(0.0, 1.0, 10)  # grid too coarse
+
+    # The grid's width 2·half_width overflows, or one of its ends does.
+    @pytest.mark.parametrize(
+        "middle, half_width", [(0.0, 1e308), (-1.0, 1e308), (1.7e308, 5e307), (-1.7e308, 5e307)]
+    )
+    def test_rejects_overflowing_half_width(self, middle, half_width):
+        with pytest.raises(ValueError, match="half_width must be positive and keep the grid finite"):
+            sample_story(canonical_state(1.0, 2.0, 0.5, 0.0, 1.0), SamplingPlan(middle, half_width, 201))
+
+    def test_ends_may_reach_the_largest_float(self):
+        top = sys.float_info.max
+        assert SamplingPlan(top / 2, top / 2, 11).half_width == top / 2
 
     def test_default_plan_reaches_dc_at_both_ends(self):
         plan = default_plan(SCENARIO_B)
@@ -74,21 +88,11 @@ class TestSamplingPlan:
     @pytest.mark.parametrize("n_points", [-1, 0, 1, 2, 10])
     @pytest.mark.parametrize("state", [SCENARIO_B, rigid_state(1.0, 2.0, 0.5)], ids=["moving", "rigid"])
     def test_default_plan_needs_eleven_points(self, state, n_points):
-        with pytest.raises(ValueError, match=f"n_points must be at least 11, got {n_points}"):
+        with pytest.raises(ValueError, match=f"points must be at least 11, got {n_points}"):
             default_plan(state, n_points)
 
     def test_default_plan_of_eleven_points(self):
-        assert default_plan(rigid_state(1.0, 2.0, 0.5), 11) == SamplingPlan(-1.0, 1.0, 0.2)
-
-    def test_default_plan_of_eleven_points_for_moving_states(self):
-        # dt was 2·half/10, which can exceed a tenth of the rounded interval.
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            state = canonical_state(
-                1.0, 2.0, rng.uniform(0, 5), rng.uniform(-10, 10), rng.uniform(0.1, 3)
-            )
-            plan = default_plan(state, 11)
-            assert plan.dt == (plan.t_end - plan.t_start) / 10
+        assert default_plan(rigid_state(1.0, 2.0, 0.5), 11) == SamplingPlan(0.0, 1.0, 11)
 
 
 class TestSampleStory:
@@ -152,8 +156,8 @@ class TestSampleStory:
     @pytest.mark.xfail(
         strict=True,
         raises=ValueError,
-        reason="default_plan works in absolute time: t_min -/+ 5 s round to the one float 1e17 "
-        "(ulp 16), and SamplingPlan rejects the empty interval",
+        reason="sample_story returns absolute instants: t_min -/+ 5 s round to the one float 1e17 "
+        "(ulp 16), and TemporalSequence rejects the empty interval",
     )
     def test_closest_approach_1e17_s_away(self):
         state = canonical_state(1.0, 2.0, 0.5, 1e17, 1.0)
@@ -165,15 +169,14 @@ class TestSampleStory:
         "state, plan",
         [
             (canonical_state(3.0, 1e4, 0.0, 0.0, 1.0), None),
-            (canonical_state(1.0, 2.0, 0.0, -2.05), SamplingPlan(-1.0, 1.0, 0.2)),
+            (canonical_state(1.0, 2.0, 0.0, -2.05), SamplingPlan(0.0, 1.0, 11)),
         ],
         ids=["default-plan", "explicit-plan"],
     )
     def test_interval_ends_at_the_plan_end(self, state, plan):
         plan = plan or default_plan(state)
-        mid = (plan.t_start + plan.t_end) / 2.0
         seq = sample_story(state, plan)
-        assert seq.interval[1] == (plan.t_end - mid) + mid
+        assert seq.interval[1] == plan.half_width + plan.middle
         assert seq.boundaries[-1] < seq.interval[1]
 
     @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)])
@@ -223,16 +226,11 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
     every sample into `resolve_changes`, all in the frame of the plan's
     middle; the sequence spans the whole grid, and its interval and
     boundaries are shifted back at the end."""
-    mid = (plan.t_start + plan.t_end) / 2.0
-    t_start, t_end = plan.t_start - mid, plan.t_end - mid
-    dp, dv = state.dp, state.dv
+    mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
     at_mid = Disc(Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid), r_l)
     state = UniformMotionState(Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), at_mid, dv)
-    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    grid = [t_start + i * plan.dt for i in range(n)]
-    if grid[-1] < t_end:
-        grid.append(t_end)
+    grid = np.linspace(-half, half, plan.points).tolist()
     dists = [center_distance_at(state, t) for t in grid]
     samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
 
@@ -244,7 +242,7 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
     hi = grid[min(len(grid) - 1, i_min + 1)]
     if lo < hi:
         t_at_min = _refine_minimum(functools.partial(center_distance_at, state), lo, hi)
-        if t_start < t_at_min < t_end and t_at_min not in grid:
+        if -half < t_at_min < half and t_at_min not in grid:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
     refined = resolve_changes(classify, samples, _REFINE_REL)
@@ -325,14 +323,14 @@ class TestArrayGrid:
             Disc(Vec2(0.0, 0.0), 1.0), Vec2(0.0, 0.0), Disc(Vec2(1.0, 0.0), 2.0), Vec2(1e300, 0.0)
         )
         with pytest.raises(ValueError, match="must be finite"):
-            sample_story(state, SamplingPlan(-1e10, 1e10, 1e9))
+            sample_story(state, SamplingPlan(0.0, 1e10, 21))
 
 
 _CONFIGS = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10)]
 _CONFIG_IDS = ["lt", "gt", "eq", "eq-near"]
 
 # On this plan grid point 512 is tau = 0 exactly, the state's position itself.
-_PLAN_AT_ZERO = SamplingPlan(-1.0, 1.0, 2.0**-9)
+_PLAN_AT_ZERO = SamplingPlan(0.0, 1.0, 1025)
 
 
 def _ulps(x, k):
@@ -380,10 +378,8 @@ def _at(r_k, r_l, x, y, dv):
 def _argmin_discords(state, plan):
     """Whether np.hypot and math.hypot place the minimum of the plan's grid
     (in the frame of its middle) at different points."""
-    mid = (plan.t_start + plan.t_end) / 2.0
-    n = int(math.floor((plan.t_end - plan.t_start) / plan.dt)) + 1
-    tau = (plan.t_start - mid) + np.arange(n) * plan.dt
-    dp, dv = state.dp, state.dv
+    mid, dp, dv = plan.middle, state.dp, state.dv
+    tau = np.linspace(-plan.half_width, plan.half_width, plan.points)
     xs, ys = (dp.x + dv.x * mid) + dv.x * tau, (dp.y + dv.y * mid) + dv.y * tau
     exact = list(map(math.hypot, xs.tolist(), ys.tolist()))
     return int(np.argmin(np.hypot(xs, ys))) != int(np.argmin(exact))
@@ -426,7 +422,7 @@ class TestHypotExactness:
         # rounding.  The grid is nearly flat about the minimum, yet both
         # points lie outside the band, so only the refined minimum shows it.
         half = 0.02 / speed
-        plan = SamplingPlan(-half, half, 2.0 * half / 199)
+        plan = SamplingPlan(0.0, half, 200)
         rng = np.random.default_rng(21)
         for h in axis(r_k, r_l).thresholds:
             states = []
@@ -465,7 +461,7 @@ class TestHypotExactness:
         xs, ys, exact, fast = _hypot_circle(top, 2**17, 22)
         far = _first(xs, ys, (fast == math.inf) & (exact < math.inf), exact < math.inf)
         for x, y, dv in [(top, 0.0, Vec2(0.0, 0.0)), (top, 0.0, Vec2(0.0, 1.0)), (*far, Vec2(0.0, 0.0))]:
-            _assert_bits_match(_at(r_k, r_l, x, y, dv), SamplingPlan(-1.0, 1.0, 0.125))
+            _assert_bits_match(_at(r_k, r_l, x, y, dv), SamplingPlan(0.0, 1.0, 17))
 
 
 def _steps(*edges: float):
