@@ -26,10 +26,11 @@ from .neighborhood import motion_cng, rcc_cng, to_dot, to_json_adjacency
 from .oracle import default_plan, sample_story
 from .patterns import Pattern, control_suggestion, detect_avoidance, match_pattern
 from .stories import (
+    RELATIONS,
     AugmentedRelation,
     Tolerance,
     augmented_relation,
-    augmented_relations,
+    augmented_relation_indices,
     augmented_set,
     axis,
     bands_overlap,
@@ -221,20 +222,21 @@ def _record_errors(line: int) -> Iterator[None]:
 
 def _relation_stream(
     data: np.ndarray, lines: Sequence[int], fits: np.ndarray, cfg: SceneConfig
-) -> list[AugmentedRelation]:
-    """Augmented relation at every record after the first, in input order,
-    from `augmented_relations`.  The first record it marks unusable goes
-    through `augmented_relation`, for its message."""
+) -> np.ndarray:
+    """The index into the radii's `RELATIONS` of the augmented relation at
+    every record after the first, in input order, from
+    `augmented_relation_indices`.  The first record it rejects goes through
+    `augmented_relation`, for its message, so no code returned is -1."""
     pos, vel = data[1:, 1:], fits[1:]
     with np.errstate(all="ignore"):
         dpx, dpy = (pos[:, 2:] - pos[:, :2]).T
         dvx, dvy = (vel[:, 2:] - vel[:, :2]).T
-    relations, usable = augmented_relations(dpx, dpy, dvx, dvy, cfg.r_k, cfg.r_l, cfg.tolerance)
-    bad = np.flatnonzero(~usable) + 1
+    codes = augmented_relation_indices(dpx, dpy, dvx, dvy, cfg.r_k, cfg.r_l, cfg.tolerance)
+    bad = np.flatnonzero(codes < 0) + 1
     if bad.size:
         with _record_errors(lines[bad[0]]):
             augmented_relation(_state_at(data[bad[0]], fits[bad[0]], cfg), cfg.tolerance)
-    return relations
+    return codes
 
 
 def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[str]:
@@ -389,8 +391,9 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     fits = _velocity_fits(data, args.window)
-    stream = _relation_stream(data, lines, fits, cfg)
-    sys.stdout.write("".join(f"{aug}\n" for aug in stream))
+    codes = _relation_stream(data, lines, fits, cfg)
+    text = [f"{aug}\n" for aug in RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]]
+    sys.stdout.write("".join(map(text.__getitem__, codes.tolist())))
     # The stream has accepted the last record, so its state builds.
     warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg)
     return _emit_warnings(warnings, cfg)
@@ -450,7 +453,11 @@ def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
         except (ValueError, TypeError) as exc:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
     data, lines = _read_table(args.trajectory)
-    stream = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg)
+    codes = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg)
+    # Merge equal neighbours as `dedup` would, and build objects only for the rest.
+    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    relations = RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]
+    stream = list(map(relations.__getitem__, codes.tolist()))
     if pattern is not None:
         matches = match_pattern(stream, pattern)
     else:

@@ -151,7 +151,8 @@ def sample_story(
     tau = t - middle of the plan, as far from the epoch a tangency can be
     shorter than a float step there.  The sequence's labels and boundaries
     are `resolve_changes`'s, and its interval is the whole grid; each instant
-    returns to epoch-relative time by adding `middle` back, last.
+    returns to epoch-relative time by adding `middle` back, last.  Where the
+    grid's two ends round to one float, the interval is the floats around it.
     """
     mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     at_mid = Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid)  # disc l relative to disc k
@@ -196,10 +197,11 @@ def sample_story(
             samples.sort(key=lambda s: s[0])
 
     refined = resolve_changes(classify, samples, _REFINE_REL)
+    start, end = ts[0] + mid, ts[-1] + mid
+    if start == end:  # the grid is narrower than a float step at its middle
+        start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
     return TemporalSequence(
-        tuple(rel for _, rel in refined),
-        (ts[0] + mid, ts[-1] + mid),
-        tuple(t + mid for t, _ in refined[1:]),
+        tuple(rel for _, rel in refined), (start, end), tuple(t + mid for t, _ in refined[1:])
     )
 
 

@@ -26,7 +26,7 @@ import math
 import re
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
@@ -386,14 +386,13 @@ class AugmentedRelation:
 
     The phase distinguishes repeated occurrences of a label inside a story:
     MINUS before closest approach, PLUS after.  Only the middle label, the
-    relation at closest approach, occurs once; its phase is NONE.
+    relation at closest approach, occurs once; its phase is NONE.  A stream
+    of states holds its index into `RELATIONS` (`augmented_relation_indices`).
     """
 
     story: StoryId
     rel: RccRelation
     phase: Phase
-    # `str(self)`, derived once: the CLI prints one per record.
-    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = STORY_LABELS[self.story]
@@ -404,10 +403,9 @@ class AugmentedRelation:
             raise ValueError(f"{self.story}({self.rel}) occurs once; phase must be NONE")
         if not once and self.phase is Phase.NONE:
             raise ValueError(f"{self.story}({self.rel}) repeats; phase must be +/-")
-        object.__setattr__(self, "_text", f"{self.story.value}({self.rel.value}{self.phase.value})")
 
     def __str__(self) -> str:
-        return self._text
+        return f"{self.story.value}({self.rel.value}{self.phase.value})"
 
     _PATTERN = re.compile(r"^(S[0-9]+[IE]?)\(([A-Z]+)([+-]?)\)$")
 
@@ -580,10 +578,10 @@ def tsr_over_interval(
 def augmented_relation_indices(
     dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
     r_k: float, r_l: float, tol: Tolerance,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The index into the radii's `RELATIONS` of each state's augmented
-    relation, given its relative position and velocity, and the mask of the
-    states `augmented_relation` accepts (-1 is the index of each other one).
+    relation, given its relative position and velocity; -1 marks each state
+    `augmented_relation` rejects, and no other.
     `closest_approach_state`'s float operations run on arrays, with
     `math.hypot` as in `Vec2.norm`; the rows of both distances, from the
     breakpoint table, are decoded as `augmented_relation` decodes them."""
@@ -601,18 +599,7 @@ def augmented_relation_indices(
     h = np.where(rigid, d, np.minimum(d_min, d))
     # An unusable state's rows are read from NaN or inf, which sort last.
     i, j = np.searchsorted(ax.breaks, [h, d], "right")
-    return np.where(usable, _relation_index(ax.config, i, j, rigid, dot < 0), -1), usable
-
-
-def augmented_relations(
-    dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
-    r_k: float, r_l: float, tol: Tolerance,
-) -> tuple[list[AugmentedRelation | None], np.ndarray]:
-    """`augmented_relation_indices` as the relations themselves, None
-    standing for each state `augmented_relation` rejects."""
-    indices, usable = augmented_relation_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol)
-    relations = (*RELATIONS[axis(r_k, r_l, tol).config], None)
-    return list(map(relations.__getitem__, indices.tolist())), usable
+    return np.where(usable, _relation_index(ax.config, i, j, rigid, dot < 0), -1)
 
 
 def augmented_relation(

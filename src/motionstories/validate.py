@@ -124,7 +124,7 @@ class _Axis:
     def labels(self, batch: np.ndarray) -> np.ndarray:
         """The index into `relations` of each state's `augmented_relation`,
         -1 for a state it rejects."""
-        return augmented_relation_indices(*batch, self.r_k, self.r_l, self.tol)[0]
+        return augmented_relation_indices(*batch, self.r_k, self.r_l, self.tol)
 
     def classify(self, batch: np.ndarray) -> np.ndarray:
         """`labels`, where a state `augmented_relation` rejects raises its

@@ -23,6 +23,7 @@ from motionstories.oracle import default_plan, sample_story, sweep_stories
 from motionstories.patterns import detect_avoidance
 from motionstories.stories import (
     DEFAULT_TOLERANCE,
+    RELATIONS,
     STORY_LABELS,
     AugmentedRelation,
     RccRelation,
@@ -194,7 +195,8 @@ def test_criterion_7_avoidance_detection(capsys):
 
     def stream(points):
         data, lines = parse_trajectory(points_to_csv(points))
-        return _relation_stream(data, lines, _velocity_fits(data, 2), SceneConfig())
+        codes = _relation_stream(data, lines, _velocity_fits(data, 2), SceneConfig())
+        return [RELATIONS["lt"][c] for c in codes.tolist()]
 
     stream_fwd = stream(steered_avoidance_points())
     stream_rev = stream(list(reversed(steered_avoidance_points())))

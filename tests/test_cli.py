@@ -32,7 +32,9 @@ from motionstories.cli import (
     parse_trajectory,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2
+from motionstories.patterns import Pattern, detect_avoidance, match_pattern
 from motionstories.stories import (
+    RELATIONS,
     AugmentedRelation,
     Phase,
     RccRelation,
@@ -43,6 +45,8 @@ from motionstories.stories import (
     classify_discs,
     story_of,
 )
+
+from conftest import points_to_csv, steered_avoidance_points
 
 DATA = Path(__file__).parent / "data"
 SCENARIO_A_CSV = str(DATA / "scenario_a.csv")
@@ -768,11 +772,50 @@ class TestRelationStream:
         cfg, data, lines, fits = case
         want, error = _scalar_stream(data, lines, fits, cfg)
         if error is None:
-            assert _relation_stream(data, lines, fits, cfg) == want
+            relations = RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]
+            codes = _relation_stream(data, lines, fits, cfg).tolist()
+            assert [relations[c] for c in codes] == want
         else:
             with pytest.raises(TrajectoryFormatError) as info:
                 _relation_stream(data, lines, fits, cfg)
             assert str(info.value) == error
+
+
+def _split_legs(points, parts):
+    """Each leg between consecutive points as `parts` equal steps."""
+    out = points[:1]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        out += [(x0 + (x1 - x0) * k / parts, y0 + (y1 - y0) * k / parts) for k in range(1, parts + 1)]
+    return out
+
+
+class TestRepeatedRelations:
+    # The steered trajectory with each leg split into four records, so the
+    # stream repeats each relation and `recognize` has repeats to merge.
+    @pytest.mark.parametrize("window", [0, 2, 10])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_outputs_equal_the_scalar_stream(self, tmp_path, capsys, window, reverse):
+        points = _split_legs(steered_avoidance_points(), 4)
+        text = points_to_csv(points[::-1] if reverse else points)
+        traj, pattern = tmp_path / "legs.csv", tmp_path / "pattern.json"
+        traj.write_text(text)
+        pattern.write_text(json.dumps([{"rel": "DC", "phase": "-"}] * 2))
+        data, lines = parse_trajectory(text)
+        stream, error = _scalar_stream(data, lines, _velocity_fits(data, window), SceneConfig())
+        assert error is None and len(set(stream)) < len(stream)
+
+        def run(*args):
+            assert main(["--window", str(window), *args, str(traj)]) == EXIT_OK
+            return capsys.readouterr().out
+
+        def doc(matches):
+            return json.dumps([{"start": m.start_index, "end": m.end_index} for m in matches]) + "\n"
+
+        assert run("classify") == "".join(f"{aug}\n" for aug in stream)
+        assert run("recognize") == doc(detect_avoidance(stream))
+        assert run("recognize", "--relaxed") == doc(detect_avoidance(stream, relaxed=True))
+        want = doc(match_pattern(stream, Pattern.from_json_list(json.loads(pattern.read_text()))))
+        assert run("recognize", "--pattern", str(pattern)) == want
 
 
 def _composed_relation(state, tol):
