@@ -450,7 +450,7 @@ def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
         items = _load_json(args.pattern, "pattern")
         try:
             pattern = Pattern.from_json_list(items)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
     data, lines = _read_table(args.trajectory)
     codes = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg)

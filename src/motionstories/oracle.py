@@ -72,12 +72,14 @@ class SamplingPlan:
 def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan:
     """`n_points` instants about closest approach, reaching DC at both ends;
     under rigid motion, where every window shows the one relation, about the
-    epoch."""
+    epoch.  The ends lie a margin past the radii's sum, 1 m or a relative
+    2^-40 of it, whichever is larger, so the margin is not lost in rounding."""
     t_min, _ = closest_approach_state(state)
     if t_min is None:
         return SamplingPlan(0.0, 1.0, n_points)
     r_sum = state.disc_k.radius + state.disc_l.radius
-    return SamplingPlan(t_min, (r_sum + 1.0) / state.dv.norm() + 1.0, n_points)
+    reach = r_sum + max(1.0, r_sum * 2.0**-40)
+    return SamplingPlan(t_min, reach / state.dv.norm() + 1.0, n_points)
 
 
 def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) -> float:

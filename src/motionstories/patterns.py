@@ -51,17 +51,21 @@ class Pattern:
         return cls(tuple(StepMatcher.exact(a) for a in relations))
 
     @classmethod
-    def from_json_list(cls, items: Sequence[dict]) -> "Pattern":
-        """Parse `[{"story": "S15", "rel": "DC", "phase": "-"}, ...]`;
-        "*" (or a missing key) makes that field a wildcard."""
+    def from_json_list(cls, items: object) -> "Pattern":
+        """Parse `[{"story": "S15", "rel": "DC", "phase": "-"}, ...]`, a parsed
+        JSON document; "*" (or a missing key) makes that field a wildcard."""
 
         def field(item: dict, key: str, parse):
             value = item.get(key, "*")
             return None if value == "*" else parse(value)
 
+        if not isinstance(items, list):
+            raise ValueError("a pattern is a JSON list of step objects")
         steps = []
         for i, item in enumerate(items):
             try:
+                if not isinstance(item, dict):
+                    raise ValueError("a step is a JSON object")
                 steps.append(
                     StepMatcher(
                         story=field(item, "story", StoryId),
@@ -69,7 +73,7 @@ class Pattern:
                         phase=field(item, "phase", Phase),
                     )
                 )
-            except (ValueError, AttributeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"bad pattern step {i}: {exc}") from None
         return cls(tuple(steps))
 

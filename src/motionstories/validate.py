@@ -9,7 +9,8 @@ motion built by `_Axis.moving` or `_Axis.comoving`.  A pair of two rigid
 relations, or of two stories off every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 States are classified in batches, as indices into the radii's
-`stories.RELATIONS` (`stories.augmented_relation_indices`).  Every path of
+`stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
+rejects, code -1, holds no relation.  Every path of
 one check (all edge witnesses of the graph, or all trials of a pair that end
 in v) is classified on one grid and then bisected at every label change,
 level by level, one batch per level.
@@ -23,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import Disc, UniformMotionState, Vec2
 from .neighborhood import Cng
 from .stories import (
     DEFAULT_TOLERANCE,
@@ -36,7 +36,6 @@ from .stories import (
     StoryId,
     Tolerance,
     augmented_chain,
-    augmented_relation,
     augmented_relation_indices,
     augmented_set,
     axis as radii_axis,  # `axis` names each check's `_Axis` below
@@ -106,8 +105,10 @@ class _Axis:
         """The `oracle.canonical_state` with miss distance h now at center
         distance d, approaching (closest approach ahead) or receding, as a
         batch column; elementwise for arrays, as a batch."""
-        tta = np.sqrt(np.maximum(0.0, d * d - h * h)) / speed
-        dpx = speed * np.where(approach, -tta, tta)
+        # inf or nan where d overflows or lies below -h, which `labels` rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            tta = np.sqrt(np.maximum(0.0, d - h)) * np.sqrt(d + h) / speed
+            dpx = speed * np.where(approach, -tta, tta)
         return np.stack(np.broadcast_arrays(dpx, h, speed, 0.0))
 
     def comoving(self, d: Floats) -> np.ndarray:
@@ -115,29 +116,15 @@ class _Axis:
         elementwise for an array d, as a batch."""
         return np.stack(np.broadcast_arrays(d, 0.0, 0.0, 0.0))
 
-    def state(self, column: np.ndarray) -> UniformMotionState:
-        """The state of a batch column: disc k at rest at the origin."""
-        dpx, dpy, dvx, dvy = column.tolist()
-        k, l = Disc(Vec2(0.0, 0.0), self.r_k), Disc(Vec2(dpx, dpy), self.r_l)
-        return UniformMotionState(k, Vec2(0.0, 0.0), l, Vec2(dvx, dvy))
-
     def labels(self, batch: np.ndarray) -> np.ndarray:
         """The index into `relations` of each state's `augmented_relation`,
         -1 for a state it rejects."""
         return augmented_relation_indices(*batch, self.r_k, self.r_l, self.tol)
 
-    def classify(self, batch: np.ndarray) -> np.ndarray:
-        """`labels`, where a state `augmented_relation` rejects raises its
-        ValueError."""
-        labels = self.labels(batch)
-        for j in np.flatnonzero(labels < 0):
-            labels[j] = self.index[augmented_relation(self.state(batch[:, j]), self.tol)]
-        return labels
 
-
+@np.errstate(over="ignore", invalid="ignore")  # a state too far to place gets -1
 def _continuous_transitions(
-    cu: np.ndarray, cv: np.ndarray, u: np.ndarray | int, v: np.ndarray | int, axis: _Axis,
-    strict: bool = True,
+    cu: np.ndarray, cv: np.ndarray, u: np.ndarray | int, v: np.ndarray | int, axis: _Axis
 ) -> np.ndarray:
     """For each path p, from batch column cu[:, p] to cv[:, p], True if
     interpolating componentwise, cu + s (cv - cu) for s from 0 to 1, moves
@@ -150,15 +137,15 @@ def _continuous_transitions(
     `_BISECT_FLOOR * max(1, |s0|, |s1|)` wide, so intermediate regimes
     narrower than the grid step are still discovered; a third label fails the
     path.  Every open bracket of every path is bisected together, one batch
-    per level.  A state `augmented_relation` rejects raises its ValueError
-    when `strict`, and otherwise fails its path.
+    per level.  A state `axis.labels` rejects (code -1) is neither u[p] nor
+    v[p], so it fails its path.
     """
-    classify = axis.classify if strict else axis.labels
     n = cu.shape[1]
     u, v = np.broadcast_to(u, n), np.broadcast_to(v, n)
     steps = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
     du = cv - cu
-    grid = classify((cu[:, :, None] + steps * du[:, :, None]).reshape(4, -1)).reshape(n, len(steps))
+    grid = axis.labels((cu[:, :, None] + steps * du[:, :, None]).reshape(4, -1))
+    grid = grid.reshape(n, len(steps))
     ok = (grid[:, 0] == u) & (grid[:, -1] == v)
     ok &= ((grid == u[:, None]) | (grid == v[:, None])).all(axis=1)
     # The brackets (path, s0, r0, s1, r1) of every label change on a grid that passed.
@@ -172,7 +159,7 @@ def _continuous_transitions(
             return ok
         p, s0, r0, s1, r1 = (x[live] for x in brackets)
         sm = (s0 + s1) / 2.0
-        rm = classify(cu[:, p] + sm * du[:, p])
+        rm = axis.labels(cu[:, p] + sm * du[:, p])
         ok[p[(rm != u[p]) & (rm != v[p])]] = False
         left, right = rm != r0, rm != r1
         brackets = tuple(
@@ -292,8 +279,8 @@ def _pair_trials(
     kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
     end[:2] += end[2:] * kick[8]
-    at_u = np.flatnonzero(axis.classify(start) == axis.index[u])
-    to_v = at_u[axis.classify(end[:, at_u]) == axis.index[v]]
+    at_u = np.flatnonzero(axis.labels(start) == axis.index[u])
+    to_v = at_u[axis.labels(end[:, at_u]) == axis.index[v]]
     return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
 
 
@@ -316,7 +303,9 @@ def validate_motion_cng(
     the pairs; the pair at index i of the sorted non-edges draws its trials
     as one batch from `np.random.default_rng([seed, i])`, so a spurious
     transition replays from (seed, i) alone, and its counts go to
-    `trial_counts`.
+    `trial_counts`.  A state the classifier rejects (code -1, as when its
+    numbers overflow) holds no relation: it is no trial of u, fails every
+    path through it and so leaves its edge unwitnessed.
     """
     if g.nodes != augmented_set(r_k, r_l, tol):
         raise ValueError("graph nodes are not the augmented relations of the given radii")
@@ -338,7 +327,7 @@ def validate_motion_cng(
     if columns:
         cu, cv = (np.stack(c, axis=1) for c in zip(*columns.values()))
         u, v = ([axis.index[x] for x in end] for end in zip(*columns))
-        found = _continuous_transitions(cu, cv, u, v, axis, strict=False)
+        found = _continuous_transitions(cu, cv, u, v, axis)
         witnessed = {pair for pair, ok in zip(columns, found.tolist()) if ok}
     report.unwitnessed_edges = [pair for pair in edges if pair not in witnessed]
 

@@ -272,13 +272,17 @@ class TestStoryCommand:
         ]
 
     def test_verify_plan_overflow_names_the_half_width(self, tmp_path, capsys):
-        # Speed 1e-108 and radii summing to 1e200: the oracle's window is 2e308 s wide.
+        # Speed 1e-108 and radii summing to 1e200: the oracle's window is 2e308 s wide,
+        # (1e200 + 1e200 * 2**-40) / 1e-108 s either side.
         path = tmp_path / "slow.csv"
         path.write_text("t,xk,yk,xl,yl\n0,0,0,0,0\n1,1e-108,0,0,0\n")
         assert main(["--rk", "4e199", "--rl", "6e199", "story", "--verify", str(path)]) == EXIT_FORMAT
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: line 3: half_width must be positive and keep the grid finite, got 1e+308\n"
+        assert err == (
+            "error: line 3: half_width must be positive and keep the grid finite,"
+            " got 1.0000000000009093e+308\n"
+        )
 
     def test_text_mode(self, capsys):
         assert main(["story", "--text", SCENARIO_A_CSV]) == EXIT_OK
@@ -359,12 +363,14 @@ class TestRecognizeCommand:
         traj.write_text(avoidance_csv)
         pattern = tmp_path / "pattern.json"
         args = ["recognize", "--pattern", str(pattern), str(traj)]
-        for contents in ["{not json", DEEP_JSON]:
+        malformed = ['[{"story": "S99"}]', "[]", '{"rel": "DC"}', '"DC"', "[1]", "null"]
+        for contents in ["{not json", DEEP_JSON, *malformed]:
             pattern.write_text(contents)
             assert main(args) == EXIT_FORMAT
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error: pattern:"), err
             assert "pattern: pattern:" not in err
+            assert "attribute" not in err and "iterable" not in err, err
 
     def test_pattern_is_read_before_the_trajectory(self, tmp_path, capsys):
         missing = [str(tmp_path / "missing.json"), str(tmp_path / "missing.csv")]
@@ -385,6 +391,26 @@ class TestCngCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["nodes"]) == 29
         assert len(doc["edges"]) == 60
+
+    def test_motion_dot_quotes_every_name(self, capsys):
+        # Augmented relation names hold parentheses and signs, so DOT needs
+        # each one quoted; the graph is the one `--json` prints.
+        assert main(["cng", "--motion", "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["cng", "--motion"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "graph cng {" and lines[-1] == "}"
+        nodes, edges = set(), set()
+        for line in lines[1:-1]:
+            names = line.removeprefix("  ").removesuffix(";").split(" -- ")
+            assert all(n.startswith('"') and n.endswith('"') for n in names), line
+            names = [n[1:-1] for n in names]
+            nodes.update(names)
+            if len(names) == 2:
+                edges.add(frozenset(names))
+        assert '"S15(DC-)"' in "\n".join(lines)
+        assert nodes == set(doc["nodes"])
+        assert edges == {frozenset(e) for e in doc["edges"]} and len(edges) == 60
 
 
 class TestControlCommand:

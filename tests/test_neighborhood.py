@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +99,12 @@ def test_validator_does_not_import_the_oracle():
     # The graph check bisects its own paths; the brute-force sampler is no
     # part of it.
     assert "oracle" not in _imported_names(motionstories.validate)
+
+
+def test_validator_classifies_only_as_arrays():
+    # One classifier: no scalar `augmented_relation` and no state objects.
+    imported = _imported_names(motionstories.validate)
+    assert not imported & {"kinematics", "augmented_relation"}
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
@@ -272,12 +279,22 @@ class TestValidation:
                 assert len(columns) == 2, (a, b)
                 for c in columns:
                     assert isinstance(c, np.ndarray) and c.shape == (4,), (a, b)
-                    assert isinstance(axis.state(c), UniformMotionState), (a, b)
+                    assert isinstance(_state(axis, c), UniformMotionState), (a, b)
 
     def test_radius_mismatch_raises(self):
         g = motion_cng(augmented_set(1.0, 2.0))
         with pytest.raises(ValueError):
             validate_motion_cng(g, 2.0, 1.0)
+
+    def test_radii_too_large_to_place_give_a_report_without_warnings(self):
+        # At these radii d * d overflows; the states too far to place are
+        # rejected (code -1), not classified or warned about.
+        rk, rl = 1e200, 3e200
+        g = motion_cng(augmented_set(rk, rl))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_motion_cng(g, rk, rl, n_pairs=20, n_trials=50)
+        assert not report.ok
 
     def test_incomplete_node_set_raises(self):
         # Every story of the radii still has nodes, but one relation is gone.
@@ -290,6 +307,13 @@ class TestValidation:
 
 _RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6)]
 _STEPS = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
+
+
+def _state(axis: _Axis, column: np.ndarray) -> UniformMotionState:
+    """The scalar reference state of a batch column: disc k at rest at the origin."""
+    dpx, dpy, dvx, dvy = column.tolist()
+    k, l = Disc(Vec2(0.0, 0.0), axis.r_k), Disc(Vec2(dpx, dpy), axis.r_l)
+    return UniformMotionState(k, Vec2(0.0, 0.0), l, Vec2(dvx, dvy))
 
 
 def _path(cu: np.ndarray, cv: np.ndarray, s: float | np.ndarray) -> np.ndarray:
@@ -333,8 +357,8 @@ class TestBatchedTrials:
         start, end, _, _ = _pair_trials(u, u, axis, np.random.default_rng(seed), 6)
         lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
         for batch in (start, end, lerped):
-            want = [augmented_relation(axis.state(c), axis.tol) for c in batch.T]
-            assert [axis.relations[k] for k in axis.classify(batch)] == want
+            want = [augmented_relation(_state(axis, c), axis.tol) for c in batch.T]
+            assert [axis.relations[k] for k in axis.labels(batch)] == want
 
     @pytest.mark.parametrize("rk, rl", _RADII)
     def test_witness_grids_equal_the_scalar_path(self, rk, rl):
@@ -349,8 +373,8 @@ class TestBatchedTrials:
                     cu, cv = _edge_witness(a, b, axis)
                 except ValueError:
                     continue
-                grid = [axis.relations[k] for k in axis.classify(_path(cu, cv, _STEPS))]
-                su, sv = axis.state(cu), axis.state(cv)
+                grid = [axis.relations[k] for k in axis.labels(_path(cu, cv, _STEPS))]
+                su, sv = _state(axis, cu), _state(axis, cv)
                 want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
                 assert grid == want, (a, b)
 
@@ -361,19 +385,8 @@ class TestBatchedTrials:
         pairs = [(x, y) for a, b in edges for x, y in ((a, b), (b, a))]
         cu, cv = (np.stack(c, axis=1) for c in zip(*(_edge_witness(x, y, axis) for x, y in pairs)))
         u, v = ([axis.index[x] for x in end] for end in zip(*pairs))
-        witnessed = _continuous_transitions(cu, cv, u, v, axis, strict=False)
+        witnessed = _continuous_transitions(cu, cv, u, v, axis)
         assert [(str(x), str(y)) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
-
-    def test_rejected_state_raises_the_scalar_error(self):
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
-        fine = axis.comoving(5.0)
-        overflowing = fine.copy()
-        overflowing[2] = 2e300  # |dv|^2 overflows
-        with pytest.raises(ValueError) as scalar:
-            augmented_relation(axis.state(overflowing), axis.tol)
-        with pytest.raises(ValueError) as batch:
-            axis.classify(np.stack([fine, overflowing], axis=1))
-        assert str(batch.value) == str(scalar.value)
 
     def test_trials_replay_from_the_seed_and_pair_index(self):
         g = motion_cng(augmented_set(1.0, 2.0))
@@ -413,12 +426,12 @@ def _one_transition(
     """The path check one path at a time: the grid classified as a batch,
     then every label change bisected by `oracle.resolve_changes` with the
     scalar `augmented_relation`."""
-    labels = [axis.relations[k] for k in axis.classify(_path(cu, cv, _STEPS))]
+    labels = [axis.relations[k] for k in axis.labels(_path(cu, cv, _STEPS))]
     if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
         return False
 
     def cls(s: float) -> AugmentedRelation:
-        return augmented_relation(axis.state(_path(cu, cv, s)[:, 0]), axis.tol)
+        return augmented_relation(_state(axis, _path(cu, cv, s)[:, 0]), axis.tol)
 
     grid = list(zip(_STEPS.tolist(), labels))
     return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
@@ -438,7 +451,7 @@ class TestPathBisection:
         u, v, cu, cv = zip(*paths)
         got = _continuous_transitions(
             np.stack(cu, axis=1), np.stack(cv, axis=1),
-            [axis.index[x] for x in u], [axis.index[y] for y in v], axis, strict=False,
+            [axis.index[x] for x in u], [axis.index[y] for y in v], axis,
         )
         assert got.tolist() == [_one_transition(*p[2:], *p[:2], axis) for p in paths]
         # The two radius pairs whose reports are not ok reach the failing branches.
@@ -456,8 +469,8 @@ class TestPathBisection:
             for k, (i, j) in enumerate(rng.integers(0, len(nodes), (20, 2)))
         ]
         start, end = (np.concatenate(c, axis=1) for c in zip(*trials))
-        u = axis.classify(start)
-        for v in (axis.classify(end), rng.integers(0, len(nodes), start.shape[1])):
+        u = axis.labels(start)
+        for v in (axis.labels(end), rng.integers(0, len(nodes), start.shape[1])):
             got = _continuous_transitions(start, end, u, v, axis)
             want = [
                 _one_transition(start[:, k], end[:, k], axis.relations[u[k]], axis.relations[v[k]], axis)
@@ -466,20 +479,31 @@ class TestPathBisection:
             assert got.tolist() == want
             assert 0 < sum(want) < len(want)
 
-    def test_a_rejected_state_fails_its_path_or_raises(self):
+    def test_a_rejected_state_holds_no_relation(self, monkeypatch):
+        # A column whose |dv|^2 overflows: the scalar classifier rejects it
+        # and the array one gives it -1, so it is no trial of its relation
+        # and fails every path through it.
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         a, b = aug("S11(DC)"), aug("S12(DC-)")
         fine = np.stack(_edge_witness(a, b, axis), axis=1)
         overflowing = fine.copy()
-        overflowing[2, 1] = 2e300  # |dv|^2 overflows at the path's end
-        paths = np.stack([fine[:, 0]] * 2, axis=1), np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
+        overflowing[2] = 2e300
+        with pytest.raises(ValueError):
+            augmented_relation(_state(axis, overflowing[:, 0]), axis.tol)
+        assert axis.labels(fine).tolist() == [axis.index[a], axis.index[b]]
+        assert axis.labels(overflowing).tolist() == [-1, -1]
+
+        starts = np.stack([fine[:, 0], overflowing[:, 0]], axis=1)
+        monkeypatch.setattr(motionstories.validate, "_trial_states", lambda *args: starts)
+        counts = _pair_trials(a, b, axis, np.random.default_rng(0), 2)[2]
+        assert counts.attempted == 2 and counts.at_u == 1
+
+        ends = np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
+        paths = np.stack([fine[:, 0]] * 2, axis=1), ends
         u, v = axis.index[a], axis.index[b]
-        assert _continuous_transitions(*paths, u, v, axis, strict=False).tolist() == [True, False]
-        with pytest.raises(ValueError) as scalar:
-            augmented_relation(axis.state(overflowing[:, 1]), axis.tol)
-        with pytest.raises(ValueError) as batch:
-            _continuous_transitions(*paths, u, v, axis)
-        assert str(batch.value) == str(scalar.value)
+        assert _continuous_transitions(*paths, u, v, axis).tolist() == [True, False]
+        # The path from the rejected state fails too.
+        assert _continuous_transitions(overflowing, ends, u, v, axis).tolist() == [False, False]
 
 
 _CONFIG_RADII = {"lt": (1.0, 2.0), "gt": (2.0, 1.0), "eq": (1.5, 1.5)}
@@ -507,7 +531,7 @@ class TestBatchColumns:
         radii = _CONFIG_RADII[config]
         assert radius_config(*radii) == config
         d = h + excess
-        tta = math.sqrt(d * d - h * h) / speed
+        tta = math.sqrt(d - h) * math.sqrt(d + h) / speed
         want = canonical_state(*radii, h, tta if approach else -tta, speed)
         column = _Axis(*radii, DEFAULT_TOLERANCE).moving(h, d, approach, speed)
         assert column.tolist() == [want.dp.x, want.dp.y, want.dv.x, want.dv.y]
@@ -530,11 +554,11 @@ class TestBatchColumns:
         for i, v in enumerate(sorted(augmented_set(1.0, 2.0) - {u}, key=str)):
             start, end, _, _ = _pair_trials(u, v, axis, np.random.default_rng([0, i]), 8)
             for k in range(start.shape[1]):
-                su, sv = axis.state(start[:, k]), axis.state(end[:, k])
+                su, sv = _state(axis, start[:, k]), _state(axis, end[:, k])
                 ends = [tuple(map(Fraction, (e.dp.x, e.dp.y, e.dv.x, e.dv.y))) for e in (su, sv)]
                 for s, column in zip(_STEPS.tolist(), _path(start[:, k], end[:, k], _STEPS).T):
                     f = Fraction(s)
                     x = [a + f * (b - a) for a, b in zip(*ends)]
-                    miss = closest_approach_state(axis.state(column))[1]
+                    miss = closest_approach_state(_state(axis, column))[1]
                     worst = max(worst, abs(miss - _exact_miss(x[:2], x[2:])))
         assert worst <= 2 * axis.eps, worst / axis.eps

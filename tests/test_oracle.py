@@ -82,6 +82,14 @@ class TestSamplingPlan:
         labels = sample_story(SCENARIO_B, plan).labels
         assert labels[0] is R.DC and labels[-1] is R.DC
 
+    # From r_sum near 1e16 on, r_sum + 1 rounds to r_sum: an absolute 1 m
+    # margin would end the grid on the EC tangency.
+    @pytest.mark.parametrize("r", [1e16, 1e17, 1e20, 1e100, 1e200])
+    def test_default_plan_reaches_dc_at_large_radii(self, r):
+        state = canonical_state(r, 2.0 * r, 0.5, 3.0, 1.0)
+        labels = sample_story(state, default_plan(state)).labels
+        assert labels[0] is R.DC and labels[-1] is R.DC
+
     def test_default_plan_is_deterministic(self):
         assert default_plan(SCENARIO_B) == default_plan(SCENARIO_B)
 

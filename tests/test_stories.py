@@ -101,6 +101,41 @@ class TestTemporalSequence:
     def test_allows_repeated_boundary_for_instant_labels(self):
         TemporalSequence((R.DC, R.EC, R.DC), (0.0, 10.0), (5.0, 5.0))
 
+    @pytest.mark.parametrize(
+        "labels, interval, boundaries, message",
+        [
+            ((), (0.0, 10.0), (), "at least one label"),
+            ((R.DC, R.DC), (0.0, 10.0), (5.0,), "consecutive labels must differ"),
+            ((R.DC, R.EC), (0.0, 10.0), (), "exactly one boundary per adjacent label pair"),
+            ((R.DC, R.EC), (0.0, 10.0), (4.0, 5.0), "exactly one boundary per adjacent label pair"),
+            ((R.DC, R.EC), (5.0, 5.0), (5.0,), "interval must have positive length"),
+            ((R.DC, R.EC), (0.0, 10.0), (11.0,), "boundaries must lie inside the interval"),
+            ((R.DC, R.EC), (0.0, 10.0), (-1.0,), "boundaries must lie inside the interval"),
+        ],
+        ids=["empty", "repeated", "too-few", "too-many", "zero-length", "after", "before"],
+    )
+    def test_rejects_malformed_sequences(self, labels, interval, boundaries, message):
+        with pytest.raises(ValueError, match=message):
+            TemporalSequence(labels, interval, boundaries)
+
+
+class TestStory:
+    @pytest.mark.parametrize(
+        "sid, rigid, boundaries, message",
+        [
+            (StoryId.S15, True, None, "rigid stories are singletons"),
+            (StoryId.S11, False, (1.0,), "one boundary per adjacent label pair"),
+            (StoryId.S15, False, (1.0, 2.0), "one boundary per adjacent label pair"),
+        ],
+        ids=["rigid-chain", "singleton-with-boundary", "chain-too-few"],
+    )
+    def test_rejects_malformed_stories(self, sid, rigid, boundaries, message):
+        with pytest.raises(ValueError, match=message):
+            Story(sid, rigid, boundaries)
+
+    def test_accepts_a_boundary_per_label_change(self):
+        assert Story(StoryId.S12, False, (1.0, 2.0)).labels == (R.DC, R.EC, R.DC)
+
 
 class TestStoryOf:
     def test_half_width_is_the_root_of_one_product(self):
