@@ -4,16 +4,19 @@ Seen from disc k, disc l moves on a straight line: relative position dp at the
 epoch, relative velocity dv.  A `UniformMotionState` carries both, derived once
 when it is built.  Its closest approach comes at t_min = -dp.dv / |dv|^2, at
 center distance d_min = |dp x dv| / |dv|, taken no farther than the current
-distance |dp|.  The motion is rigid when |dv|^2 is 0 in floats (also when it
-underflows); it then has no closest approach.  Everything downstream (story
-derivation, transition instants, degeneracy warnings) is computed from those
-numbers.
+distance |dp|.  The motion is rigid, with no closest approach, when |dv|^2 is
+below the smallest normal float: a subnormal |dv|^2 has lost the precision
+d_min needs.  Everything downstream (story derivation, transition instants,
+degeneracy warnings) is computed from those numbers.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+MIN_MOVING_SPEED_SQ = sys.float_info.min  # the smallest |dv|^2 of a moving state
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -92,13 +95,13 @@ def closest_approach_state(state: UniformMotionState) -> tuple[float | None, flo
     capped at the current distance |dp|: the two round differently near
     closest approach, and a minimum above the distance now would place the
     relation holding now outside the story read off the minimum.
-    Rigid motion (|dv|^2 == 0, also when it underflows) has no distinguished
-    instant and returns (None, |dp|).  Raises ValueError when |dv|^2, t_min or
-    d_min overflows.
+    Rigid motion (|dv|^2 below `MIN_MOVING_SPEED_SQ`, subnormal or 0) has no
+    distinguished instant and returns (None, |dp|).  Raises ValueError when
+    |dv|^2, t_min or d_min overflows.
     """
     dp, dv = state.dp, state.dv
     a = dv.norm_sq()
-    if a == 0.0:
+    if a < MIN_MOVING_SPEED_SQ:
         return None, dp.norm()
     t_min = -dp.dot(dv) / a
     d_min = abs(dp.cross(dv)) / math.sqrt(a)

@@ -10,8 +10,8 @@ whose last bit could move a row or the minimum's index, and on subnormal and
 nearly overflowing ones, so the grid equals `center_distance_at`'s bit for
 bit.  Only its label-change bisection, `resolve_changes`, and its minimum
 search are scalar, and both read one float closure of the motion.  The
-bisection returns the story itself: the first label and one (instant, label)
-per change.
+bisection narrows each change to adjacent floats and returns the story itself:
+the first label and one (instant, label) per change.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .stories import (
     story_of,
 )
 
-# Bisection refinement floor, relative to the local time scale.  Tangency
-# labels occupy eps-wide distance bands, so boundaries are resolved until the
-# bracketing interval is far below the band's time width (well past the
-# spacing/1024 a pure grid refinement would give).
+# The minimum search's stop, relative to the local time scale.  A stop at
+# float resolution would run into its iteration cap near tau = 0, which is
+# where every default plan puts the minimum.
 _REFINE_REL = 1e-13
 
 # np.hypot and math.hypot may round a distance to neighbouring floats.  A grid
@@ -105,32 +104,30 @@ def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) ->
 
 
 def resolve_changes(
-    classify: Callable[[float], Any], samples: Sequence[tuple[float, Any]], rel_floor: float
+    classify: Callable[[float], Any], samples: Sequence[tuple[float, Any]]
 ) -> list[tuple[float, Any]]:
     """Reduce chronological (t, label) samples to the first sample and one
     (t, label) per label change, so consecutive labels differ.
 
-    A change is bisected until its bracket is at most
-    `rel_floor * max(1, |t0|, |t1|)` wide and then yields the first instant
-    found with the new label; a third label met in between is bisected on
-    both sides, so labels holding for less than the sample spacing are found.
+    Each change is bisected, earliest first, until its ends are adjacent
+    floats (the midpoint rounds to one of them) and yields the later end; a
+    third label met in between is bisected on both sides, so labels holding
+    for less than the sample spacing are found.
     """
     out = [samples[0]]
-
-    def bisect(t0: float, r0: Any, t1: float, r1: Any) -> None:
-        if t1 - t0 <= rel_floor * max(1.0, abs(t0), abs(t1)):
-            out.append((t1, r1))
-            return
+    stack = [(t0, r0, t1, r1) for (t0, r0), (t1, r1) in zip(samples, samples[1:]) if r1 != r0]
+    stack.reverse()
+    while stack:
+        t0, r0, t1, r1 = stack.pop()
         tm = (t0 + t1) / 2.0
+        if tm == t0 or tm == t1:
+            out.append((t1, r1))
+            continue
         rm = classify(tm)
-        if rm != r0:
-            bisect(t0, r0, tm, rm)
         if rm != r1:
-            bisect(tm, rm, t1, r1)
-
-    for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
-        if r1 != r0:
-            bisect(t0, r0, t1, r1)
+            stack.append((tm, rm, t1, r1))
+        if rm != r0:
+            stack.append((t0, r0, tm, rm))
     return out
 
 
@@ -143,7 +140,7 @@ def sample_story(
 
     Grid classification alone misses relations holding only for an instant
     (tangencies) with probability one, so the sampler additionally refines
-    the distance minimum and recursively bisects every detected boundary.
+    the distance minimum and bisects every detected boundary to adjacent floats.
     The grid distances are `np.hypot` of `center_distance_at`'s coordinates;
     `math.hypot` is taken again only where the last bit could change a row
     or the minimum's index, and on subnormal and nearly overflowing samples.
@@ -198,7 +195,7 @@ def sample_story(
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
 
-    refined = resolve_changes(classify, samples, _REFINE_REL)
+    refined = resolve_changes(classify, samples)
     start, end = ts[0] + mid, ts[-1] + mid
     if start == end:  # the grid is narrower than a float step at its middle
         start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)

@@ -32,7 +32,7 @@ from itertools import product
 
 import numpy as np
 
-from .kinematics import UniformMotionState, closest_approach_state
+from .kinematics import MIN_MOVING_SPEED_SQ, UniformMotionState, closest_approach_state
 
 
 class RccRelation(Enum):
@@ -591,7 +591,7 @@ def augmented_relation_indices(
         dot = dpx * dvx + dpy * dvy
         d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
         d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
-        rigid = a == 0
+        rigid = a < MIN_MOVING_SPEED_SQ
         # hypot is finite exactly when both its arguments are.
         usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
             rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
@@ -646,11 +646,11 @@ def relation_config(relations: frozenset[AugmentedRelation]) -> str:
 def asymptotic_direction(state: UniformMotionState, sign: float) -> UnitVec:
     """Limit of the k-to-l connecting unit vector as t -> +/- infinity.
 
-    Undefined exactly when `story_of` gives a rigid story: |dv|^2 is 0 in
-    floats, the rigid test of `closest_approach_state`.
+    Undefined exactly when `story_of` gives a rigid story: |dv|^2 is below
+    the smallest normal float, the rigid test of `closest_approach_state`.
     """
     dv = state.dv
-    if dv.norm_sq() == 0.0:
+    if dv.norm_sq() < MIN_MOVING_SPEED_SQ:
         raise DegenerateMotionError("direction undefined: discs move rigidly")
     if not (sign > 0 or sign < 0):
         raise ValueError("sign must be positive (toward +inf) or negative (toward -inf)")

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import warnings
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -420,21 +421,54 @@ class TestBatchedTrials:
 _SEVEN = _RADII + [(1e-9, 1.0), (3e7, 1.1e8)]
 
 
-def _one_transition(
-    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
-) -> bool:
-    """The path check one path at a time: the grid classified as a batch,
-    then every label change bisected by `oracle.resolve_changes` with the
-    scalar `augmented_relation`."""
+def _floor_changes(classify, samples, rel_floor):
+    """The validator's stop as a scalar reference: each label change bisected
+    until its bracket is at most `rel_floor * max(1, |t0|, |t1|)` wide, both
+    sides of a third label too, one (t, label) per change after the first
+    sample."""
+    out = [samples[0]]
+
+    def bisect(t0, r0, t1, r1):
+        if t1 - t0 <= rel_floor * max(1.0, abs(t0), abs(t1)):
+            out.append((t1, r1))
+            return
+        tm = (t0 + t1) / 2.0
+        rm = classify(tm)
+        if rm != r0:
+            bisect(t0, r0, tm, rm)
+        if rm != r1:
+            bisect(tm, rm, t1, r1)
+
+    for (t0, r0), (t1, r1) in zip(samples, samples[1:]):
+        if r1 != r0:
+            bisect(t0, r0, t1, r1)
+    return out
+
+
+def _scalar_path(
+    cu: np.ndarray, cv: np.ndarray, axis: _Axis
+) -> tuple[list[tuple[float, AugmentedRelation]], Callable[[float], AugmentedRelation]]:
+    """The grid of a path with the batch's labels, and the scalar
+    `augmented_relation` of the state at any s on it."""
     labels = [axis.relations[k] for k in axis.labels(_path(cu, cv, _STEPS))]
-    if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
-        return False
 
     def cls(s: float) -> AugmentedRelation:
         return augmented_relation(_state(axis, _path(cu, cv, s)[:, 0]), axis.tol)
 
-    grid = list(zip(_STEPS.tolist(), labels))
-    return all(c in (u, v) for _, c in resolve_changes(cls, grid, _BISECT_FLOOR))
+    return list(zip(_STEPS.tolist(), labels)), cls
+
+
+def _one_transition(
+    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
+) -> bool:
+    """The path check one path at a time: the grid classified as a batch,
+    then every label change bisected to the validator's floor with the
+    scalar `augmented_relation`."""
+    grid, cls = _scalar_path(cu, cv, axis)
+    labels = [c for _, c in grid]
+    if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
+        return False
+    return all(c in (u, v) for _, c in _floor_changes(cls, grid, _BISECT_FLOOR))
 
 
 class TestPathBisection:
@@ -456,6 +490,25 @@ class TestPathBisection:
         assert got.tolist() == [_one_transition(*p[2:], *p[:2], axis) for p in paths]
         # The two radius pairs whose reports are not ok reach the failing branches.
         assert got.all() == ((rk, rl) in _RADII)
+
+    @pytest.mark.parametrize("rk, rl", _RADII)
+    def test_edge_witnesses_meet_two_labels_at_float_resolution(self, rk, rl):
+        # Each edge-witness path, bisected to adjacent floats of s with the
+        # scalar classifier, meets only its two labels.  Paths from rest
+        # pass through subnormal |dv|^2 near s = 5e-154, which is rigid.
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        checked = 0
+        for a, b in motion_cng(augmented_set(rk, rl)).edges:
+            for u, v in ((a, b), (b, a)):
+                try:
+                    cu, cv = _edge_witness(u, v, axis)
+                except ValueError:
+                    continue
+                grid, cls = _scalar_path(cu, cv, axis)
+                changes = resolve_changes(cls, grid)
+                assert [c for _, c in changes] == [u, v], (u, v, changes)
+                checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("rk, rl", _SEVEN)
     def test_trial_paths_equal_the_path_by_path_check(self, rk, rl):

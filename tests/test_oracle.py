@@ -15,7 +15,6 @@ from motionstories.kinematics import (
     closest_approach_state,
 )
 from motionstories.oracle import (
-    _REFINE_REL,
     SamplingPlan,
     _refine_minimum,
     canonical_state,
@@ -150,16 +149,22 @@ class TestSampleStory:
             state = canonical_state(1.0, 2.0, miss, 1e5, speed)
             assert sample_story(state, default_plan(state)).labels == story_of(state).labels
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="resolve_changes stops at 1e-13·|tau|: at the EC crossings, |tau| = 3.5e5 s, "
-        "that is 3.5e-8 s, fifteen times the 2.3e-9 s the discs take to cross the EC band",
-    )
+    # At the EC crossings, |tau| = 3.5e5 s, the discs cross the EC band in
+    # 2.3e-9 s, about 40 float steps of tau, far below 1e-13·|tau|.
     def test_crossing_tangencies_at_large_radii(self):
         state = UniformMotionState(
             Disc(Vec2(-1e6, 2e5), 1e5), Vec2(1.0, 0.0), Disc(Vec2(0.0, 0.0), 3e5), Vec2(0.0, 0.0)
         )
         assert sample_story(state, default_plan(state)).labels == story_of(state).labels
+
+    # Radii near 1e-300 under eps 1e-310: every change lies within 1e-299 s
+    # of closest approach in a window 2 s wide, about a thousand bisection
+    # levels below the grid and far below 1e-13 s.
+    def test_tangencies_at_tiny_radii(self):
+        state, tol = canonical_state(1e-300, 3e-300, 2e-300, 0.0, 1.0), Tolerance(1e-310)
+        story = story_of(state, tol)
+        assert story.id is StoryId.S14
+        assert sample_story(state, default_plan(state), tol).labels == story.labels
 
     # t_min -/+ 5 s round to the one float 1e17 (ulp 16): the interval must
     # still hold the story, as the floats around it.
@@ -190,8 +195,8 @@ class TestSampleStory:
         # its eps band, t_min -/+ sqrt((theta +/- eps)^2 - h^2) / |dv| before
         # and after closest approach.  Both sampled boundaries of a crossing
         # and the analytic instant must lie in that span, widened by a few
-        # refinement floors and by the rounding of the absolute analytic
-        # instants at the epoch.
+        # float steps of the span and of the epoch: the bisection stops at
+        # adjacent floats, and the absolute analytic instants round there.
         eps = DEFAULT_TOLERANCE.eps
         thresholds = (r_k + r_l, abs(r_k - r_l))
         rng = np.random.default_rng(5)
@@ -219,7 +224,7 @@ class TestSampleStory:
             spans += [(t_min + reach(th - eps), t_min + reach(th + eps)) for th in above]
             analytic = [b - state.epoch for b in story.boundaries]
             for j, (lo, hi) in enumerate(spans):
-                slack = 4 * (_REFINE_REL * max(1.0, abs(lo), abs(hi)) + math.ulp(state.epoch))
+                slack = 4 * (math.ulp(max(abs(lo), abs(hi))) + math.ulp(state.epoch))
                 for t in (*sampled.boundaries[2 * j : 2 * j + 2], *analytic[2 * j : 2 * j + 2]):
                     assert lo - slack <= t <= hi + slack
 
@@ -249,7 +254,7 @@ def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
         if -half < t_at_min < half and t_at_min not in grid:
             samples.append((t_at_min, classify(t_at_min)))
             samples.sort(key=lambda s: s[0])
-    refined = resolve_changes(classify, samples, _REFINE_REL)
+    refined = resolve_changes(classify, samples)
     return TemporalSequence(
         tuple(rel for _, rel in refined),
         (grid[0] + mid, grid[-1] + mid),
@@ -480,41 +485,40 @@ def _steps(*edges: float):
 
 
 class TestResolveChanges:
-    FLOOR = 1e-7
-
     def test_finds_a_label_narrower_than_the_sample_spacing(self):
-        # Label 1 holds on [0.33, 0.335): between the grid points 0.3 and 0.4,
-        # wider than the floor.
+        # Label 1 holds on [0.33, 0.335): between the grid points 0.3 and 0.4.
         classify, _ = _steps(0.33, 0.335)
         grid = [(i / 10, classify(i / 10)) for i in range(11)]
-        out = resolve_changes(classify, grid, self.FLOOR)
-        assert [label for _, label in out] == [0, 1, 2]
-        assert out[0] == grid[0]
-        assert 0 <= out[1][0] - 0.33 <= self.FLOOR
-        assert 0 <= out[2][0] - 0.335 <= self.FLOOR
+        out = resolve_changes(classify, grid)
+        assert out == [grid[0], (0.33, 1), (0.335, 2)]
 
-    @pytest.mark.parametrize("t0", [0.0, 1e3])
-    def test_brackets_a_change_within_the_floor(self, t0):
-        # The floor is relative to the time scale: at t ~ 1e3 it is 1e3 wider.
+    @pytest.mark.parametrize("t0", [0.0, 1e3, -1e3])
+    def test_stops_at_adjacent_floats(self, t0):
+        # The change is the first float with the new label, at any time scale.
         edge = t0 + 0.537
         classify, _ = _steps(edge)
         grid = [(t0 + i / 10, classify(t0 + i / 10)) for i in range(11)]
-        out = resolve_changes(classify, grid, self.FLOOR)
-        assert out[0] == grid[0] and [label for _, label in out] == [0, 1]
-        first = out[1][0]
-        assert 0 <= first - edge <= self.FLOOR * max(1.0, abs(first))
+        assert resolve_changes(classify, grid) == [grid[0], (edge, 1)]
 
     def test_unchanged_labels_make_no_calls(self):
         classify, calls = _steps(1.5)
         grid = [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)]
-        out = resolve_changes(classify, grid, self.FLOOR)
+        out = resolve_changes(classify, grid)
         # Only the segment (1, 2) changes label; the repeats add nothing.
         assert calls and all(1.0 < t < 2.0 for t in calls)
-        assert out[0] == grid[0] and len(out) == 2
-        assert out[1][1] == 1 and 0 <= out[1][0] - 1.5 <= self.FLOOR
+        assert out == [grid[0], (1.5, 1)]
         calls.clear()
-        assert resolve_changes(classify, grid[:2], self.FLOOR) == grid[:1]
+        assert resolve_changes(classify, grid[:2]) == grid[:1]
         assert calls == []
+
+    def test_a_change_at_the_1e_300_scale(self):
+        # Labels 1 and 2 hold for a few hundred float steps each, about a
+        # thousand halvings below the grid: the bisection must not recurse.
+        edges = (3e-300, 3e-300 + 1e-313, 3e-300 + 2e-313)
+        classify, calls = _steps(*edges)
+        grid = [(-1.0, 0), (0.0, 0), (1.0, 3)]
+        assert resolve_changes(classify, grid) == [grid[0], *((e, i + 1) for i, e in enumerate(edges))]
+        assert len(calls) > 1000
 
     @given(
         edges=st.lists(st.floats(0.0, 10.0), max_size=8),
@@ -529,10 +533,12 @@ class TestResolveChanges:
             return labels[bisect.bisect_right(edges, t)]
 
         samples = [(t, classify(t)) for t in sorted(times)]
-        out = resolve_changes(classify, samples, self.FLOOR)
+        out = resolve_changes(classify, samples)
         assert out[0] == samples[0] and out[-1][1] == samples[-1][1]
         assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(out, out[1:]))
         assert all(classify(t) == label for t, label in out)
+        # Each change is found at float resolution.
+        assert all(classify(math.nextafter(t, -math.inf)) == a[1] for a, (t, _) in zip(out, out[1:]))
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from motionstories.stories import (
     _row_at,
     DEFAULT_TOLERANCE,
     REGIMES,
+    RELATIONS,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
@@ -29,6 +30,7 @@ from motionstories.stories import (
     asymptotic_direction,
     augmented_chain,
     augmented_relation,
+    augmented_relation_indices,
     augmented_set,
     axis,
     central,
@@ -427,12 +429,24 @@ class TestAsymptoticDirection:
         with pytest.raises(DegenerateMotionError):
             asymptotic_direction(state(0, 0, 1, 1, 5, 0, 1, 1), +1)
 
-    @pytest.mark.parametrize("speed", [0.0, 1e-200, 1e-150, 1.0])
+    @pytest.mark.parametrize(
+        "speed", [0.0, 1e-200, 1.6e-162, 1e-155, 1.49e-154, 1.5e-154, 1e-150, 1.0]
+    )
     def test_undefined_exactly_for_rigid_stories(self, speed):
-        # |dv|^2 underflows to 0 at 1e-200 m/s: the story is rigid.
-        s = state(0, 0, 0, 0, 5, 0, speed, 0)
+        # |dv|^2 underflows to 0 at 1e-200 m/s and is subnormal from about
+        # 1.5e-154 m/s down: the story is rigid, at rest at EC.  A subnormal
+        # |dv|^2 has lost the precision of d_min: at 1.6e-162 m/s,
+        # |dp x dv| / sqrt(|dv|^2) reads 2.159 where the miss distance is 3.
+        # The scalar and array decoders agree on the relation.
+        s = state(0, 0, 0, 0, 0, 3, speed, 0)
         rigid = story_of(s).rigid
-        assert rigid is (speed * speed == 0.0)
+        assert rigid is (speed * speed < sys.float_info.min)
+        assert (closest_approach_state(s)[0] is None) is rigid
+        aug = augmented_relation(s)
+        assert aug == AugmentedRelation(StoryId.S02 if rigid else StoryId.S12, R.EC, Phase.NONE)
+        columns = (np.array([x]) for x in (s.dp.x, s.dp.y, s.dv.x, s.dv.y))
+        [code] = augmented_relation_indices(*columns, 1.0, 2.0, DEFAULT_TOLERANCE)
+        assert RELATIONS[radius_config(1.0, 2.0)][code] == aug
         if rigid:
             with pytest.raises(DegenerateMotionError):
                 asymptotic_direction(s, +1)
