@@ -1,7 +1,8 @@
 """Conceptual neighborhood graphs over relation alphabets.
 
-Includes the disc-relation graph, the motion-relation graph derived from the
-regime table, BFS shortest paths for trajectory control and DOT/JSON export.
+Includes the disc-relation graph, the motion-relation graph drawn from the
+touching cells of the classifier's state code (`stories.CELLS`), BFS
+shortest paths for trajectory control and DOT/JSON export.
 `motionstories.validate` checks the motion graph against actual continuous
 transitions.
 """
@@ -13,9 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .stories import (
-    REGIMES, AugmentedRelation, Phase, RccRelation, augmented_chain, central, relation_config
-)
+from .stories import CELLS, RIGID_STORIES, AugmentedRelation, RccRelation, relation_config
 
 _R = RccRelation
 
@@ -63,47 +62,26 @@ def rcc_cng() -> Cng:
     return Cng(nodes=frozenset(RccRelation), edges=DEFAULT_RCC_EDGES)
 
 
-def _phases_compatible(a: AugmentedRelation, b: AugmentedRelation) -> bool:
-    return a.phase is b.phase or a.phase is Phase.NONE or b.phase is Phase.NONE
-
-
 def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
-    """Neighborhood graph of the motion relations.
-
-    Edges: chronologically adjacent relations within one story; relations of
-    regime-adjacent stories sharing a label with compatible phases (NONE is
-    compatible with either phase); the closest-approach relations of
-    regime-adjacent stories, which morph into each other as the minimum
-    distance crosses a threshold; and each rigid singleton attached to the
-    non-rigid stories its distance regime can collapse into: those whose
-    regime lies at or below its own.
-    """
+    """Neighborhood graph of the motion relations: two relations are
+    neighbours when cells of the state code (`stories.CELLS`) that decode to
+    them touch.  Two moving cells touch when they close in alike and one of
+    their rows, i at closest approach and j now, steps to the next row; or
+    when both step and both cells sit at closest approach (i == j).  A rigid
+    cell touches every moving cell with its j, unless its relation is a
+    moving one too: rest at DC is S11(DC), and kicks from rest at DC are
+    outside the graph."""
     nodes = frozenset(aug)
     config = relation_config(nodes)
-    order = [r.story for r in REGIMES[config]]
+    cells, rest = CELLS[config], RIGID_STORIES[config]
     edges: set[frozenset[AugmentedRelation]] = set()
-
-    for rank, sid in enumerate(order):
-        chain = augmented_chain(sid)
-        for a, b in zip(chain, chain[1:]):
-            edges.add(frozenset((a, b)))
-        if rank + 1 < len(order):
-            other_sid = order[rank + 1]
-            for a in chain:
-                for b in augmented_chain(other_sid):
-                    if a.rel is b.rel and _phases_compatible(a, b):
-                        edges.add(frozenset((a, b)))
-            edges.add(frozenset((central(sid), central(other_sid))))
-
-    for rank, regime in enumerate(REGIMES[config]):
-        if regime.rigid is regime.story:
-            continue  # S11: the rigid DC story is the non-rigid one
-        rigid_rel = augmented_chain(regime.rigid)[0]
-        for sid in order[: rank + 1]:
-            for b in augmented_chain(sid):
-                if b.rel is rigid_rel.rel:
-                    edges.add(frozenset((rigid_rel, b)))
-
+    for (i, j, rigid, closing), a in cells.items():
+        if rigid:
+            near = [c for c in cells if c[1] == j and not c[2]] if a.story in rest else []
+        else:
+            near = [(i + 1, j, False, closing), (i, j + 1, False, closing)]
+            near += [(i + 1, j + 1, False, closing)] * (i == j)
+        edges.update(frozenset((a, cells[c])) for c in near if c in cells)
     return Cng(nodes=nodes, edges=frozenset(edges))
 
 

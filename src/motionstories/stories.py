@@ -7,16 +7,19 @@ motion the relation sequence of two discs is determined by the minimum center
 distance relative to the thresholds r_k + r_l, |r_k - r_l| and, for equal
 radii, 0.  `REGIMES` lists the resulting stretches of the distance axis, each
 with the relation holding there, once per radius configuration.  It is the
-only hand-written part of the catalogue: story labels, phased chains,
-relation sets and the array decoding a state's rows into its augmented
-relation are built from it once, at import.  `axis(r_k, r_l, tol)` holds one
-pair of radii's rows, their thresholds and, built on first use from one walk
-over the band rows, the distances where the walk's row steps up; it places
-every distance, for `classify_discs`, `story_of` and
-`augmented_relation_indices` alike, and an array of them (`Axis.rows_at`).
-Each story is a qualitative motion relation, and pairing it with the current
-spatial relation (plus a phase, MINUS before closest approach and PLUS after,
-for the repeated labels) gives the augmented motion relations.
+only hand-written part of the catalogue: story labels, phased chains and the
+cells of the state code (`CELLS`: a state's rows at closest approach and now,
+whether it moves rigidly and whether the discs close in) with the augmented
+relation each decodes to are built from it once, at import; the relation
+sets and the motion graph are read from the cells.  Rest at DC is S11(DC),
+no story of its own (`RIGID_STORIES`).  `axis(r_k, r_l, tol)` holds one pair
+of radii's rows, their thresholds and, built on first use from one walk over
+the band rows, the distances where the walk's row steps up; it places every
+distance, for `classify_discs`, `story_of` and `augmented_relation_indices`
+alike, and an array of them (`Axis.rows_at`).  Each story is a qualitative
+motion relation, and pairing it with the current spatial relation (plus a
+phase, MINUS before closest approach and PLUS after, for the repeated labels)
+gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -433,44 +436,48 @@ def _chain(story_id: StoryId) -> tuple[AugmentedRelation, ...]:
 _CHAINS: dict[StoryId, tuple[AugmentedRelation, ...]] = {sid: _chain(sid) for sid in StoryId}
 
 
-def _decoder(table: tuple[Regime, ...]) -> tuple[tuple[AugmentedRelation, ...], np.ndarray]:
-    """The table's augmented relations by text, and the index among them of
-    each state code ((i·R + j)·2 + rigid)·2 + closing: i is the row of the
-    state's closest approach, j the row of its current distance, R the number
-    of rows, rigid whether it moves rigidly and closing whether the discs
-    close in (-1 for codes no state has).  A repeated label comes MINUS first
+def _cells(table: tuple[Regime, ...]) -> dict[tuple[int, int, bool, bool], AugmentedRelation]:
+    """The augmented relation of each cell (i, j, rigid, closing) of the state
+    code that some state has: i is the row of the state's closest approach, j
+    the row of its current distance, rigid whether it moves rigidly and
+    closing whether the discs close in.  A repeated label comes MINUS first
     in its story's chain, so closing in picks the first occurrence and moving
     apart the last."""
-    decode = {}
+    cells = {}
     rows = list(enumerate(table))
-    for code, ((i, low), (j, now), rigid, closing) in enumerate(
-        product(rows, rows, *[(False, True)] * 2)
-    ):
+    for (i, low), (j, now), rigid, closing in product(rows, rows, *[(False, True)] * 2):
         hits = [a for a in _CHAINS[low.rigid if rigid else low.story] if a.rel is now.rel]
         if hits:
-            decode[code] = hits[0] if closing else hits[-1]
-    relations = tuple(sorted(set(decode.values()), key=str))
-    index = np.full(4 * len(table) ** 2, -1)
-    for code, a in decode.items():
-        index[code] = relations.index(a)
-    return relations, index
+            cells[i, j, rigid, closing] = hits[0] if closing else hits[-1]
+    return cells
 
 
-_DECODERS = {config: _decoder(table) for config, table in REGIMES.items()}
+CELLS = {config: _cells(table) for config, table in REGIMES.items()}
 
 # The phase-indexed expansion of each configuration's stories (all that its
-# states decode to), in the order `augmented_relation_indices` counts them.
+# cells decode to), in the order `augmented_relation_indices` counts them.
 RELATIONS: dict[str, tuple[AugmentedRelation, ...]] = {
-    config: relations for config, (relations, _) in _DECODERS.items()
+    config: tuple(sorted(set(cells.values()), key=str)) for config, cells in CELLS.items()
 }
 _RELATION_SETS = {config: frozenset(relations) for config, relations in RELATIONS.items()}
 
+# Rest in each row but DC's is a rigid story of its own; rest at DC is S11(DC).
+RIGID_STORIES: dict[str, frozenset[StoryId]] = {
+    config: frozenset(r.rigid for r in table if r.rigid is not r.story)
+    for config, table in REGIMES.items()
+}
 
-def _relation_index(config: str, i, j, rigid, closing):
-    """The index into `RELATIONS[config]` of a state's augmented relation
-    from its code (`_decoder`); elementwise for arrays."""
-    _, index = _DECODERS[config]
-    return index[((i * len(REGIMES[config]) + j) * 2 + rigid) * 2 + closing]
+
+def _index(config: str) -> np.ndarray:
+    """The index into `RELATIONS[config]` of each cell's relation, at [i, j,
+    rigid, closing]; -1 for cells no state has."""
+    index = np.full((len(REGIMES[config]),) * 2 + (2, 2), -1)
+    for (i, j, rigid, closing), a in CELLS[config].items():
+        index[i, j, int(rigid), int(closing)] = RELATIONS[config].index(a)
+    return index
+
+
+_INDEX = {config: _index(config) for config in REGIMES}
 
 
 @dataclass(frozen=True)
@@ -599,7 +606,7 @@ def augmented_relation_indices(
     h = np.where(rigid, d, np.minimum(d_min, d))
     # An unusable state's rows are read from NaN or inf, which sort last.
     i, j = np.searchsorted(ax.breaks, [h, d], "right")
-    return np.where(usable, _relation_index(ax.config, i, j, rigid, dot < 0), -1)
+    return np.where(usable, _INDEX[ax.config][i, j, rigid.astype(int), (dot < 0).astype(int)], -1)
 
 
 def augmented_relation(
@@ -614,7 +621,7 @@ def augmented_relation(
     # Closest approach is still ahead (t_min = -dp.dv / |dv|^2 > 0) exactly
     # while the discs close in.
     closing = state.dp.dot(state.dv) < 0
-    return RELATIONS[ax.config][_relation_index(ax.config, low, now, story.rigid, closing)]
+    return RELATIONS[ax.config][_INDEX[ax.config][low, now, int(story.rigid), int(closing)]]
 
 
 def stories_set(
@@ -622,9 +629,9 @@ def stories_set(
 ) -> tuple[Story, ...]:
     """All realizable stories for the given radii, by id; S11 is listed once,
     as non-rigid."""
-    table = REGIMES[radius_config(r_k, r_l, tol)]
-    nonrigid = {Story(r.story, rigid=False, boundaries=None) for r in table}
-    rigid = {Story(r.rigid, rigid=True, boundaries=None) for r in table if r.rigid is not r.story}
+    config = radius_config(r_k, r_l, tol)
+    nonrigid = {Story(r.story, rigid=False, boundaries=None) for r in REGIMES[config]}
+    rigid = {Story(sid, rigid=True, boundaries=None) for sid in RIGID_STORIES[config]}
     return tuple(sorted(nonrigid | rigid, key=lambda s: s.id.value))
 
 

@@ -4,9 +4,11 @@ Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
 distance used to build a witness or a random state is read from the radii's
 `stories.axis`: its rows, looked up through `stories.ROW_OF`, and their
-extents (`Axis.spans`).  Every witness and trial is a batch column of relative
-motion built by `_Axis.moving` or `_Axis.comoving`.  A pair of two rigid
-relations, or of two stories off every band, has no witness.
+extents (`Axis.spans`), or the middle of a row's float extent where a row
+narrower than a few eps leaves the span's pick outside it.  Every witness
+and trial is a batch column of relative motion built by `_Axis.moving` or
+`_Axis.comoving`.  A pair of two rigid relations, or of two stories off
+every band, has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 States are classified in batches, as indices into the radii's
 `stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
@@ -28,6 +30,7 @@ from .neighborhood import Cng
 from .stories import (
     DEFAULT_TOLERANCE,
     RELATIONS,
+    RIGID_STORIES,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
@@ -78,12 +81,22 @@ class _Axis:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
         ax = radii_axis(r_k, r_l, tol)
         self.rows, self.spans, self.row_of = ax.rows, ax.spans, ROW_OF[ax.config]
+        self.extents = tuple(zip((0.0, *ax.breaks), (*ax.breaks, math.inf)))
         self.relations = RELATIONS[ax.config]
         self.index = {a: k for k, a in enumerate(self.relations)}
-        self.rigid = {r.rigid for r in self.rows if r.rigid is not r.story}
+        self.rigid = RIGID_STORIES[ax.config]
 
     def is_band(self, sid: StoryId) -> bool:
         return self.rows[self.row_of[sid]].band is not None
+
+    def inside(self, key: StoryId | RccRelation, d: Floats) -> Floats:
+        """d where it lies in the float extent (`Axis.breaks`) of the row of
+        `key`, else that extent's middle: spans end at thresholds, which a row
+        narrower than a few eps does not reach.  Elementwise for an array d."""
+        lo, hi = self.extents[self.row_of[key]]
+        if np.ndim(d):
+            return np.where((lo <= d) & (d < hi), d, distance_inside((lo, hi)))
+        return d if lo <= d < hi else distance_inside((lo, hi))
 
     def miss(self, sid: StoryId, side: int = 0) -> float:
         """A miss distance inside the story's regime; side -1/+1 hugs its lower
@@ -91,13 +104,14 @@ class _Axis:
         has one miss distance, its threshold."""
         lo, hi = self.spans[self.row_of[sid]]
         if side == 0 or lo == hi:
-            return distance_inside((lo, hi))
-        return lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps
+            return self.inside(sid, distance_inside((lo, hi)))
+        return self.inside(sid, lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps)
 
     def target(self, rel: RccRelation, h: Floats) -> Floats:
         """A center distance at which `rel` holds, reachable on a trajectory
-        with miss distance h (never below h); elementwise for an array h."""
-        return distance_inside(self.spans[self.row_of[rel]], floor=h)
+        with miss distance h (never below h, unless h lies in a narrow row of
+        `rel`); elementwise for an array h."""
+        return self.inside(rel, distance_inside(self.spans[self.row_of[rel]], floor=h))
 
     def moving(
         self, h: Floats, d: Floats, approach: bool | np.ndarray, speed: Floats = 1.0
@@ -200,7 +214,7 @@ def _edge_witness(
         theta = axis.target(inst.rel, 0.0)
         h = axis.miss(a.story)
         outward = abs(i_other - center) > abs(i_inst - center)
-        d_other = theta + (2.5 * eps if outward else -2.5 * eps)
+        d_other = axis.inside(chain[i_other].rel, theta + (2.5 if outward else -2.5) * eps)
         approach = min(i, j) < center
         c_inst = axis.moving(h, theta, approach)
         c_other = axis.moving(h, d_other, approach)

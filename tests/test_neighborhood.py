@@ -33,7 +33,9 @@ from motionstories.stories import (
     augmented_chain,
     augmented_relation,
     augmented_set,
+    central,
     radius_config,
+    relation_config,
     stories_set,
 )
 from motionstories.validate import (
@@ -156,6 +158,37 @@ def graph():
     return motion_cng(augmented_set(1.0, 2.0))
 
 
+def _rule_graph(aug) -> Cng:
+    """The motion graph as four rules over story chains and phases, the
+    reference for `motion_cng`'s cell rule: chronological neighbours in a
+    story; relations of regime-adjacent stories sharing a label with
+    compatible phases (NONE is compatible with either); the closest-approach
+    relations of regime-adjacent stories; and each rigid singleton but rest
+    at DC attached to the non-rigid stories at or below its regime that hold
+    its relation."""
+    nodes = frozenset(aug)
+    config = relation_config(nodes)
+    order = [r.story for r in REGIMES[config]]
+    edges = set()
+    for rank, sid in enumerate(order):
+        chain = augmented_chain(sid)
+        edges.update(frozenset(pair) for pair in zip(chain, chain[1:]))
+        if rank + 1 < len(order):
+            other = order[rank + 1]
+            for a in chain:
+                for b in augmented_chain(other):
+                    if a.rel is b.rel and (a.phase is b.phase or Phase.NONE in (a.phase, b.phase)):
+                        edges.add(frozenset((a, b)))
+            edges.add(frozenset((central(sid), central(other))))
+    for rank, regime in enumerate(REGIMES[config]):
+        if regime.rigid is regime.story:
+            continue
+        rigid = augmented_chain(regime.rigid)[0]
+        for sid in order[: rank + 1]:
+            edges.update(frozenset((rigid, b)) for b in augmented_chain(sid) if b.rel is rigid.rel)
+    return Cng(nodes=nodes, edges=frozenset(edges))
+
+
 class TestMotionCng:
     def test_node_and_edge_counts(self, graph):
         assert len(graph.nodes) == 29
@@ -212,6 +245,23 @@ class TestMotionCng:
             aug("S15(DC-)"), aug("S14(DC-)"), aug("S13(DC-)"),
             aug("S12(DC-)"), aug("S11(DC)"),
         ]
+
+    @pytest.mark.parametrize("rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)])
+    def test_equals_the_rules_over_story_chains(self, rk, rl):
+        aug_set = augmented_set(rk, rl)
+        assert motion_cng(aug_set) == _rule_graph(aug_set)
+
+    def test_kicks_from_rest_at_dc_are_outside_the_graph(self, graph):
+        # Rest at DC is S11(DC), the relation of the moving story S11 too; a
+        # kick from rest crosses straight to S14(DC-), which is no neighbour.
+        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        u, v = aug("S11(DC)"), aug("S14(DC-)")
+        rest = np.array([[10.0], [1.0], [0.0], [0.0]])
+        kicked = np.array([[10.0], [1.0], [-1.0], [0.0]])
+        assert axis.labels(rest).tolist() == [axis.index[u]]
+        assert axis.labels(kicked).tolist() == [axis.index[v]]
+        assert _continuous_transitions(rest, kicked, axis.index[u], axis.index[v], axis).tolist() == [True]
+        assert not graph.has_edge(u, v)
 
     def test_mirror_and_equal_configurations(self):
         g_gt = motion_cng(augmented_set(2.0, 1.0))
@@ -281,6 +331,21 @@ class TestValidation:
                 for c in columns:
                     assert isinstance(c, np.ndarray) and c.shape == (4,), (a, b)
                     assert isinstance(_state(axis, c), UniformMotionState), (a, b)
+
+    @pytest.mark.parametrize(
+        "rk, rl",
+        [
+            (1.0, 1.0 + 1.2e-9), (1.0 + 1.2e-9, 1.0), (1.0, 1.0 + 2e-9),
+            (1.0 + 2e-9, 1.0), (1.0, 1.0 + 2.5e-9), (1.0 + 2.5e-9, 1.0),
+        ],
+    )
+    def test_rows_narrower_than_a_few_eps_are_witnessed(self, rk, rl):
+        # The NTPP (or NTPPI) row is at most 1.5 eps wide: a pick at its span's
+        # midpoint can fall in the TPP band, and one 3 eps below the TPP
+        # threshold falls below 0.
+        g = motion_cng(augmented_set(rk, rl))
+        report = validate_motion_cng(g, rk, rl, n_pairs=25, n_trials=40)
+        assert report.ok, (report.unwitnessed_edges, report.spurious_transitions)
 
     def test_radius_mismatch_raises(self):
         g = motion_cng(augmented_set(1.0, 2.0))

@@ -13,9 +13,11 @@ from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_app
 from motionstories.oracle import canonical_state
 from motionstories.stories import (
     _row_at,
+    CELLS,
     DEFAULT_TOLERANCE,
     REGIMES,
     RELATIONS,
+    RIGID_STORIES,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
@@ -405,6 +407,28 @@ class TestCatalogue:
     def test_augmented_members_are_consistent(self):
         for aug in augmented_set(1.0, 2.0):
             assert aug.rel in STORY_LABELS[aug.story]
+
+    @pytest.mark.parametrize("rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_cells_decode_to_the_story_at_closest_approach(self, rk, rl):
+        # A moving state's current row is never below its closest approach's;
+        # a rigid one's is that row.  The cell's story is that of the row of
+        # closest approach, and the phase says whether the discs close in.
+        config = radius_config(rk, rl)
+        table, cells = REGIMES[config], CELLS[config]
+        n = len(table)
+        assert set(cells) == {
+            (i, j, rigid, closing)
+            for i in range(n) for j in range(n) for rigid in (False, True) for closing in (False, True)
+            if (i == j if rigid else i <= j)
+        }
+        for (i, j, rigid, closing), a in cells.items():
+            assert a.story is (table[i].rigid if rigid else table[i].story)
+            assert a.rel is table[j].rel
+            assert a.phase is (Phase.NONE if i == j else Phase.MINUS if closing else Phase.PLUS)
+        assert RELATIONS[config] == tuple(sorted(set(cells.values()), key=str))
+        # Rest at DC is the moving story S11; every other rest is a story of its own.
+        assert RIGID_STORIES[config] == {s.id for s in stories_set(rk, rl) if s.rigid}
+        assert RIGID_STORIES[config] == {r.rigid for r in table} - {StoryId.S11}
 
     def test_longest_story_is_unique(self):
         lengths = sorted(len(s.labels) for s in stories_set(1.0, 2.0))
