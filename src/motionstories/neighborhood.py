@@ -4,7 +4,7 @@ Includes the disc-relation graph, the motion-relation graph drawn from the
 touching cells of the classifier's state code (`stories.CELLS`), BFS
 shortest paths for trajectory control and DOT/JSON export.
 `motionstories.validate` checks the motion graph against actual continuous
-transitions.
+transitions, witnessing each edge from the same touching cells.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 from .stories import CELLS, RIGID_STORIES, AugmentedRelation, RccRelation, relation_config
 
@@ -62,27 +62,37 @@ def rcc_cng() -> Cng:
     return Cng(nodes=frozenset(RccRelation), edges=DEFAULT_RCC_EDGES)
 
 
-def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
-    """Neighborhood graph of the motion relations: two relations are
-    neighbours when cells of the state code (`stories.CELLS`) that decode to
-    them touch.  Two moving cells touch when they close in alike and one of
-    their rows, i at closest approach and j now, steps to the next row; or
-    when both step and both cells sit at closest approach (i == j).  A rigid
-    cell touches every moving cell with its j, unless its relation is a
-    moving one too: rest at DC is S11(DC), and kicks from rest at DC are
-    outside the graph."""
-    nodes = frozenset(aug)
-    config = relation_config(nodes)
+Cell = tuple[int, int, bool, bool]  # a key of `stories.CELLS[config]`
+
+
+def touching_cells(config: str) -> Iterator[tuple[Cell, Cell]]:
+    """Each pair of touching cells (i, j, rigid, closing) of `CELLS[config]`,
+    the one rule the motion graph and its check read.  Two moving cells touch
+    when they close in alike and one of their rows, i at closest approach and
+    j now, steps to the next row; or when both step and both cells sit at
+    closest approach (i == j).  A rigid cell touches every moving cell with
+    its j, unless its relation is a moving one too: rest at DC is S11(DC),
+    and kicks from rest at DC are outside the graph."""
     cells, rest = CELLS[config], RIGID_STORIES[config]
-    edges: set[frozenset[AugmentedRelation]] = set()
-    for (i, j, rigid, closing), a in cells.items():
+    for cell, a in cells.items():
+        i, j, rigid, closing = cell
         if rigid:
             near = [c for c in cells if c[1] == j and not c[2]] if a.story in rest else []
         else:
             near = [(i + 1, j, False, closing), (i, j + 1, False, closing)]
             near += [(i + 1, j + 1, False, closing)] * (i == j)
-        edges.update(frozenset((a, cells[c])) for c in near if c in cells)
-    return Cng(nodes=nodes, edges=frozenset(edges))
+        yield from ((cell, c) for c in near if c in cells)
+
+
+def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
+    """Neighborhood graph of the motion relations: two relations are
+    neighbours when touching cells of the state code decode to them
+    (`touching_cells`)."""
+    nodes = frozenset(aug)
+    config = relation_config(nodes)
+    cells = CELLS[config]
+    edges = frozenset(frozenset((cells[x], cells[y])) for x, y in touching_cells(config))
+    return Cng(nodes=nodes, edges=edges)
 
 
 def shortest_path(g: Cng, start: Hashable, goal: Hashable) -> list | None:

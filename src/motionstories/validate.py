@@ -7,8 +7,10 @@ distance used to build a witness or a random state is read from the radii's
 extents (`Axis.spans`), or the middle of a row's float extent where a row
 narrower than a few eps leaves the span's pick outside it.  Every witness
 and trial is a batch column of relative motion built by `_Axis.moving` or
-`_Axis.comoving`.  A pair of two rigid relations, or of two stories off
-every band, has no witness.
+`_Axis.comoving`.  An edge is witnessed from a pair of touching cells that
+decode to its ends (`neighborhood.touching_cells`, the rule the graph is
+drawn by), one state in each cell (`_cell_witness`); a pair of relations no
+touching cells decode to has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 States are classified in batches, as indices into the radii's
 `stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
@@ -20,14 +22,16 @@ level by level, one batch per level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .neighborhood import Cng
+from .neighborhood import Cell, Cng, touching_cells
 from .stories import (
+    CELLS,
     DEFAULT_TOLERANCE,
     RELATIONS,
     RIGID_STORIES,
@@ -35,10 +39,7 @@ from .stories import (
     STORY_LABELS,
     AugmentedRelation,
     Phase,
-    RccRelation,
-    StoryId,
     Tolerance,
-    augmented_chain,
     augmented_relation_indices,
     augmented_set,
     axis as radii_axis,  # `axis` names each check's `_Axis` below
@@ -72,6 +73,18 @@ class ValidationReport:
         return not self.unwitnessed_edges and not self.spurious_transitions
 
 
+@functools.cache
+def _touching(config: str) -> dict[Pair, tuple[Cell, Cell]]:
+    """The first touching cell pair (`neighborhood.touching_cells`) that
+    decodes to each edge of the configuration's motion graph, both ways
+    round."""
+    cells, pairs = CELLS[config], {}
+    for x, y in touching_cells(config):
+        pairs.setdefault((cells[x], cells[y]), (x, y))
+        pairs.setdefault((cells[y], cells[x]), (y, x))
+    return pairs
+
+
 class _Axis:
     """Lookups on the `stories.axis` of one pair of radii, and its states in
     batches of relative motion: (4, n) arrays, a column per state, rows dpx,
@@ -85,33 +98,34 @@ class _Axis:
         self.relations = RELATIONS[ax.config]
         self.index = {a: k for k, a in enumerate(self.relations)}
         self.rigid = RIGID_STORIES[ax.config]
+        self.touching = _touching(ax.config)
 
-    def is_band(self, sid: StoryId) -> bool:
-        return self.rows[self.row_of[sid]].band is not None
-
-    def inside(self, key: StoryId | RccRelation, d: Floats) -> Floats:
-        """d where it lies in the float extent (`Axis.breaks`) of the row of
-        `key`, else that extent's middle: spans end at thresholds, which a row
-        narrower than a few eps does not reach.  Elementwise for an array d."""
-        lo, hi = self.extents[self.row_of[key]]
+    def inside(self, row: int, d: Floats) -> Floats:
+        """d where it lies in the row's float extent (`Axis.breaks`), else that
+        extent's middle: spans end at thresholds, which a row narrower than a
+        few eps does not reach.  Elementwise for an array d."""
+        lo, hi = self.extents[row]
         if np.ndim(d):
             return np.where((lo <= d) & (d < hi), d, distance_inside((lo, hi)))
         return d if lo <= d < hi else distance_inside((lo, hi))
 
-    def miss(self, sid: StoryId, side: int = 0) -> float:
-        """A miss distance inside the story's regime; side -1/+1 hugs its lower
-        or upper end (3 eps inside), 0 picks a representative value.  A band
-        has one miss distance, its threshold."""
-        lo, hi = self.spans[self.row_of[sid]]
-        if side == 0 or lo == hi:
-            return self.inside(sid, distance_inside((lo, hi)))
-        return self.inside(sid, lo + 3.0 * self.eps if side < 0 else hi - 3.0 * self.eps)
+    def pick(self, row: int, floor: Floats = 0.0) -> Floats:
+        """A center distance in the row, not below `floor` (a miss distance,
+        so reachable on its trajectory) unless `floor` lies in a narrow row of
+        its own; elementwise for an array floor."""
+        return self.inside(row, distance_inside(self.spans[row], floor))
 
-    def target(self, rel: RccRelation, h: Floats) -> Floats:
-        """A center distance at which `rel` holds, reachable on a trajectory
-        with miss distance h (never below h, unless h lies in a narrow row of
-        `rel`); elementwise for an array h."""
-        return self.inside(rel, distance_inside(self.spans[self.row_of[rel]], floor=h))
+    def place(self, a: int, b: int, offset: float, floor: float = 0.0) -> tuple[float, float]:
+        """A distance in row a and one in row b: one point in a row they share,
+        not below `floor`; else one on each side of the break between the two
+        adjacent rows, the band's threshold and `offset` eps inside the
+        interior row."""
+        if a == b:
+            return (self.pick(a, floor),) * 2
+        lower = min(a, b)
+        band = lower if self.rows[lower].band is not None else lower + 1
+        theta, step = self.spans[band][0], offset * self.eps
+        return tuple(self.inside(k, theta + (k - band) * step) for k in (a, b))
 
     def moving(
         self, h: Floats, d: Floats, approach: bool | np.ndarray, speed: Floats = 1.0
@@ -182,64 +196,40 @@ def _continuous_transitions(
         )
 
 
+def _cell_witness(x: Cell, y: Cell, axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
+    """A batch column in each of two touching cells, in (x, y) order.
+
+    Each column's miss distance h comes from its row i and its current
+    distance d from its row j, both placed by `_Axis.place` (3 eps for h,
+    2.5 eps for d, d not below h where a row is shared); two cells at
+    closest approach keep h = d.  A rest cell is its kicked partner's
+    position, on the partner's closing side, with dv = 0; the kick is
+    eps-scale."""
+    if x[2] or y[2]:
+        i, j, _, closing = y if x[2] else x
+        h = axis.pick(i)
+        kicked = axis.moving(h, h if i == j else axis.pick(j, h), closing, 3.0 * axis.eps)
+        rest = kicked * (1.0, 1.0, 0.0, 0.0)
+        return (rest, kicked) if x[2] else (kicked, rest)
+    hx, hy = axis.place(x[0], y[0], 3.0)
+    if x[0] == x[1] and y[0] == y[1]:
+        dx, dy = hx, hy
+    else:
+        dx, dy = axis.place(x[1], y[1], 2.5, max(hx, hy))
+    return axis.moving(hx, dx, x[3]), axis.moving(hy, dy, y[3])
+
+
 def _edge_witness(
     a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two nearby batch columns classified as the edge's endpoints, in (a, b) order.
+    """Two nearby batch columns classified as the edge's endpoints, in (a, b)
+    order: the `_cell_witness` of the first touching cell pair that decodes
+    to them.
 
-    Raises ValueError when the pair's shape admits no witness."""
-    eps = axis.eps
-    if a.story in axis.rigid and b.story in axis.rigid:
-        raise ValueError(f"{a} and {b} are both rigid; no kick joins them")
-
-    if a.story in axis.rigid or b.story in axis.rigid:
-        # Attachment edge: the moving state at the rigid relation's distance,
-        # with an eps-scale velocity that sets the miss regime and phase; the
-        # rigid state is the same position at rest.
-        rigid, moving = (a, b) if a.story in axis.rigid else (b, a)
-        d0 = axis.target(rigid.rel, 0.0)
-        h = min(axis.miss(moving.story), d0)
-        kicked = axis.moving(h, d0, moving.phase is not Phase.PLUS, 3.0 * eps)
-        base = kicked * (1.0, 1.0, 0.0, 0.0)
-        return (base, kicked) if rigid == a else (kicked, base)
-
-    if a.story is b.story:
-        # Chronological neighbors: exactly one endpoint (the odd chain index)
-        # is instantaneous, holding on a tangency band; place the other just
-        # outside that band on its own side.
-        chain = augmented_chain(a.story)
-        i, j = chain.index(a), chain.index(b)
-        center = len(chain) // 2
-        inst, i_inst, i_other = (a, i, j) if i % 2 == 1 else (b, j, i)
-        theta = axis.target(inst.rel, 0.0)
-        h = axis.miss(a.story)
-        outward = abs(i_other - center) > abs(i_inst - center)
-        d_other = axis.inside(chain[i_other].rel, theta + (2.5 if outward else -2.5) * eps)
-        approach = min(i, j) < center
-        c_inst = axis.moving(h, theta, approach)
-        c_other = axis.moving(h, d_other, approach)
-        return (c_inst, c_other) if inst == a else (c_other, c_inst)
-
-    # Cross-story edge: one story is a tangency band, the other an adjacent
-    # interior regime; move the miss distance across the regime boundary.
-    band, interior = (a, b) if axis.is_band(a.story) else (b, a)
-    if not axis.is_band(band.story):
-        raise ValueError(f"neither {a} nor {b} lies on a tangency band")
-    theta_band = axis.miss(band.story)
-    side = 1 if axis.row_of[interior.story] < axis.row_of[band.story] else -1
-    h_int = axis.miss(interior.story, side)
-    band_central = band == central(band.story)
-    int_central = interior == central(interior.story)
-    if band_central and int_central:
-        # Both sit at closest approach; only the miss distance differs.
-        d_band, d_int = theta_band, h_int
-    elif band_central or int_central:
-        d_band = d_int = theta_band if band_central else h_int
-    else:
-        d_band = d_int = axis.target(a.rel, max(h_int, theta_band))
-    c_band = axis.moving(theta_band, d_band, band.phase is not Phase.PLUS)
-    c_int = axis.moving(h_int, d_int, interior.phase is not Phase.PLUS)
-    return (c_band, c_int) if band == a else (c_int, c_band)
+    Raises ValueError when no touching cells decode to a and b."""
+    if (a, b) not in axis.touching:
+        raise ValueError(f"no touching cells decode to {a} and {b}")
+    return _cell_witness(*axis.touching[a, b], axis)
 
 
 def _trial_states(
@@ -256,13 +246,14 @@ def _trial_states(
     def draw(lo: float, hi: float) -> np.ndarray:
         return rng.uniform(lo, hi, n)
 
+    j = axis.row_of[aug.rel]
     if aug.story in axis.rigid:
         jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
-        return axis.comoving(np.maximum(0.0, axis.target(aug.rel, 0.0) + jitter))
+        return axis.comoving(np.maximum(0.0, axis.pick(j) + jitter))
 
     i = axis.row_of[aug.story]
     lo, hi = axis.spans[i]
-    if axis.is_band(aug.story):
+    if axis.rows[i].band is not None:
         h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
     else:
         # Keep 2 eps clear of the bands below and above; the unbounded top
@@ -276,7 +267,7 @@ def _trial_states(
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
     pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
-    d_t = axis.target(aug.rel, h)
+    d_t = axis.pick(j, h)
     d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
     speed = draw(0.5, 2.0)
     recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
@@ -329,14 +320,8 @@ def validate_motion_cng(
 
     edges = [tuple(sorted(e, key=str)) for e in g.edges]
     edges.sort(key=lambda e: tuple(map(str, e)))
-    columns = {}
-    for a, b in edges:
-        try:
-            columns[a, b] = _edge_witness(a, b, axis)
-        except ValueError:
-            # No witness is even constructible for this pair; the edge cannot
-            # correspond to a continuous single-step transition.
-            pass
+    # An edge no touching cells decode to has no witness.
+    columns = {e: _cell_witness(*axis.touching[e], axis) for e in edges if e in axis.touching}
     witnessed = set()
     if columns:
         cu, cv = (np.stack(c, axis=1) for c in zip(*columns.values()))

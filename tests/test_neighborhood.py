@@ -20,10 +20,12 @@ from motionstories.neighborhood import (
     shortest_path,
     to_dot,
     to_json_adjacency,
+    touching_cells,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import canonical_state, resolve_changes, rigid_state
 from motionstories.stories import (
+    CELLS,
     DEFAULT_TOLERANCE,
     REGIMES,
     AugmentedRelation,
@@ -42,6 +44,7 @@ from motionstories.validate import (
     _BISECT_FLOOR,
     _PATH_SAMPLES,
     _Axis,
+    _cell_witness,
     _continuous_transitions,
     _edge_witness,
     _pair_trials,
@@ -118,6 +121,45 @@ def test_no_module_imports_a_private_name_of_a_sibling():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's imports bind that it never reads, also counting
+    names read in string annotations."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(((a.asname or a.name).partition(".")[0], node.lineno) for a in node.names)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` re-exports what it imports.
+    package = Path(motionstories.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_unused_import_check_sees_a_leftover():
+    source = "from .stories import augmented_chain, central\n\n\ndef f(s) -> 'central':\n    pass\n"
+    assert _unused_imports(source) == ["line 1: augmented_chain"]
 
 
 class TestCngType:
@@ -305,9 +347,15 @@ class TestValidation:
 
     def test_extra_edge_is_reported_unwitnessed(self):
         full = motion_cng(augmented_set(1.0, 2.0))
-        # A far jump between moving stories, and two rigid relations that
-        # no single kick joins.
-        for first, second in [("S11(DC)", "S15(DC-)"), ("S04(TPP)", "S05(NTPP)")]:
+        # A far jump between moving stories, two rigid relations that no
+        # single kick joins, a corner pair whose rows both step and a pair
+        # that crosses phase.
+        for first, second in [
+            ("S11(DC)", "S15(DC-)"),
+            ("S04(TPP)", "S05(NTPP)"),
+            ("S14(EC+)", "S15(PO+)"),
+            ("S15(EC+)", "S15(PO-)"),
+        ]:
             extra = frozenset({aug(first), aug(second)})
             g = Cng(full.nodes, full.edges | {extra})
             report = validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)
@@ -453,6 +501,65 @@ class TestBatchedTrials:
         u, v = ([axis.index[x] for x in end] for end in zip(*pairs))
         witnessed = _continuous_transitions(cu, cv, u, v, axis)
         assert [(str(x), str(y)) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
+
+    @pytest.mark.parametrize("rk, rl", _RADII + [(1.0, 1.0 + 2e-9)])
+    def test_every_touching_cell_pair_is_witnessed(self, rk, rl):
+        # Every pair `touching_cells` yields, not only the first of each
+        # edge, in both directions; and `_edge_witness` raises for exactly
+        # the node pairs that are no edge.
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        config = radius_config(rk, rl)
+        pairs = [p for x, y in touching_cells(config) for p in ((x, y), (y, x))]
+        assert len(pairs) == 2 * {"lt": 88, "gt": 88, "eq": 54}[config]
+        cu, cv = (np.stack(c, axis=1) for c in zip(*(_cell_witness(x, y, axis) for x, y in pairs)))
+        u, v = ([axis.index[CELLS[config][c]] for c in end] for end in zip(*pairs))
+        witnessed = _continuous_transitions(cu, cv, u, v, axis)
+        assert [(x, y) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
+
+        g = motion_cng(augmented_set(rk, rl))
+        raising = set()
+        for a in g.nodes:
+            for b in g.nodes - {a}:
+                try:
+                    _edge_witness(a, b, axis)
+                except ValueError:
+                    raising.add(frozenset((a, b)))
+        n = len(g.nodes)
+        assert len(raising) == n * (n - 1) // 2 - len(g.edges)
+        assert not raising & g.edges
+
+    @pytest.mark.parametrize("rule", ["crossed closing", "widened diagonal"])
+    @pytest.mark.parametrize("rk, rl, extra", [(1.0, 2.0, 12), (2.0, 1.0, 12), (1.5, 1.5, 6)])
+    def test_a_wrong_touching_rule_leaves_its_extra_edges_unwitnessed(
+        self, monkeypatch, rule, rk, rl, extra
+    ):
+        # The graph and its check read one rule; the check still places its
+        # own states, so edges a wrong rule adds find no witness.
+        def crossed_closing(config):
+            # A j-step off closest approach that also flips the phase.
+            for x, (i, j, rigid, closing) in touching_cells(config):
+                crossed = not rigid and x[0] == i != x[1] and x[1] + 1 == j
+                yield x, (i, j, rigid, closing != crossed)
+
+        def widened_diagonal(config):
+            # Both rows step from every moving cell, not only at i == j.
+            yield from touching_cells(config)
+            for i, j, rigid, closing in CELLS[config]:
+                if not rigid and i < j and (i + 1, j + 1, False, closing) in CELLS[config]:
+                    yield (i, j, False, closing), (i + 1, j + 1, False, closing)
+
+        full = motion_cng(augmented_set(rk, rl))
+        wrong = {"crossed closing": crossed_closing, "widened diagonal": widened_diagonal}[rule]
+        monkeypatch.setattr(motionstories.neighborhood, "touching_cells", wrong)
+        monkeypatch.setattr(motionstories.validate, "touching_cells", wrong)
+        monkeypatch.setattr(
+            motionstories.validate, "_touching", motionstories.validate._touching.__wrapped__
+        )
+        g = motion_cng(augmented_set(rk, rl))
+        added = g.edges - full.edges
+        assert len(added) == extra
+        report = validate_motion_cng(g, rk, rl, n_pairs=0, n_trials=0)
+        assert {frozenset(e) for e in report.unwitnessed_edges} == added
 
     def test_trials_replay_from_the_seed_and_pair_index(self):
         g = motion_cng(augmented_set(1.0, 2.0))
