@@ -8,19 +8,19 @@ takes its grid distances with `np.hypot` and classifies them in one array
 pass (`stories.Axis.rows_at`); `math.hypot` is taken again only on samples
 whose last bit could move a row or the minimum's index, and on subnormal and
 nearly overflowing ones, so the grid equals `center_distance_at`'s bit for
-bit.  Only its label-change bisection, `resolve_changes`, and its minimum
-search are scalar, and both read one float closure of the motion.  The
-bisection narrows each change to adjacent floats and returns the story itself:
-the first label and one (instant, label) per change.
+bit.  Only its two searches are scalar, and both read one float closure of
+the motion: `_refine_minimum` fits parabolas through the least distances, and
+`resolve_changes` takes secant steps toward each label change's break, with a
+midpoint after any that does not halve its bracket, down to adjacent floats.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .stories import (
     story_of,
 )
 
-# The minimum search's stop, relative to the local time scale.  A stop at
-# float resolution would run into its iteration cap near tau = 0, which is
-# where every default plan puts the minimum.
-_REFINE_REL = 1e-13
+# The minimum search's golden-section share and its floor, per its first bracket.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_MIN_FLOOR = 2.0**-52
+_Sample = tuple[float, float]  # (tau, distance)
 
 # np.hypot and math.hypot may round a distance to neighbouring floats.  A grid
 # distance is taken again with math.hypot where a relative change far above
@@ -81,53 +81,83 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     return SamplingPlan(t_min, reach / state.dv.norm() + 1.0, n_points)
 
 
-def _refine_minimum(distance: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section minimum of `distance` on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = distance(c)
-    fd = distance(d)
-    for _ in range(120):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = distance(c)
+def _refine_minimum(
+    distance: Callable[[float], float], lo: _Sample, best: _Sample, hi: _Sample
+) -> _Sample:
+    """The least (tau, distance) found from samples `lo`, `best` (the least)
+    and `hi` by successive parabolic interpolation through the three least
+    samples; a golden-section step, into the larger side of the best, where
+    they do not bend up or the vertex is outside the bracket or not nearer than
+    half the step before last.  It stops where the vertex is not a float of
+    distance below the best, at 2^-52 of the first bracket, or where a step
+    rounds to the best.  Each factor of the vertex is a time, a slope or a
+    ratio of them, so none overflows."""
+    (a, _), (x, fx), (b, _) = lo, best, hi
+    floor, least = _MIN_FLOOR * (b - a), sorted({lo, best, hi}, key=lambda p: p[1])
+    before = step = b - a
+    while b - a > floor:
+        u = math.nan
+        if len(least) == 3:
+            (t0, f0), (t1, f1), (t2, f2) = sorted(least)
+            m0, m1 = (f1 - f0) / (t1 - t0), (f2 - f1) / (t2 - t1)
+            if m0 < m1:
+                u = (t0 + t1) / 2.0 - (t2 - t0) * (m0 / (m1 - m0)) / 2.0
+                if fx - (m1 - m0) * ((u - x) / (t2 - t0)) * (u - x) == fx:
+                    break
+        if a < u < b and abs(u - x) < before / 2.0:
+            before, step = step, abs(u - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = distance(d)
-        if b - a <= _REFINE_REL * max(1.0, abs(a), abs(b)):
+            side = a - x if x - a > b - x else b - x
+            before, step, u = abs(side), abs(side) * _GOLDEN, x + side * _GOLDEN
+        if u == x:
             break
-    return (a + b) / 2.0
+        fu = distance(u)
+        if fu < fx:
+            a, b, x, fx = (a, x, u, fu) if u < x else (x, b, u, fu)
+        else:
+            a, b = (u, b) if u < x else (a, u)
+        least = sorted([*least, (u, fu)], key=lambda p: p[1])[:3]
+    return x, fx
 
 
 def resolve_changes(
-    classify: Callable[[float], Any], samples: Sequence[tuple[float, Any]]
-) -> list[tuple[float, Any]]:
-    """Reduce chronological (t, label) samples to the first sample and one
-    (t, label) per label change, so consecutive labels differ.
+    distance: Callable[[float], float], breaks: Sequence[float], samples: Sequence[_Sample]
+) -> list[_Sample]:
+    """Reduce chronological (tau, distance) samples to the first and one per
+    change of row, `bisect_right(breaks, distance)`, so consecutive rows differ.
 
-    Each change is bisected, earliest first, until its ends are adjacent
-    floats (the midpoint rounds to one of them) and yields the later end; a
-    third label met in between is bisected on both sides, so labels holding
-    for less than the sample spacing are found.
+    Each change is searched, earliest first, to adjacent floats (where the
+    midpoint rounds to an end) and yields the later end; a third row met
+    inside is searched on both sides.  A trial is the secant estimate, through
+    the two latest samples, of where the distance meets the break next to the
+    earlier end's row, kept a float inside the bracket; a trial that does not
+    halve the bracket is followed by its midpoint, so the search takes at most
+    twice the bisection's trials.
     """
     out = [samples[0]]
-    stack = [(t0, r0, t1, r1) for (t0, r0), (t1, r1) in zip(samples, samples[1:]) if r1 != r0]
-    stack.reverse()
+    rows = [bisect_right(breaks, d) for _, d in samples]
+    stack = [(*s0, *s1) for s0, s1, r0, r1 in zip(samples, samples[1:], rows, rows[1:]) if r0 != r1]
+    stack.reverse()  # the earliest change on top
     while stack:
-        t0, r0, t1, r1 = stack.pop()
-        tm = (t0 + t1) / 2.0
-        if tm == t0 or tm == t1:
-            out.append((t1, r1))
-            continue
-        rm = classify(tm)
-        if rm != r1:
-            stack.append((tm, rm, t1, r1))
-        if rm != r0:
-            stack.append((t0, r0, tm, rm))
+        a, da, b, db = tp, dp, tq, dq = stack.pop()
+        ra, rb = bisect_right(breaks, da), bisect_right(breaks, db)
+        halved, interpolate = (b - a) / 2.0, True
+        while a < (t := (a + b) / 2.0) < b:
+            if interpolate and dq != dp:
+                y = breaks[ra] if ra < rb else breaks[ra - 1]
+                t = tq + (tq - tp) * ((y - dq) / (dq - dp))
+                t = min(max(t, math.nextafter(a, b)), math.nextafter(b, a))
+            d = distance(t)
+            r = bisect_right(breaks, d)
+            if r == ra:
+                a, da = t, d
+            else:
+                if r != rb:
+                    stack.append((t, d, b, db))
+                b, db, rb = t, d, r
+            tp, dp, tq, dq = tq, dq, t, d
+            halved, interpolate = ((b - a) / 2.0, True) if b - a <= halved else (halved, False)
+        out.append((b, db))
     return out
 
 
@@ -136,23 +166,14 @@ def sample_story(
     plan: SamplingPlan,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> TemporalSequence:
-    """Reconstruct the relation sequence by sampling distances on a grid.
-
-    Grid classification alone misses relations holding only for an instant
-    (tangencies) with probability one, so the sampler additionally refines
-    the distance minimum and bisects every detected boundary to adjacent floats.
-    The grid distances are `np.hypot` of `center_distance_at`'s coordinates;
-    `math.hypot` is taken again only where the last bit could change a row
-    or the minimum's index, and on subnormal and nearly overflowing samples.
-    Samples away from a label change and the minimum are dropped.  The
-    minimum search and the bisection read one float closure of the motion.
-    It samples `np.linspace(-half_width, half_width, points)` in the frame
-    tau = t - middle of the plan, as far from the epoch a tangency can be
-    shorter than a float step there.  The sequence's labels and boundaries
-    are `resolve_changes`'s, and its interval is the whole grid; each instant
-    returns to epoch-relative time by adding `middle` back, last.  Where the
-    grid's two ends round to one float, the interval is the floats around it.
-    """
+    """Reconstruct the relation sequence by sampling distances on a grid,
+    `np.linspace(-half_width, half_width, points)` in the frame tau = t -
+    middle of the plan, as far from the epoch a tangency can be shorter than
+    a float step there.  Grid classification alone misses relations holding
+    only for an instant (tangencies), so the least distance is refined and
+    each label change searched: the labels and boundaries are those of
+    `resolve_changes`, with `middle` added back last, and the interval is the
+    whole grid, or the floats about it where its two ends round to one."""
     mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     at_mid = Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid)  # disc l relative to disc k
     px, py, vx, vy = at_mid.x, at_mid.y, dv.x, dv.y
@@ -179,29 +200,23 @@ def sample_story(
     dists[at] = list(map(math.hypot, xs[at].tolist(), ys[at].tolist()))
     rows = ax.rows_at(dists)
 
-    def classify(tau: float) -> RccRelation:
-        return rels[bisect_right(breaks, distance(tau))]
-
     # Locate the minimum-distance instant; tangency stories are visible only there.
     i_min, last = int(np.argmin(dists)), len(grid) - 1
     lo, hi = max(0, i_min - 1), min(last, i_min + 1)
-    changes = np.flatnonzero(rows[1:] != rows[:-1])
-    keep = np.unique(np.concatenate(([0, last, lo, i_min, hi], changes, changes + 1)))
-    ts = grid.tolist()
-    samples = [(ts[i], rels[r]) for i, r in zip(keep.tolist(), rows[keep].tolist())]
-    if ts[lo] < ts[hi]:
-        t_at_min = _refine_minimum(distance, ts[lo], ts[hi])
-        if abs(t_at_min) < half and t_at_min not in ts[lo : hi + 1]:
-            samples.append((t_at_min, classify(t_at_min)))
-            samples.sort(key=lambda s: s[0])
-
-    refined = resolve_changes(classify, samples)
-    start, end = ts[0] + mid, ts[-1] + mid
+    changes = np.flatnonzero(rows[1:] != rows[:-1]).tolist()
+    keep = sorted({0, last, lo, i_min, hi, *changes, *(i + 1 for i in changes)})
+    kept = {i: (t, distance(t)) for i, t in zip(keep, grid[keep].tolist())}
+    samples = list(kept.values())
+    if (vx or vy) and kept[lo][0] < kept[hi][0]:
+        t_at_min, d_at_min = _refine_minimum(distance, kept[lo], kept[i_min], kept[hi])
+        if t_at_min != kept[i_min][0]:
+            insort(samples, (t_at_min, d_at_min))
+    refined = resolve_changes(distance, breaks, samples)
+    start, end = kept[0][0] + mid, kept[last][0] + mid
     if start == end:  # the grid is narrower than a float step at its middle
         start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
-    return TemporalSequence(
-        tuple(rel for _, rel in refined), (start, end), tuple(t + mid for t, _ in refined[1:])
-    )
+    labels = tuple(rels[bisect_right(breaks, d)] for _, d in refined)
+    return TemporalSequence(labels, (start, end), tuple(t + mid for t, _ in refined[1:]))
 
 
 def canonical_state(

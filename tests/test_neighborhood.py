@@ -23,7 +23,7 @@ from motionstories.neighborhood import (
     touching_cells,
 )
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
-from motionstories.oracle import canonical_state, resolve_changes, rigid_state
+from motionstories.oracle import canonical_state, rigid_state
 from motionstories.stories import (
     CELLS,
     DEFAULT_TOLERANCE,
@@ -617,6 +617,28 @@ def _floor_changes(classify, samples, rel_floor):
     return out
 
 
+def _bisect_changes(classify, samples):
+    """A label-only scalar reference: each label change bisected, earliest
+    first, until its ends are adjacent floats (the midpoint rounds to one of
+    them), yielding the later end; a third label met in between is bisected
+    on both sides.  One (t, label) per change after the first sample."""
+    out = [samples[0]]
+    stack = [(t0, r0, t1, r1) for (t0, r0), (t1, r1) in zip(samples, samples[1:]) if r1 != r0]
+    stack.reverse()
+    while stack:
+        t0, r0, t1, r1 = stack.pop()
+        tm = (t0 + t1) / 2.0
+        if tm == t0 or tm == t1:
+            out.append((t1, r1))
+            continue
+        rm = classify(tm)
+        if rm != r1:
+            stack.append((tm, rm, t1, r1))
+        if rm != r0:
+            stack.append((t0, r0, tm, rm))
+    return out
+
+
 def _scalar_path(
     cu: np.ndarray, cv: np.ndarray, axis: _Axis
 ) -> tuple[list[tuple[float, AugmentedRelation]], Callable[[float], AugmentedRelation]]:
@@ -677,7 +699,7 @@ class TestPathBisection:
                 except ValueError:
                     continue
                 grid, cls = _scalar_path(cu, cv, axis)
-                changes = resolve_changes(cls, grid)
+                changes = _bisect_changes(cls, grid)
                 assert [c for _, c in changes] == [u, v], (u, v, changes)
                 checked += 1
         assert checked > 0

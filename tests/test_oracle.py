@@ -229,35 +229,38 @@ class TestSampleStory:
                     assert lo - slack <= t <= hi + slack
 
 
-def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
+def _scalar_changes(state, plan, tol=DEFAULT_TOLERANCE):
     """The sampler before its grid became arrays, kept as the reference:
-    `center_distance_at` at every grid instant, `classify_discs` of each, and
-    every sample into `resolve_changes`, all in the frame of the plan's
-    middle; the sequence spans the whole grid, and its interval and
-    boundaries are shifted back at the end."""
+    `center_distance_at` at every grid instant, then every sample into
+    `_refine_minimum` and `resolve_changes` with the axis's breaks, all in
+    the frame of the plan's middle.  Returns the state moved to that frame,
+    with disc k at rest at the origin, and the (tau, distance) changes."""
     mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     r_k, r_l = state.disc_k.radius, state.disc_l.radius
     at_mid = Disc(Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid), r_l)
     state = UniformMotionState(Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), at_mid, dv)
+    distance = functools.partial(center_distance_at, state)
     grid = np.linspace(-half, half, plan.points).tolist()
-    dists = [center_distance_at(state, t) for t in grid]
-    samples = [(t, classify_discs(d, r_k, r_l, tol)) for t, d in zip(grid, dists)]
+    samples = [(t, distance(t)) for t in grid]
+    i_min = int(np.argmin([d for _, d in samples]))
+    lo, hi = max(0, i_min - 1), min(len(grid) - 1, i_min + 1)
+    if (dv.x or dv.y) and grid[lo] < grid[hi]:
+        t_at_min, d_at_min = _refine_minimum(distance, samples[lo], samples[i_min], samples[hi])
+        if t_at_min != grid[i_min]:
+            samples.append((t_at_min, d_at_min))
+            samples.sort()
+    return state, resolve_changes(distance, axis(r_k, r_l, tol).breaks, samples)
 
-    def classify(t):
-        return classify_discs(center_distance_at(state, t), r_k, r_l, tol)
 
-    i_min = int(np.argmin(dists))
-    lo = grid[max(0, i_min - 1)]
-    hi = grid[min(len(grid) - 1, i_min + 1)]
-    if lo < hi:
-        t_at_min = _refine_minimum(functools.partial(center_distance_at, state), lo, hi)
-        if -half < t_at_min < half and t_at_min not in grid:
-            samples.append((t_at_min, classify(t_at_min)))
-            samples.sort(key=lambda s: s[0])
-    refined = resolve_changes(classify, samples)
+def _scalar_sample_story(state, plan, tol=DEFAULT_TOLERANCE):
+    """`_scalar_changes` as a sequence: `classify_discs` of each distance,
+    the whole grid as its interval, and the interval and boundaries shifted
+    back at the end."""
+    r_k, r_l, mid, half = state.disc_k.radius, state.disc_l.radius, plan.middle, plan.half_width
+    _, refined = _scalar_changes(state, plan, tol)
     return TemporalSequence(
-        tuple(rel for _, rel in refined),
-        (grid[0] + mid, grid[-1] + mid),
+        tuple(classify_discs(d, r_k, r_l, tol) for _, d in refined),
+        (-half + mid, half + mid),  # np.linspace's ends are exactly its bounds
         tuple(t + mid for t, _ in refined[1:]),
     )
 
@@ -333,6 +336,40 @@ class TestArrayGrid:
         )
         with pytest.raises(ValueError, match="must be finite"):
             sample_story(state, SamplingPlan(0.0, 1e10, 21))
+
+
+class TestOnRealMotions:
+    @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)], ids=["lt", "gt", "eq"])
+    def test_each_change_is_between_adjacent_floats(self, r_k, r_l):
+        # Each sampled boundary t, in the plan's frame, has the previous label
+        # one float before it and the new label at it.  The sampler's
+        # boundaries are these, bit for bit (TestArrayGrid).
+        for state in _equivalence_states(r_k, r_l):
+            for plan in (default_plan(state), default_plan(state, 200)):
+                moved, refined = _scalar_changes(state, plan)
+
+                def label(t):
+                    return classify_discs(center_distance_at(moved, t), r_k, r_l)
+
+                for (_, before), (t, after) in zip(refined, refined[1:]):
+                    assert label(math.nextafter(t, -math.inf)) == classify_discs(before, r_k, r_l)
+                    assert label(t) == classify_discs(after, r_k, r_l)
+
+    # 200 passes per radius pair, miss then speed drawn per state.  At
+    # (1e7, 3e7) and (1e200, 3e200) the EC band can be shorter than a float
+    # step of tau, so no sampler in time sees it: the bisection's counts
+    # there are the limits.
+    @pytest.mark.parametrize(
+        "r_k, r_l, most",
+        [(1.0, 2.0, 0), (1e4, 3e4, 0), (1e5, 3e5, 0), (1e7, 3e7, 2), (1e200, 3e200, 5), (1e-300, 3e-300, 0)],
+    )
+    def test_sweep_at_every_radius_scale(self, r_k, r_l, most):
+        rng = np.random.default_rng(0)
+        disagree = 0
+        for _ in range(200):
+            state = canonical_state(r_k, r_l, rng.uniform(0.0, r_k + r_l), 0.0, rng.uniform(0.5, 5.0))
+            disagree += sample_story(state, default_plan(state)).labels != story_of(state).labels
+        assert disagree <= most
 
 
 _CONFIGS = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10)]
@@ -473,52 +510,109 @@ class TestHypotExactness:
             _assert_bits_match(_at(r_k, r_l, x, y, dv), SamplingPlan(0.0, 1.0, 17))
 
 
-def _steps(*edges: float):
-    """A classifier of t: label i between edges i-1 and i; records each call."""
+def _identity():
+    """The identity distance of t, recording each call.  With `breaks =
+    edges` its row is bisect_right(edges, t): label i between edges i-1 and
+    i."""
     calls: list[float] = []
 
-    def classify(t: float) -> int:
+    def distance(t: float) -> float:
         calls.append(t)
-        return sum(t >= e for e in edges)
+        return t
 
-    return classify, calls
+    return distance, calls
+
+
+def _cliff(edge: float, limit: int):
+    """A distance of t that creeps up to a quarter at `edge`, then jumps to 1
+    and climbs at 2^40 per second; past `limit` calls it fails.  Each secant
+    estimate of the break at 0.5 lands next to an end of the bracket, where
+    it helps nothing: left alone, the estimates crawl."""
+    calls: list[float] = []
+
+    def distance(t: float) -> float:
+        calls.append(t)
+        assert len(calls) <= limit, f"more than {limit} calls"
+        return 0.25 + (t - edge) * 2.0**-10 if t < edge else 1.0 + (t - edge) * 2.0**40
+
+    return distance
+
+
+def _bisections(t0: float, t1: float, edge: float) -> int:
+    """The midpoints a bisection takes to bring (t0, t1) to adjacent floats
+    about the first float at or after `edge`."""
+    n = 0
+    while t0 < (tm := (t0 + t1) / 2.0) < t1:
+        n += 1
+        t0, t1 = (t0, tm) if tm >= edge else (tm, t1)
+    return n
+
+
+def _rows(out, breaks):
+    return [(t, bisect.bisect_right(breaks, d)) for t, d in out]
 
 
 class TestResolveChanges:
     def test_finds_a_label_narrower_than_the_sample_spacing(self):
         # Label 1 holds on [0.33, 0.335): between the grid points 0.3 and 0.4.
-        classify, _ = _steps(0.33, 0.335)
-        grid = [(i / 10, classify(i / 10)) for i in range(11)]
-        out = resolve_changes(classify, grid)
-        assert out == [grid[0], (0.33, 1), (0.335, 2)]
+        edges = (0.33, 0.335)
+        distance, _ = _identity()
+        grid = [(i / 10, distance(i / 10)) for i in range(11)]
+        out = resolve_changes(distance, edges, grid)
+        assert out[0] == grid[0]
+        assert _rows(out, edges) == [(0.0, 0), (0.33, 1), (0.335, 2)]
 
     @pytest.mark.parametrize("t0", [0.0, 1e3, -1e3])
     def test_stops_at_adjacent_floats(self, t0):
         # The change is the first float with the new label, at any time scale.
         edge = t0 + 0.537
-        classify, _ = _steps(edge)
-        grid = [(t0 + i / 10, classify(t0 + i / 10)) for i in range(11)]
-        assert resolve_changes(classify, grid) == [grid[0], (edge, 1)]
+        distance, _ = _identity()
+        grid = [(t0 + i / 10, distance(t0 + i / 10)) for i in range(11)]
+        assert _rows(resolve_changes(distance, (edge,), grid), (edge,)) == [(grid[0][0], 0), (edge, 1)]
 
     def test_unchanged_labels_make_no_calls(self):
-        classify, calls = _steps(1.5)
-        grid = [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1)]
-        out = resolve_changes(classify, grid)
+        distance, calls = _identity()
+        grid = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+        out = resolve_changes(distance, (1.5,), grid)
         # Only the segment (1, 2) changes label; the repeats add nothing.
         assert calls and all(1.0 < t < 2.0 for t in calls)
-        assert out == [grid[0], (1.5, 1)]
+        assert _rows(out, (1.5,)) == [(0.0, 0), (1.5, 1)]
         calls.clear()
-        assert resolve_changes(classify, grid[:2]) == grid[:1]
+        assert resolve_changes(distance, (1.5,), grid[:2]) == grid[:1]
         assert calls == []
 
     def test_a_change_at_the_1e_300_scale(self):
         # Labels 1 and 2 hold for a few hundred float steps each, about a
-        # thousand halvings below the grid: the bisection must not recurse.
+        # thousand halvings below the grid, and the distance is the label
+        # itself, a step on which interpolation cannot help: the search must
+        # not recurse.
         edges = (3e-300, 3e-300 + 1e-313, 3e-300 + 2e-313)
-        classify, calls = _steps(*edges)
-        grid = [(-1.0, 0), (0.0, 0), (1.0, 3)]
-        assert resolve_changes(classify, grid) == [grid[0], *((e, i + 1) for i, e in enumerate(edges))]
+        calls: list[float] = []
+
+        def distance(t: float) -> float:
+            calls.append(t)
+            return float(bisect.bisect_right(edges, t))
+
+        breaks = (0.5, 1.5, 2.5)
+        grid = [(-1.0, 0.0), (0.0, 0.0), (1.0, 3.0)]
+        out = resolve_changes(distance, breaks, grid)
+        assert _rows(out, breaks) == [(-1.0, 0), *((e, i + 1) for i, e in enumerate(edges))]
         assert len(calls) > 1000
+
+    @pytest.mark.parametrize("edge", [0.3, 0.5, 0.999, 1e-300])
+    def test_at_most_twice_the_bisection_where_interpolation_is_useless(self, edge):
+        # Twice the bisection's midpoints, one more, and the two grid samples.
+        distance = _cliff(edge, 2 * _bisections(0.0, 1.0, edge) + 3)
+        grid = [(0.0, distance(0.0)), (1.0, distance(1.0))]
+        assert _rows(resolve_changes(distance, (0.5,), grid), (0.5,)) == [(0.0, 0), (edge, 1)]
+
+    def test_a_smooth_change_takes_a_few_calls(self):
+        # Where the distance is nearly straight, the secant lands next to the
+        # break at once: far fewer calls than the bisection's 50 or so.
+        distance, calls = _identity()
+        grid = [(0.25, 0.25), (0.5, 0.5)]
+        assert _rows(resolve_changes(distance, (1 / 3,), grid), (1 / 3,)) == [(0.25, 0), (1 / 3, 1)]
+        assert len(calls) <= 6 < _bisections(0.25, 0.5, 1 / 3)
 
     @given(
         edges=st.lists(st.floats(0.0, 10.0), max_size=8),
@@ -526,19 +620,48 @@ class TestResolveChanges:
         times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20, unique=True),
     )
     def test_no_consecutive_duplicates(self, edges, labels, times):
-        # A step classifier whose neighbouring steps may share a label.
+        # A step distance whose neighbouring steps may share a label: the
+        # label is the distance, and the breaks lie between labels.
         edges.sort()
+        breaks = (0.5, 1.5)
+
+        def distance(t):
+            return float(labels[bisect.bisect_right(edges, t)])
 
         def classify(t):
-            return labels[bisect.bisect_right(edges, t)]
+            return bisect.bisect_right(breaks, distance(t))
 
-        samples = [(t, classify(t)) for t in sorted(times)]
-        out = resolve_changes(classify, samples)
-        assert out[0] == samples[0] and out[-1][1] == samples[-1][1]
+        samples = [(t, distance(t)) for t in sorted(times)]
+        out = _rows(resolve_changes(distance, breaks, samples), breaks)
+        assert out[0] == (samples[0][0], classify(samples[0][0])) and out[-1][1] == classify(samples[-1][0])
         assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(out, out[1:]))
         assert all(classify(t) == label for t, label in out)
         # Each change is found at float resolution.
         assert all(classify(math.nextafter(t, -math.inf)) == a[1] for a, (t, _) in zip(out, out[1:]))
+
+    @given(
+        breaks=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4, unique=True),
+        centre=st.floats(0.0, 10.0),
+        slope=st.floats(0.01, 100.0),
+        base=st.floats(0.0, 5.0),
+        times=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=20, unique=True),
+    )
+    def test_a_v_shaped_distance_meets_the_contract(self, breaks, centre, slope, base, times):
+        # A distance falling and rising again, as past closest approach: each
+        # change is between adjacent floats, whichever rows lie between.
+        breaks.sort()
+
+        def distance(t):
+            return base + slope * abs(t - centre)
+
+        def row(t):
+            return bisect.bisect_right(breaks, distance(t))
+
+        samples = [(t, distance(t)) for t in sorted(times)]
+        out = _rows(resolve_changes(distance, breaks, samples), breaks)
+        assert out[0] == (samples[0][0], row(samples[0][0])) and out[-1][1] == row(samples[-1][0])
+        assert all(a[1] != b[1] and a[0] < b[0] for a, b in zip(out, out[1:]))
+        assert all(row(t) == r and row(math.nextafter(t, -math.inf)) == a[1] for a, (t, r) in zip(out, out[1:]))
 
 
 class TestSweep:
