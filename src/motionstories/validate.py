@@ -14,10 +14,12 @@ touching cells decode to has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 States are classified in batches, as indices into the radii's
 `stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
-rejects, code -1, holds no relation.  Every path of
-one check (all edge witnesses of the graph, or all trials of a pair that end
-in v) is classified on one grid and then bisected at every label change,
-level by level, one batch per level.
+rejects, code -1, holds no relation.  Each sampled non-edge draws its trials
+from its own generator, but the trials of as many whole pairs as fit in
+`_BATCH_COLUMNS` columns are classified and path-checked together.  Every
+path of one check (all edge witnesses of the graph, or all trials of a batch
+of pairs that end in their v) is classified on one grid and then bisected at
+every label change, level by level, one batch per level.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .stories import (
 )
 
 _PATH_SAMPLES = 25
+# Trial columns the validator classifies at once: as many whole sampled pairs
+# as fit, or a single pair when its trials alone reach this.
+_BATCH_COLUMNS = 2**11
 _BISECT_FLOOR = 1e-7
 Pair = tuple[AugmentedRelation, AugmentedRelation]
 Floats = float | np.ndarray  # a number, or one per state of a batch
@@ -274,19 +279,37 @@ def _trial_states(
     return axis.moving(h, d_t, ~recede, speed)
 
 
-def _pair_trials(
-    u: AugmentedRelation, v: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, TrialCounts, np.ndarray]:
-    """n random trials of the pair: start states meant to classify u, their
-    ends after a kick of 9 eps-scale normals (on positions and velocities,
-    then a time step), the counts, and the trials from u to v in order."""
+def _draw_trials(
+    u: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n random trials of relation u: start states meant to classify u and
+    their ends after a kick of 9 eps-scale normals (on positions and
+    velocities, then a time step)."""
     start = _trial_states(u, axis, rng, n)
     kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
     end[:2] += end[2:] * kick[8]
-    at_u = np.flatnonzero(axis.labels(start) == axis.index[u])
-    to_v = at_u[axis.labels(end[:, at_u]) == axis.index[v]]
-    return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
+    return start, end
+
+
+def _pair_trials(
+    pairs: list[Pair], axis: _Axis, rngs: list[np.random.Generator], n: int
+) -> tuple[list[TrialCounts], list[int]]:
+    """n random trials of each pair (u, v), drawn from the pair's own
+    generator (`_draw_trials`), then classified and path-checked together:
+    each pair's counts, and how many of its trials cross from u to v on a
+    continuous path."""
+    drawn = (_draw_trials(u, axis, rng, n) for (u, _), rng in zip(pairs, rngs))
+    start, end = (np.concatenate(c, axis=1) for c in zip(*drawn))
+    pair = np.repeat(np.arange(len(pairs)), n)  # each trial's index into pairs
+    u, v = (np.array([axis.index[x] for x in side])[pair] for side in zip(*pairs))
+    at_u = np.flatnonzero(axis.labels(start) == u)
+    to_v = at_u[axis.labels(end[:, at_u]) == v[at_u]]
+    crossed = to_v[_continuous_transitions(start[:, to_v], end[:, to_v], u[to_v], v[to_v], axis)]
+    at_u, to_v, crossed = (
+        np.bincount(pair[k], minlength=len(pairs)).tolist() for k in (at_u, to_v, crossed)
+    )
+    return [TrialCounts(n, a, b) for a, b in zip(at_u, to_v)], crossed
 
 
 def validate_motion_cng(
@@ -306,9 +329,11 @@ def validate_motion_cng(
     endpoints.  Sampled non-edge pairs must admit no such single-step
     transition across `n_trials` random perturbations each.  `seed` picks
     the pairs; the pair at index i of the sorted non-edges draws its trials
-    as one batch from `np.random.default_rng([seed, i])`, so a spurious
-    transition replays from (seed, i) alone, and its counts go to
-    `trial_counts`.  A state the classifier rejects (code -1, as when its
+    from `np.random.default_rng([seed, i])`, so a spurious transition
+    replays from (seed, i) alone, and its counts go to `trial_counts`.  The
+    drawn trials of consecutive pairs are classified and path-checked in
+    batches of whole pairs, up to `_BATCH_COLUMNS` trials or one pair, which
+    changes no count.  A state the classifier rejects (code -1, as when its
     numbers overflow) holds no relation: it is no trial of u, fails every
     path through it and so leaves its edge unwitnessed.
     """
@@ -338,13 +363,14 @@ def validate_motion_cng(
         if not g.has_edge(u, v)
     ]
     idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
-    for i in sorted(int(j) for j in idx):
-        u, v = non_edges[i]
-        # The pair's own generator: its trials replay from (seed, i) alone.
-        rng_i = np.random.default_rng([seed, i])
-        start, end, counts, to_v = _pair_trials(u, v, axis, rng_i, n_trials)
-        report.trial_counts[u, v] = counts
-        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
-        if _continuous_transitions(*paths).any():
-            report.spurious_transitions.append((u, v))
+    chosen = sorted(int(j) for j in idx)
+    per_batch = max(1, _BATCH_COLUMNS // max(1, n_trials))
+    for b in range(0, len(chosen), per_batch):
+        batch = chosen[b : b + per_batch]
+        pairs = [non_edges[i] for i in batch]
+        # Each pair's own generator: its trials replay from (seed, i) alone.
+        rngs = [np.random.default_rng([seed, i]) for i in batch]
+        counts, crossed = _pair_trials(pairs, axis, rngs, n_trials)
+        report.trial_counts.update(zip(pairs, counts))
+        report.spurious_transitions += [pair for pair, k in zip(pairs, crossed) if k]
     return report

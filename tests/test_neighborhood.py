@@ -41,13 +41,17 @@ from motionstories.stories import (
     stories_set,
 )
 from motionstories.validate import (
+    TrialCounts,
+    _BATCH_COLUMNS,
     _BISECT_FLOOR,
     _PATH_SAMPLES,
     _Axis,
     _cell_witness,
     _continuous_transitions,
+    _draw_trials,
     _edge_witness,
     _pair_trials,
+    _trial_states,
     validate_motion_cng,
 )
 
@@ -468,7 +472,7 @@ class TestBatchedTrials:
         axis = _Axis(*radii, DEFAULT_TOLERANCE)
         nodes = sorted(augmented_set(*radii), key=str)
         u = nodes[pick % len(nodes)]
-        start, end, _, _ = _pair_trials(u, u, axis, np.random.default_rng(seed), 6)
+        start, end = _draw_trials(u, axis, np.random.default_rng(seed), 6)
         lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
         for batch in (start, end, lerped):
             want = [augmented_relation(_state(axis, c), axis.tol) for c in batch.T]
@@ -572,7 +576,7 @@ class TestBatchedTrials:
         assert len(report.trial_counts) == 5
         for (u, v), counts in report.trial_counts.items():
             rng = np.random.default_rng([7, non_edges.index((u, v))])
-            assert _pair_trials(u, v, axis, rng, 60)[2] == counts
+            assert _pair_trials([(u, v)], axis, [rng], 60)[0] == [counts]
             assert counts.attempted == 60 and counts.attempted >= counts.at_u >= counts.to_v
 
     def test_trials_reach_the_removed_edge(self):
@@ -582,15 +586,92 @@ class TestBatchedTrials:
         # trials reach it about 115 times.
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         u, v = aug("S11(DC)"), aug("S12(DC-)")
-        start, end, _, to_v = _pair_trials(u, v, axis, np.random.default_rng(11), 20_000)
-        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
-        assert _continuous_transitions(*paths).sum() >= 40
+        [crossed] = _pair_trials([(u, v)], axis, [np.random.default_rng(11)], 20_000)[1]
+        assert crossed >= 40
 
 
 # The five radius pairs above and two whose reports are not ok: (1e-9, 1),
 # whose bands overlap, and (3e7, 1.1e8), where eps is below an ulp of the
 # thresholds.
 _SEVEN = _RADII + [(1e-9, 1.0), (3e7, 1.1e8)]
+
+
+def _one_pair_trials(u, v, axis, rng, n):
+    """The trials of one sampled pair as the validator drew and classified
+    them before pairs were batched, verbatim: start states, their kicked
+    ends, the counts, and the trials from u to v in order."""
+    start = _trial_states(u, axis, rng, n)
+    kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
+    end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
+    end[:2] += end[2:] * kick[8]
+    at_u = np.flatnonzero(axis.labels(start) == axis.index[u])
+    to_v = at_u[axis.labels(end[:, at_u]) == axis.index[v]]
+    return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
+
+
+def _pair_by_pair_report(g: Cng, rk: float, rl: float, n_pairs: int, n_trials: int, seed: int):
+    """The validator's report with its sampled pairs checked one at a time:
+    the edges from the validator itself (no pairs), then the per-pair loop
+    as it was before pairs were batched, verbatim."""
+    report = validate_motion_cng(g, rk, rl, n_pairs=0, n_trials=n_trials, seed=seed)
+    axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+    rng = np.random.default_rng(seed)
+    nodes = sorted(g.nodes, key=str)
+    non_edges = [
+        (u, v)
+        for i, u in enumerate(nodes)
+        for v in nodes[i + 1 :]
+        if not g.has_edge(u, v)
+    ]
+    idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
+    for i in sorted(int(j) for j in idx):
+        u, v = non_edges[i]
+        # The pair's own generator: its trials replay from (seed, i) alone.
+        rng_i = np.random.default_rng([seed, i])
+        start, end, counts, to_v = _one_pair_trials(u, v, axis, rng_i, n_trials)
+        report.trial_counts[u, v] = counts
+        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
+        if _continuous_transitions(*paths).any():
+            report.spurious_transitions.append((u, v))
+    return report
+
+
+def _assert_same_report(g: Cng, rk: float, rl: float, **kwargs) -> None:
+    report = validate_motion_cng(g, rk, rl, **kwargs)
+    assert repr(report) == repr(_pair_by_pair_report(g, rk, rl, **kwargs))
+
+
+class TestPairBatches:
+    # Batching the sampled pairs' trials changes no report, byte for byte.
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("rk, rl", _SEVEN)
+    def test_reports_equal_the_pair_by_pair_loop(self, rk, rl, seed):
+        g = motion_cng(augmented_set(rk, rl))
+        _assert_same_report(g, rk, rl, n_pairs=60, n_trials=80, seed=seed)
+
+    @pytest.mark.parametrize(
+        "n_trials", [1, 80, _BATCH_COLUMNS - 1, _BATCH_COLUMNS, _BATCH_COLUMNS + 1]
+    )
+    def test_batches_at_and_around_the_column_budget(self, n_trials):
+        # One batch of all pairs, several batches with a partial last one,
+        # and a single pair per batch at and above the budget.
+        g = motion_cng(augmented_set(1.0, 2.0))
+        _assert_same_report(g, 1.0, 2.0, n_pairs=30, n_trials=n_trials, seed=4)
+
+    @pytest.mark.parametrize("n_pairs, n_trials", [(0, 80), (30, 0)])
+    def test_empty_batches(self, n_pairs, n_trials):
+        g = motion_cng(augmented_set(1.0, 2.0))
+        report = validate_motion_cng(g, 1.0, 2.0, n_pairs=n_pairs, n_trials=n_trials, seed=3)
+        assert len(report.trial_counts) == n_pairs
+        _assert_same_report(g, 1.0, 2.0, n_pairs=n_pairs, n_trials=n_trials, seed=3)
+
+    def test_spurious_transitions_equal_the_pair_by_pair_loop(self):
+        full = motion_cng(augmented_set(1.0, 2.0))
+        g = Cng(full.nodes, full.edges - {frozenset({aug("S12(DC-)"), aug("S11(DC)")})})
+        kwargs = dict(n_pairs=400, n_trials=400, seed=1)
+        assert validate_motion_cng(g, 1.0, 2.0, **kwargs).spurious_transitions
+        _assert_same_report(g, 1.0, 2.0, **kwargs)
 
 
 def _floor_changes(classify, samples, rel_floor):
@@ -712,8 +793,8 @@ class TestPathBisection:
         nodes = sorted(augmented_set(rk, rl), key=str)
         rng = np.random.default_rng(5)
         trials = [
-            _pair_trials(nodes[i], nodes[j], axis, np.random.default_rng([5, k]), 100)[:2]
-            for k, (i, j) in enumerate(rng.integers(0, len(nodes), (20, 2)))
+            _draw_trials(nodes[i], axis, np.random.default_rng([5, k]), 100)
+            for k, (i, _) in enumerate(rng.integers(0, len(nodes), (20, 2)))
         ]
         start, end = (np.concatenate(c, axis=1) for c in zip(*trials))
         u = axis.labels(start)
@@ -742,7 +823,7 @@ class TestPathBisection:
 
         starts = np.stack([fine[:, 0], overflowing[:, 0]], axis=1)
         monkeypatch.setattr(motionstories.validate, "_trial_states", lambda *args: starts)
-        counts = _pair_trials(a, b, axis, np.random.default_rng(0), 2)[2]
+        [counts], _ = _pair_trials([(a, b)], axis, [np.random.default_rng(0)], 2)
         assert counts.attempted == 2 and counts.at_u == 1
 
         ends = np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
@@ -798,8 +879,8 @@ class TestBatchColumns:
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         u = aug("S02(EC)")
         worst = 0.0
-        for i, v in enumerate(sorted(augmented_set(1.0, 2.0) - {u}, key=str)):
-            start, end, _, _ = _pair_trials(u, v, axis, np.random.default_rng([0, i]), 8)
+        for i in range(len(augmented_set(1.0, 2.0)) - 1):
+            start, end = _draw_trials(u, axis, np.random.default_rng([0, i]), 8)
             for k in range(start.shape[1]):
                 su, sv = _state(axis, start[:, k]), _state(axis, end[:, k])
                 ends = [tuple(map(Fraction, (e.dp.x, e.dp.y, e.dv.x, e.dv.y))) for e in (su, sv)]
