@@ -4,20 +4,21 @@ Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
 closed-form closest approach, in the time frame of its plan's middle.  It
-takes its grid distances with `np.hypot` and classifies them in one array
-pass (`stories.Axis.rows_at`); `math.hypot` is taken again only on samples
-whose last bit could move a row or the minimum's index, and on subnormal and
-nearly overflowing ones, so the grid equals `center_distance_at`'s bit for
-bit.  Only its two searches are scalar, and both read one float closure of
-the motion: `_refine_minimum` fits parabolas through the least distances, and
-`resolve_changes` takes secant steps toward each label change's break, with a
-midpoint after any that does not halve its bracket, down to adjacent floats.
+takes its grid distances with `stories.hypot_at_breaks`, the rule the batch
+classifier shares, and classifies them in one array pass
+(`stories.Axis.rows_at`): `math.hypot` is taken again only on samples whose
+last bit could move a row or the minimum's index, and on subnormal and nearly
+overflowing ones, so the grid's rows and the minimum's index are those of
+`center_distance_at`.  Only its two searches are scalar, and both read one
+float closure of the motion: `_refine_minimum` fits parabolas through the
+least distances, and `resolve_changes` takes secant steps toward each label
+change's break, with a midpoint after any that does not halve its bracket,
+down to adjacent floats.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,11 +28,13 @@ import numpy as np
 from .kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from .stories import (
     DEFAULT_TOLERANCE,
+    HYPOT_MARGIN,
     RccRelation,
     TemporalSequence,
     Tolerance,
     axis,
     distance_inside,
+    hypot_at_breaks,
     story_of,
 )
 
@@ -39,13 +42,6 @@ from .stories import (
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _MIN_FLOOR = 2.0**-52
 _Sample = tuple[float, float]  # (tau, distance)
-
-# np.hypot and math.hypot may round a distance to neighbouring floats.  A grid
-# distance is taken again with math.hypot where a relative change far above
-# that 1-ulp error could move it across a break or tie it with the minimum;
-# below the smallest normal float an ulp is no longer relative.
-_HYPOT_MARGIN = 2.0**-40
-_SMALLEST_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -187,17 +183,12 @@ def sample_story(
     grid = np.linspace(-half, half, plan.points)
     ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
     rels, breaks = [row.rel for row in ax.rows], ax.breaks
+    # Samples that could tie with the minimum are taken again too; under rigid
+    # motion every sample is one float and argmin is 0.
+    near_min = (lambda d: d <= d.min() * (1.0 + HYPOT_MARGIN)) if vx or vy else None
     with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
         xs, ys = px + vx * grid, py + vy * grid
-        dists = np.hypot(xs, ys)
-        below, above = dists * (1.0 - _HYPOT_MARGIN), dists * (1.0 + _HYPOT_MARGIN)
-        # searchsorted, as rows_at would reject the overflowing margin.
-        redo = np.searchsorted(breaks, below, "right") != np.searchsorted(breaks, above, "right")
-        redo |= (dists < _SMALLEST_NORMAL) | (above == math.inf)
-        if vx or vy:  # under rigid motion every sample is one float and argmin is 0
-            redo |= dists <= dists.min() * (1.0 + _HYPOT_MARGIN)
-    at = np.flatnonzero(redo)
-    dists[at] = list(map(math.hypot, xs[at].tolist(), ys[at].tolist()))
+        dists = hypot_at_breaks(xs, ys, breaks, near_min)
     rows = ax.rows_at(dists)
 
     # Locate the minimum-distance instant; tangency stories are visible only there.

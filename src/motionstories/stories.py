@@ -28,10 +28,12 @@ import functools
 import math
 import re
 import struct
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -321,11 +323,15 @@ def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
     """A center distance inside a regime span, not below `floor` where the
     span allows: a band's threshold, else the midpoint of [max(lo, floor), hi],
     or half a meter past that start for the unbounded top interval.  An
-    array `floor` gives an array, elementwise."""
+    array `floor`, or arrays of span ends, give an array, elementwise."""
     lo, hi = span
+    if np.ndim(lo) or np.ndim(floor):
+        start = np.maximum(lo, floor)
+        with np.errstate(over="ignore"):  # a band's unused midpoint may overflow
+            return np.where(lo == hi, lo, np.where(hi == math.inf, start + 0.5, (start + hi) / 2.0))
     if lo == hi:
         return lo
-    lo = np.maximum(lo, floor) if np.ndim(floor) else max(lo, floor)
+    lo = max(lo, floor)
     return lo + 0.5 if hi == math.inf else (lo + hi) / 2.0
 
 
@@ -582,6 +588,33 @@ def tsr_over_interval(
     )
 
 
+# np.hypot and math.hypot may round a distance to neighbouring floats; a
+# relative change far above that 1-ulp error moves no distance across a break
+# its margin does not straddle.  Below the smallest normal float an ulp is no
+# longer relative.
+HYPOT_MARGIN = 2.0**-40
+
+
+def hypot_at_breaks(
+    x: np.ndarray, y: np.ndarray, breaks: tuple[float, ...],
+    also: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """`np.hypot` of x and y, taken again with `math.hypot` (as `Vec2.norm`)
+    where d (1 +/- `HYPOT_MARGIN`) lies on both sides of a break, where d is
+    subnormal or the margin overflows, and where `also(d)` holds; so each d
+    has the row of `math.hypot`'s, bit for bit where it was taken again.  (A
+    NaN d is NaN from both.)  Overflow warnings are the caller's to silence."""
+    d = np.hypot(x, y)
+    below, above = d * (1.0 - HYPOT_MARGIN), d * (1.0 + HYPOT_MARGIN)
+    redo = np.searchsorted(breaks, below, "right") != np.searchsorted(breaks, above, "right")
+    redo |= (d < sys.float_info.min) | (above == math.inf)
+    if also is not None:
+        redo |= also(d)
+    at = np.flatnonzero(redo)
+    d[at] = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
+    return d
+
+
 def augmented_relation_indices(
     dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
     r_k: float, r_l: float, tol: Tolerance,
@@ -589,15 +622,16 @@ def augmented_relation_indices(
     """The index into the radii's `RELATIONS` of each state's augmented
     relation, given its relative position and velocity; -1 marks each state
     `augmented_relation` rejects, and no other.
-    `closest_approach_state`'s float operations run on arrays, with
-    `math.hypot` as in `Vec2.norm`; the rows of both distances, from the
+    `closest_approach_state`'s float operations run on arrays; the current
+    distance is `hypot_at_breaks`', so in the row of `Vec2.norm`'s, and so is
+    the miss distance it caps.  The rows of both distances, from the
     breakpoint table, are decoded as `augmented_relation` decodes them."""
     ax = axis(r_k, r_l, tol)
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
         d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
-        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        d = hypot_at_breaks(dpx, dpy, ax.breaks)
         rigid = a < MIN_MOVING_SPEED_SQ
         # hypot is finite exactly when both its arguments are.
         usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (

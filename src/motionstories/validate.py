@@ -7,19 +7,22 @@ distance used to build a witness or a random state is read from the radii's
 extents (`Axis.spans`), or the middle of a row's float extent where a row
 narrower than a few eps leaves the span's pick outside it.  Every witness
 and trial is a batch column of relative motion built by `_Axis.moving` or
-`_Axis.comoving`.  An edge is witnessed from a pair of touching cells that
-decode to its ends (`neighborhood.touching_cells`, the rule the graph is
-drawn by), one state in each cell (`_cell_witness`); a pair of relations no
-touching cells decode to has no witness.
+`_Axis.comoving`.  The graph is read as a code-by-code adjacency over the
+radii's `stories.RELATIONS`.  An edge is witnessed from a pair of touching
+cells that decode to its ends (`neighborhood.touching_cells`, the rule the
+graph is drawn by), one state in each cell (`_cell_witness`), all edges in
+one batch per side (`_witnesses`); a pair of relations no touching cells
+decode to has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
-States are classified in batches, as indices into the radii's
-`stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
-rejects, code -1, holds no relation.  Each sampled non-edge draws its trials
-from its own generator, but the trials of as many whole pairs as fit in
-`_BATCH_COLUMNS` columns are classified and path-checked together.  Every
-path of one check (all edge witnesses of the graph, or all trials of a batch
-of pairs that end in their v) is classified on one grid and then bisected at
-every label change, level by level, one batch per level.
+States are classified in batches, as indices into `stories.RELATIONS`
+(`stories.augmented_relation_indices`); a state it rejects, code -1, holds
+no relation.  Each sampled non-edge draws its trials from its own
+generator, but the trials of as many whole pairs as fit in `_BATCH_COLUMNS`
+columns are built in one array pass (`_draw_trials`), then classified and
+path-checked together.  Every path of one check (all edge witnesses of the
+graph, or all trials of a batch of pairs that end in their v) is
+classified on one grid and then bisected at every label change, level by
+level, one batch per level.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .neighborhood import Cell, Cng, touching_cells
 from .stories import (
     CELLS,
     DEFAULT_TOLERANCE,
+    REGIMES,
     RELATIONS,
     RIGID_STORIES,
     ROW_OF,
@@ -56,6 +60,7 @@ _BATCH_COLUMNS = 2**11
 _BISECT_FLOOR = 1e-7
 Pair = tuple[AugmentedRelation, AugmentedRelation]
 Floats = float | np.ndarray  # a number, or one per state of a batch
+Rows = int | np.ndarray  # a row, or one per state of a batch
 
 
 class TrialCounts(NamedTuple):
@@ -79,15 +84,45 @@ class ValidationReport:
 
 
 @functools.cache
-def _touching(config: str) -> dict[Pair, tuple[Cell, Cell]]:
+def _touching(config: str) -> dict[tuple[int, int], tuple[Cell, Cell]]:
     """The first touching cell pair (`neighborhood.touching_cells`) that
     decodes to each edge of the configuration's motion graph, both ways
-    round."""
-    cells, pairs = CELLS[config], {}
+    round, by the edge's codes (indices into `RELATIONS[config]`)."""
+    code = {a: k for k, a in enumerate(RELATIONS[config])}
+    cells, pairs = {cell: code[a] for cell, a in CELLS[config].items()}, {}
     for x, y in touching_cells(config):
         pairs.setdefault((cells[x], cells[y]), (x, y))
         pairs.setdefault((cells[y], cells[x]), (y, x))
     return pairs
+
+
+# A trial's kind (rigid, on a band row, on an interior row) and the uniforms
+# it draws, in one block: the last rows of its column of 9, in draw order.
+# A uniform r in [0, 1) drawn on [lo, hi) is lo + (hi - lo) r, bit for bit as
+# `rng.uniform` maps it; each hi - lo written below is exact.
+_RIGID, _BAND, _INTERIOR = range(3)
+_UNIFORMS = (2, 6, 9)
+
+
+@functools.cache
+def _kinds(config: str) -> np.ndarray:
+    """Per relation code of one configuration, a column of what its trials
+    read: their kind, the rows of the relation and of its story's closest
+    approach (the relation's, for a rigid story), and as 0 or 1 whether it
+    is its story's central relation, whether that story has several labels,
+    and whether its phase is PLUS or NONE."""
+    table, row_of, columns = REGIMES[config], ROW_OF[config], []
+    for a in RELATIONS[config]:
+        rigid = a.story in RIGID_STORIES[config]
+        low = row_of[a.rel if rigid else a.story]
+        kind = _RIGID if rigid else _INTERIOR if table[low].band is None else _BAND
+        columns.append((
+            kind, row_of[a.rel], low, a == central(a.story),
+            len(STORY_LABELS[a.story]) > 1, a.phase is Phase.PLUS, a.phase is Phase.NONE,
+        ))
+    kinds = np.array(columns).T
+    kinds.flags.writeable = False  # cached, so shared by every check of the configuration
+    return kinds
 
 
 class _Axis:
@@ -98,27 +133,31 @@ class _Axis:
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
         ax = radii_axis(r_k, r_l, tol)
-        self.rows, self.spans, self.row_of = ax.rows, ax.spans, ROW_OF[ax.config]
-        self.extents = tuple(zip((0.0, *ax.breaks), (*ax.breaks, math.inf)))
+        # Each row's span, float extent and its middle, indexed by row or by
+        # an array of rows.
+        self.rows, self.span = ax.rows, np.array(ax.spans).T
+        self.extent = np.array([(0.0, *ax.breaks), (*ax.breaks, math.inf)])
+        self.middle = distance_inside(self.extent)
         self.relations = RELATIONS[ax.config]
         self.index = {a: k for k, a in enumerate(self.relations)}
-        self.rigid = RIGID_STORIES[ax.config]
+        self.kinds = _kinds(ax.config)
         self.touching = _touching(ax.config)
 
-    def inside(self, row: int, d: Floats) -> Floats:
+    def inside(self, row: Rows, d: Floats) -> Floats:
         """d where it lies in the row's float extent (`Axis.breaks`), else that
         extent's middle: spans end at thresholds, which a row narrower than a
-        few eps does not reach.  Elementwise for an array d."""
-        lo, hi = self.extents[row]
+        few eps does not reach.  Elementwise for an array d, whose entries
+        may each have a row of their own."""
+        lo, hi = self.extent[:, row]
         if np.ndim(d):
-            return np.where((lo <= d) & (d < hi), d, distance_inside((lo, hi)))
-        return d if lo <= d < hi else distance_inside((lo, hi))
+            return np.where((lo <= d) & (d < hi), d, self.middle[row])
+        return d if lo <= d < hi else self.middle[row]
 
-    def pick(self, row: int, floor: Floats = 0.0) -> Floats:
+    def pick(self, row: Rows, floor: Floats = 0.0) -> Floats:
         """A center distance in the row, not below `floor` (a miss distance,
         so reachable on its trajectory) unless `floor` lies in a narrow row of
-        its own; elementwise for an array floor."""
-        return self.inside(row, distance_inside(self.spans[row], floor))
+        its own; elementwise for an array floor or array of rows."""
+        return self.inside(row, distance_inside(self.span[:, row], floor))
 
     def place(self, a: int, b: int, offset: float, floor: float = 0.0) -> tuple[float, float]:
         """A distance in row a and one in row b: one point in a row they share,
@@ -129,7 +168,7 @@ class _Axis:
             return (self.pick(a, floor),) * 2
         lower = min(a, b)
         band = lower if self.rows[lower].band is not None else lower + 1
-        theta, step = self.spans[band][0], offset * self.eps
+        theta, step = self.span[0, band], offset * self.eps
         return tuple(self.inside(k, theta + (k - band) * step) for k in (a, b))
 
     def moving(
@@ -201,10 +240,14 @@ def _continuous_transitions(
         )
 
 
-def _cell_witness(x: Cell, y: Cell, axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
-    """A batch column in each of two touching cells, in (x, y) order.
+Witness = tuple[float, float, bool, float, bool]  # h, d, approach, speed, rest
 
-    Each column's miss distance h comes from its row i and its current
+
+def _cell_witness(x: Cell, y: Cell, axis: _Axis) -> tuple[Witness, Witness]:
+    """A state in each of two touching cells, in (x, y) order, as the
+    arguments of `_Axis.moving` and whether its dv is then 0.
+
+    Each state's miss distance h comes from its row i and its current
     distance d from its row j, both placed by `_Axis.place` (3 eps for h,
     2.5 eps for d, d not below h where a row is shared); two cells at
     closest approach keep h = d.  A rest cell is its kicked partner's
@@ -213,96 +256,95 @@ def _cell_witness(x: Cell, y: Cell, axis: _Axis) -> tuple[np.ndarray, np.ndarray
     if x[2] or y[2]:
         i, j, _, closing = y if x[2] else x
         h = axis.pick(i)
-        kicked = axis.moving(h, h if i == j else axis.pick(j, h), closing, 3.0 * axis.eps)
-        rest = kicked * (1.0, 1.0, 0.0, 0.0)
+        kicked = (h, h if i == j else axis.pick(j, h), closing, 3.0 * axis.eps, False)
+        rest = (*kicked[:4], True)
         return (rest, kicked) if x[2] else (kicked, rest)
     hx, hy = axis.place(x[0], y[0], 3.0)
     if x[0] == x[1] and y[0] == y[1]:
         dx, dy = hx, hy
     else:
         dx, dy = axis.place(x[1], y[1], 2.5, max(hx, hy))
-    return axis.moving(hx, dx, x[3]), axis.moving(hy, dy, y[3])
+    return (hx, dx, x[3], 1.0, False), (hy, dy, y[3], 1.0, False)
 
 
-def _edge_witness(
-    a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two nearby batch columns classified as the edge's endpoints, in (a, b)
-    order: the `_cell_witness` of the first touching cell pair that decodes
-    to them.
+def _witnesses(pairs: list[tuple[Cell, Cell]], axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
+    """The `_cell_witness` states of touching cell pairs as two batches, one
+    column per pair in each: one `_Axis.moving` call per side."""
+    sides = []
+    for side in zip(*(_cell_witness(x, y, axis) for x, y in pairs)):
+        h, d, approach, speed, rest = map(np.array, zip(*side))
+        batch = axis.moving(h, d, approach, speed)
+        batch[2:, rest] = 0.0
+        sides.append(batch)
+    return sides[0], sides[1]
 
-    Raises ValueError when no touching cells decode to a and b."""
-    if (a, b) not in axis.touching:
-        raise ValueError(f"no touching cells decode to {a} and {b}")
-    return _cell_witness(*axis.touching[a, b], axis)
 
-
-def _trial_states(
-    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """A batch of n random states meant to classify `aug`, biased toward
-    regime boundaries.  Each trial draws every coin and the numbers of both
-    branches a coin picks between, so all trials draw alike."""
+@np.errstate(over="ignore", invalid="ignore")  # a formula of another kind may overflow
+def _trial_starts(us: np.ndarray, axis: _Axis, u: np.ndarray) -> np.ndarray:
+    """The start state of each trial column k, meant to classify relation
+    us[k] (a code) and biased toward regime boundaries, read from the
+    column's uniforms u[:, k] (`_UNIFORMS`) in one array pass: every
+    column's numbers are worked out for each kind of trial, and its own
+    kind's kept."""
     eps = axis.eps
-
-    def coin(p: float = 0.5) -> np.ndarray:
-        return rng.uniform(size=n) < p
-
-    def draw(lo: float, hi: float) -> np.ndarray:
-        return rng.uniform(lo, hi, n)
-
-    j = axis.row_of[aug.rel]
-    if aug.story in axis.rigid:
-        jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
-        return axis.comoving(np.maximum(0.0, axis.pick(j) + jitter))
-
-    i = axis.row_of[aug.story]
-    lo, hi = axis.spans[i]
-    if axis.rows[i].band is not None:
-        h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
-    else:
-        # Keep 2 eps clear of the bands below and above; the unbounded top
-        # interval is sampled 2 m deep.
-        hi = hi - 2.0 * eps if hi < math.inf else lo + 2.0
-        lo = lo + 2.0 * eps if i > 0 else lo
-        spread, inside = coin(), lo + draw(0.0, 1.0) * (hi - lo)
-        edge = np.where(coin(), lo, hi)  # or hug a regime boundary
-        h = np.where(spread, inside, np.minimum(hi, np.maximum(lo, edge + draw(-4.0, 4.0) * eps)))
+    kind, now, low = axis.kinds[:3, us]
+    is_central, several, plus, none = axis.kinds[3:, us].astype(bool)
+    # A band row's miss distance lies within 0.9 eps of its threshold.
+    lo, hi = axis.span[:, low]
+    band = np.maximum(0.0, lo + (-0.9 + 1.8 * u[3]) * eps)
+    # An interior row keeps 2 eps clear of the bands below and above; the
+    # unbounded top interval is sampled 2 m deep.  Half the trials spread
+    # over it and half hug a regime boundary.
+    hi = np.where(hi < math.inf, hi - 2.0 * eps, lo + 2.0)
+    lo = np.where(low > 0, lo + 2.0 * eps, lo)
+    edge = np.where(u[2] < 0.5, lo, hi)
+    hug = np.minimum(hi, np.maximum(lo, edge + (-4.0 + 8.0 * u[3]) * eps))
+    h = np.where(kind == _BAND, band, np.where(u[0] < 0.5, lo + u[1] * (hi - lo), hug))
     # Pin the epoch to closest approach for genuinely central relations; the
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
-    pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
-    d_t = axis.pick(j, h)
-    d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
-    speed = draw(0.5, 2.0)
-    recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
-    return axis.moving(h, d_t, ~recede, speed)
+    pin = is_central & (several | (u[4] < 0.5))
+    d_t, nudge = axis.pick(now, h), (-0.9 + 1.8 * u[6]) * eps
+    d_t = np.where(pin, h, np.where(u[5] < 0.3, np.maximum(h, d_t + nudge), d_t))
+    recede = plus | (none & (u[8] < 0.5))
+    start = axis.moving(h, d_t, ~recede, 0.5 + 1.5 * u[7])
+    # Rigid: the row's pick, jittered by up to 0.9 eps half the time.
+    rigid = kind == _RIGID
+    jitter = np.where(u[7, rigid] < 0.5, 0.0, (-0.9 + 1.8 * u[8, rigid]) * eps)
+    start[:, rigid] = axis.comoving(np.maximum(0.0, axis.pick(now[rigid]) + jitter))
+    return start
 
 
 def _draw_trials(
-    u: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+    us: np.ndarray, axis: _Axis, rngs: list[np.random.Generator], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n random trials of relation u: start states meant to classify u and
-    their ends after a kick of 9 eps-scale normals (on positions and
-    velocities, then a time step)."""
-    start = _trial_states(u, axis, rng, n)
-    kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
+    """n random trials of each relation us[p] (a code), drawn from its own
+    generator rngs[p], a column per trial, relation by relation: start
+    states (`_trial_starts`) and their ends after a kick of 9 eps-scale
+    normals (on positions and velocities, then a time step).  Each relation
+    draws its uniforms as one block, then its kicks."""
+    uniforms, kicks = np.zeros((9, len(us), n)), np.empty((len(us), n, 9))
+    for p, (kind, rng) in enumerate(zip(axis.kinds[0, us].tolist(), rngs)):
+        uniforms[9 - _UNIFORMS[kind] :, p] = rng.random((_UNIFORMS[kind], n))
+        kicks[p] = rng.normal(0.0, 3.0 * axis.eps, (n, 9))
+    start = _trial_starts(np.repeat(us, n), axis, uniforms.reshape(9, -1))
+    kick = kicks.reshape(-1, 9).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
     end[:2] += end[2:] * kick[8]
     return start, end
 
 
 def _pair_trials(
-    pairs: list[Pair], axis: _Axis, rngs: list[np.random.Generator], n: int
+    pairs: np.ndarray, axis: _Axis, rngs: list[np.random.Generator], n: int
 ) -> tuple[list[TrialCounts], list[int]]:
-    """n random trials of each pair (u, v), drawn from the pair's own
+    """n random trials of each pair (u, v) of codes, drawn from the pair's own
     generator (`_draw_trials`), then classified and path-checked together:
     each pair's counts, and how many of its trials cross from u to v on a
     continuous path."""
-    drawn = (_draw_trials(u, axis, rng, n) for (u, _), rng in zip(pairs, rngs))
-    start, end = (np.concatenate(c, axis=1) for c in zip(*drawn))
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    start, end = _draw_trials(pairs[:, 0], axis, rngs, n)
     pair = np.repeat(np.arange(len(pairs)), n)  # each trial's index into pairs
-    u, v = (np.array([axis.index[x] for x in side])[pair] for side in zip(*pairs))
+    u, v = pairs[pair].T
     at_u = np.flatnonzero(axis.labels(start) == u)
     to_v = at_u[axis.labels(end[:, at_u]) == v[at_u]]
     crossed = to_v[_continuous_transitions(start[:, to_v], end[:, to_v], u[to_v], v[to_v], axis)]
@@ -342,35 +384,37 @@ def validate_motion_cng(
     axis = _Axis(r_k, r_l, tol)
     rng = np.random.default_rng(seed)
     report = ValidationReport()
+    relations = axis.relations
 
-    edges = [tuple(sorted(e, key=str)) for e in g.edges]
-    edges.sort(key=lambda e: tuple(map(str, e)))
+    # The graph over codes: RELATIONS is sorted by str, so its upper triangle,
+    # row by row, holds each node pair once, both ends and pairs in str order.
+    adjacent = np.zeros((len(relations),) * 2, dtype=bool)
+    ends = np.array([[axis.index[x] for x in e] for e in g.edges], dtype=int).reshape(-1, 2)
+    adjacent[ends[:, 0], ends[:, 1]] = adjacent[ends[:, 1], ends[:, 0]] = True
+    upper = np.triu_indices(len(relations), 1)
+    edge = adjacent[upper]
+    edges, non_edges = np.transpose(upper)[edge], np.transpose(upper)[~edge]
+
     # An edge no touching cells decode to has no witness.
-    columns = {e: _cell_witness(*axis.touching[e], axis) for e in edges if e in axis.touching}
+    drawn = [e for e in map(tuple, edges.tolist()) if e in axis.touching]
     witnessed = set()
-    if columns:
-        cu, cv = (np.stack(c, axis=1) for c in zip(*columns.values()))
-        u, v = ([axis.index[x] for x in end] for end in zip(*columns))
-        found = _continuous_transitions(cu, cv, u, v, axis)
-        witnessed = {pair for pair, ok in zip(columns, found.tolist()) if ok}
-    report.unwitnessed_edges = [pair for pair in edges if pair not in witnessed]
-
-    nodes = sorted(g.nodes, key=str)
-    non_edges = [
-        (u, v)
-        for i, u in enumerate(nodes)
-        for v in nodes[i + 1 :]
-        if not g.has_edge(u, v)
+    if drawn:
+        cu, cv = _witnesses([axis.touching[e] for e in drawn], axis)
+        found = _continuous_transitions(cu, cv, *np.transpose(drawn), axis)
+        witnessed = {e for e, ok in zip(drawn, found.tolist()) if ok}
+    report.unwitnessed_edges = [
+        (relations[a], relations[b]) for a, b in edges.tolist() if (a, b) not in witnessed
     ]
+
     idx = rng.choice(len(non_edges), size=min(n_pairs, len(non_edges)), replace=False)
-    chosen = sorted(int(j) for j in idx)
+    chosen = np.sort(idx).tolist()
     per_batch = max(1, _BATCH_COLUMNS // max(1, n_trials))
     for b in range(0, len(chosen), per_batch):
         batch = chosen[b : b + per_batch]
-        pairs = [non_edges[i] for i in batch]
         # Each pair's own generator: its trials replay from (seed, i) alone.
         rngs = [np.random.default_rng([seed, i]) for i in batch]
-        counts, crossed = _pair_trials(pairs, axis, rngs, n_trials)
+        counts, crossed = _pair_trials(non_edges[batch], axis, rngs, n_trials)
+        pairs = [(relations[u], relations[v]) for u, v in non_edges[batch].tolist()]
         report.trial_counts.update(zip(pairs, counts))
         report.spurious_transitions += [pair for pair, k in zip(pairs, crossed) if k]
     return report

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import warnings
@@ -28,10 +29,14 @@ from motionstories.stories import (
     CELLS,
     DEFAULT_TOLERANCE,
     REGIMES,
+    RIGID_STORIES,
+    ROW_OF,
+    STORY_LABELS,
     AugmentedRelation,
     Phase,
     RccRelation,
     StoryId,
+    Tolerance,
     augmented_chain,
     augmented_relation,
     augmented_set,
@@ -46,12 +51,10 @@ from motionstories.validate import (
     _BISECT_FLOOR,
     _PATH_SAMPLES,
     _Axis,
-    _cell_witness,
     _continuous_transitions,
     _draw_trials,
-    _edge_witness,
     _pair_trials,
-    _trial_states,
+    _witnesses,
     validate_motion_cng,
 )
 
@@ -458,6 +461,25 @@ def _lerp_state(u: UniformMotionState, v: UniformMotionState, s: float) -> Unifo
     )
 
 
+def _edge_witness(
+    a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
+) -> tuple[np.ndarray, np.ndarray]:
+    """The validator's two witness columns of one edge, in (a, b) order: its
+    batched `_witnesses` of the first touching cell pair that decodes to a
+    and b.  Raises ValueError when no touching cells decode to them."""
+    key = axis.index[a], axis.index[b]
+    if key not in axis.touching:
+        raise ValueError(f"no touching cells decode to {a} and {b}")
+    cu, cv = _witnesses([axis.touching[key]], axis)
+    return cu[:, 0], cv[:, 0]
+
+
+def _trials_of(u: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int):
+    """The validator's batched `_draw_trials` of one relation: n start states
+    and their kicked ends."""
+    return _draw_trials(np.array([axis.index[u]]), axis, [rng], n)
+
+
 class TestBatchedTrials:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -472,7 +494,7 @@ class TestBatchedTrials:
         axis = _Axis(*radii, DEFAULT_TOLERANCE)
         nodes = sorted(augmented_set(*radii), key=str)
         u = nodes[pick % len(nodes)]
-        start, end = _draw_trials(u, axis, np.random.default_rng(seed), 6)
+        start, end = _trials_of(u, axis, np.random.default_rng(seed), 6)
         lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
         for batch in (start, end, lerped):
             want = [augmented_relation(_state(axis, c), axis.tol) for c in batch.T]
@@ -515,7 +537,7 @@ class TestBatchedTrials:
         config = radius_config(rk, rl)
         pairs = [p for x, y in touching_cells(config) for p in ((x, y), (y, x))]
         assert len(pairs) == 2 * {"lt": 88, "gt": 88, "eq": 54}[config]
-        cu, cv = (np.stack(c, axis=1) for c in zip(*(_cell_witness(x, y, axis) for x, y in pairs)))
+        cu, cv = _witnesses(pairs, axis)
         u, v = ([axis.index[CELLS[config][c]] for c in end] for end in zip(*pairs))
         witnessed = _continuous_transitions(cu, cv, u, v, axis)
         assert [(x, y) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
@@ -576,7 +598,8 @@ class TestBatchedTrials:
         assert len(report.trial_counts) == 5
         for (u, v), counts in report.trial_counts.items():
             rng = np.random.default_rng([7, non_edges.index((u, v))])
-            assert _pair_trials([(u, v)], axis, [rng], 60)[0] == [counts]
+            pair = [(axis.index[u], axis.index[v])]
+            assert _pair_trials(pair, axis, [rng], 60)[0] == [counts]
             assert counts.attempted == 60 and counts.attempted >= counts.at_u >= counts.to_v
 
     def test_trials_reach_the_removed_edge(self):
@@ -586,7 +609,8 @@ class TestBatchedTrials:
         # trials reach it about 115 times.
         axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
         u, v = aug("S11(DC)"), aug("S12(DC-)")
-        [crossed] = _pair_trials([(u, v)], axis, [np.random.default_rng(11)], 20_000)[1]
+        pair = [(axis.index[u], axis.index[v])]
+        [crossed] = _pair_trials(pair, axis, [np.random.default_rng(11)], 20_000)[1]
         assert crossed >= 40
 
 
@@ -596,10 +620,59 @@ class TestBatchedTrials:
 _SEVEN = _RADII + [(1e-9, 1.0), (3e7, 1.1e8)]
 
 
+def _trial_states(
+    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """A batch of n random states meant to classify `aug`, biased toward
+    regime boundaries.  Each trial draws every coin and the numbers of both
+    branches a coin picks between, so all trials draw alike.
+
+    The validator's trial states as it drew them one relation and one coin at
+    a time, before its draws became blocks and its trials one array pass:
+    verbatim but for the configuration's rows and rigid stories, which are
+    read from the tables here, and the row's span, from `_Axis.span`."""
+    eps = axis.eps
+    config = radius_config(axis.r_k, axis.r_l, axis.tol)
+    row_of, rigid = ROW_OF[config], RIGID_STORIES[config]
+
+    def coin(p: float = 0.5) -> np.ndarray:
+        return rng.uniform(size=n) < p
+
+    def draw(lo: float, hi: float) -> np.ndarray:
+        return rng.uniform(lo, hi, n)
+
+    j = row_of[aug.rel]
+    if aug.story in rigid:
+        jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
+        return axis.comoving(np.maximum(0.0, axis.pick(j) + jitter))
+
+    i = row_of[aug.story]
+    lo, hi = axis.span[:, i]
+    if axis.rows[i].band is not None:
+        h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
+    else:
+        # Keep 2 eps clear of the bands below and above; the unbounded top
+        # interval is sampled 2 m deep.
+        hi = hi - 2.0 * eps if hi < math.inf else lo + 2.0
+        lo = lo + 2.0 * eps if i > 0 else lo
+        spread, inside = coin(), lo + draw(0.0, 1.0) * (hi - lo)
+        edge = np.where(coin(), lo, hi)  # or hug a regime boundary
+        h = np.where(spread, inside, np.minimum(hi, np.maximum(lo, edge + draw(-4.0, 4.0) * eps)))
+    # Pin the epoch to closest approach for genuinely central relations; the
+    # single-label story S11 holds DC everywhere, so only pin it half the time
+    # to also cover epochs away from the minimum.
+    pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
+    d_t = axis.pick(j, h)
+    d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
+    speed = draw(0.5, 2.0)
+    recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
+    return axis.moving(h, d_t, ~recede, speed)
+
+
 def _one_pair_trials(u, v, axis, rng, n):
     """The trials of one sampled pair as the validator drew and classified
-    them before pairs were batched, verbatim: start states, their kicked
-    ends, the counts, and the trials from u to v in order."""
+    them before pairs were batched, verbatim: start states (`_trial_states`),
+    their kicked ends, the counts, and the trials from u to v in order."""
     start = _trial_states(u, axis, rng, n)
     kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
@@ -650,6 +723,20 @@ class TestPairBatches:
         g = motion_cng(augmented_set(rk, rl))
         _assert_same_report(g, rk, rl, n_pairs=60, n_trials=80, seed=seed)
 
+    @pytest.mark.parametrize("rk, rl", _SEVEN)
+    def test_block_draws_equal_the_reference_bit_for_bit(self, rk, rl):
+        # Every relation's trials in one batch, each from its own generator,
+        # against the one-coin-at-a-time reference: starts and kicked ends.
+        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        nodes, n = sorted(augmented_set(rk, rl), key=str), 50
+        us = np.array([axis.index[a] for a in nodes])
+        rngs = [np.random.default_rng([9, k]) for k in range(len(nodes))]
+        start, end = _draw_trials(us, axis, rngs, n)
+        for k, a in enumerate(nodes):
+            want = _one_pair_trials(a, a, axis, np.random.default_rng([9, k]), n)[:2]
+            got = start[:, k * n : (k + 1) * n], end[:, k * n : (k + 1) * n]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], a
+
     @pytest.mark.parametrize(
         "n_trials", [1, 80, _BATCH_COLUMNS - 1, _BATCH_COLUMNS, _BATCH_COLUMNS + 1]
     )
@@ -672,6 +759,37 @@ class TestPairBatches:
         kwargs = dict(n_pairs=400, n_trials=400, seed=1)
         assert validate_motion_cng(g, 1.0, 2.0, **kwargs).spurious_transitions
         _assert_same_report(g, 1.0, 2.0, **kwargs)
+
+
+# The sha256 of repr(validate_motion_cng(motion_cng(augmented_set(rk, rl, tol)),
+# rk, rl, tol, n_pairs=60, n_trials=80, seed=seed)), by (rk, rl, eps, seed),
+# computed at commit 7f82f46, whose validator drew each trial's numbers one
+# call at a time and built each witness and each pair's trials on its own.
+_REPORT_DIGESTS = {
+    (1.0, 2.0, 1e-9, 1): "5f2daa61775832b281636a2ee29b43ab80b1058a70b26b90d098199c61ad2011",
+    (1.0, 2.0, 1e-9, 2): "a967903c43a28754b096a866345ee93cb9e730eaf45b8dd0c2f11c09ea5b885a",
+    (1.0, 2.0, 1e-9, 3): "7159a502875ecb29a57118b8c0542fa452f9432b30a739eddf026af04dcd8f43",
+    (2.0, 1.0, 1e-9, 1): "de6aa5e1ce32554509e5b432369eb3a840ce9f84198688e7b21f0c5c86b49ac3",
+    (2.0, 1.0, 1e-9, 2): "caebc8537055fb030e92be3eb040f6dddcb58af1d1a90b24a437fc1e28941030",
+    (2.0, 1.0, 1e-9, 3): "f055380a2f1e4b24b12b22e60ccfd1271bae860e3bd46aa6a4fa59b0352ef07f",
+    (1.5, 1.5, 1e-9, 1): "bee6a0450c0437ddd01b5288902d0b236366c9c0fd5f4e5843347e9ea86f0420",
+    (1.5, 1.5, 1e-9, 2): "2a477337d89cb28b5ff3337ec466dde0dd828e620943320e6dd25e29f1acdfaf",
+    (1.5, 1.5, 1e-9, 3): "35c3e064b4a231d63b22ff262cf465d887b8f73f7c4c6308395b0e583807b688",
+    (1.0, 1.0 + 2e-9, 1e-9, 1): "e0e9e93a49039cc69fb18a77be0178552fb0483f98aae4936a41ab7d63d797ba",
+    (1e200, 3e200, 1e-9, 1): "d9b7b14d8c551becff251d03b7bfd92fefa081ad6d611856a72382e2e894e7bf",
+    (1e-300, 3e-300, 1e-309, 1): "814d051fad5512bba1e5db2fcb9973b763a277ae8e6c8eb95e87d3cffefadfc5",
+}
+
+
+@pytest.mark.parametrize("rk, rl, eps, seed", list(_REPORT_DIGESTS))
+def test_reports_are_byte_identical_to_the_pinned_ones(rk, rl, eps, seed):
+    # Also at radii whose reports are not ok: 1e200 overflows d * d and
+    # 1e-300 makes the kick speeds' squares subnormal.
+    tol = Tolerance(eps)
+    report = validate_motion_cng(
+        motion_cng(augmented_set(rk, rl, tol)), rk, rl, tol, n_pairs=60, n_trials=80, seed=seed
+    )
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == _REPORT_DIGESTS[rk, rl, eps, seed]
 
 
 def _floor_changes(classify, samples, rel_floor):
@@ -792,11 +910,10 @@ class TestPathBisection:
         axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
         nodes = sorted(augmented_set(rk, rl), key=str)
         rng = np.random.default_rng(5)
-        trials = [
-            _draw_trials(nodes[i], axis, np.random.default_rng([5, k]), 100)
-            for k, (i, _) in enumerate(rng.integers(0, len(nodes), (20, 2)))
-        ]
-        start, end = (np.concatenate(c, axis=1) for c in zip(*trials))
+        picks = rng.integers(0, len(nodes), (20, 2))[:, 0]
+        us = np.array([axis.index[nodes[i]] for i in picks])
+        rngs = [np.random.default_rng([5, k]) for k in range(len(picks))]
+        start, end = _draw_trials(us, axis, rngs, 100)
         u = axis.labels(start)
         for v in (axis.labels(end), rng.integers(0, len(nodes), start.shape[1])):
             got = _continuous_transitions(start, end, u, v, axis)
@@ -822,8 +939,9 @@ class TestPathBisection:
         assert axis.labels(overflowing).tolist() == [-1, -1]
 
         starts = np.stack([fine[:, 0], overflowing[:, 0]], axis=1)
-        monkeypatch.setattr(motionstories.validate, "_trial_states", lambda *args: starts)
-        [counts], _ = _pair_trials([(a, b)], axis, [np.random.default_rng(0)], 2)
+        monkeypatch.setattr(motionstories.validate, "_trial_starts", lambda *args: starts)
+        pair = [(axis.index[a], axis.index[b])]
+        [counts], _ = _pair_trials(pair, axis, [np.random.default_rng(0)], 2)
         assert counts.attempted == 2 and counts.at_u == 1
 
         ends = np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
@@ -880,7 +998,7 @@ class TestBatchColumns:
         u = aug("S02(EC)")
         worst = 0.0
         for i in range(len(augmented_set(1.0, 2.0)) - 1):
-            start, end = _draw_trials(u, axis, np.random.default_rng([0, i]), 8)
+            start, end = _trials_of(u, axis, np.random.default_rng([0, i]), 8)
             for k in range(start.shape[1]):
                 su, sv = _state(axis, start[:, k]), _state(axis, end[:, k])
                 ends = [tuple(map(Fraction, (e.dp.x, e.dp.y, e.dv.x, e.dv.y))) for e in (su, sv)]

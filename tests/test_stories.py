@@ -12,6 +12,7 @@ import motionstories
 from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_approach_state
 from motionstories.oracle import canonical_state
 from motionstories.stories import (
+    _INDEX,
     _row_at,
     CELLS,
     DEFAULT_TOLERANCE,
@@ -39,6 +40,7 @@ from motionstories.stories import (
     classify_discs,
     distance_inside,
     format_story,
+    hypot_at_breaks,
     radius_config,
     stories_set,
     story_of,
@@ -739,3 +741,110 @@ class TestMotionRccRelation:
 
     def test_rigid_dc_maps_to_s11(self):
         assert story_of(state(0, 0, 1, 1, 10, 0, 1, 1)).id is StoryId.S11
+
+
+def _math_hypot_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol):
+    """`augmented_relation_indices` as it was with `math.hypot` mapped over
+    every state, verbatim."""
+    ax = axis(r_k, r_l, tol)
+    with np.errstate(all="ignore"):
+        a = dvx * dvx + dvy * dvy
+        dot = dpx * dvx + dpy * dvy
+        d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
+        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        rigid = a < sys.float_info.min
+        # hypot is finite exactly when both its arguments are.
+        usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
+            rigid | np.isfinite([a, dot / a, d_min]).all(axis=0)
+        )
+    h = np.where(rigid, d, np.minimum(d_min, d))
+    # An unusable state's rows are read from NaN or inf, which sort last.
+    i, j = np.searchsorted(ax.breaks, [h, d], "right")
+    return np.where(usable, _INDEX[ax.config][i, j, rigid.astype(int), (dot < 0).astype(int)], -1)
+
+
+def _scalar_code(column: list[float], r_k: float, r_l: float, tol: Tolerance, index: dict) -> int:
+    """The index of the scalar `augmented_relation` of a batch column with
+    disc k at rest at the origin, -1 where the state or its relation is
+    rejected."""
+    dpx, dpy, dvx, dvy = column
+    try:
+        state = UniformMotionState(
+            Disc(Vec2(0.0, 0.0), r_k), Vec2(0.0, 0.0), Disc(Vec2(dpx, dpy), r_l), Vec2(dvx, dvy)
+        )
+        return index[augmented_relation(state, tol)]
+    except ValueError:
+        return -1
+
+
+# Components that are subnormal, near the largest float, or not finite.
+_ODD = [5e-324, -5e-324, 1e-310, -2e-308, 1.7e308, -1.7e308, 9e307, math.nan, math.inf, -math.inf]
+
+
+def _near_break_states(r_k: float, r_l: float, tol: Tolerance, n: int, seed: int) -> np.ndarray:
+    """n states as a (4, n) batch whose current distance lies within 3 ulps
+    of a finite break, in a random direction, and whose miss distance is
+    within 3 ulps of a break below it, or random; at a speed of about 1, a
+    subnormal squared speed or 0.  A fifth of them get one component, and a
+    tenth both position components, from `_ODD`."""
+    rng = np.random.default_rng(seed)
+    breaks = np.array([b for b in axis(r_k, r_l, tol).breaks if b < math.inf])
+
+    def near(b: np.ndarray) -> np.ndarray:
+        steps = rng.integers(-3, 4, len(b))  # positive floats step one ulp per bit
+        return np.maximum(b.view(np.int64) + steps, 0).view(np.float64)
+
+    d = near(breaks[rng.integers(0, len(breaks), n)])
+    miss = np.minimum(near(breaks[rng.integers(0, len(breaks), n)]), d)
+    turn = np.where(rng.random(n) < 0.5, np.arcsin(miss / d), rng.uniform(0.0, np.pi, n))
+    turn = np.where(rng.random(n) < 0.5, turn, np.pi - turn)  # closing in or moving apart
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    speed = rng.choice([1.0, 0.7, 1.3, 1e-160, 0.0], n)
+    batch = np.stack([
+        d * np.cos(theta), d * np.sin(theta),
+        speed * np.cos(theta + turn), speed * np.sin(theta + turn),
+    ])
+    odd = np.flatnonzero(rng.random(n) < 0.2)
+    batch[rng.integers(0, 4, len(odd)), odd] = rng.choice(_ODD, len(odd))
+    both = np.flatnonzero(rng.random(n) < 0.1)
+    batch[:2, both] = rng.choice(_ODD, (2, len(both)))
+    return batch
+
+
+class TestHypotMargin:
+    # `np.hypot` is taken again with `math.hypot` only where its last bits
+    # could move a row; the codes stay those of `math.hypot` on every state.
+
+    @pytest.mark.parametrize(
+        "r_k, r_l, eps",
+        [(1.0, 2.0, 1e-9), (2.0, 1.0, 1e-9), (1.5, 1.5, 1e-9), (1e200, 3e200, 1e-9),
+         (1e-155, 3e-155, 1e-170)],
+    )
+    def test_codes_equal_the_math_hypot_path_and_the_scalar_one(self, r_k, r_l, eps):
+        tol = Tolerance(eps)
+        batch = _near_break_states(r_k, r_l, tol, 20_000, seed=7)
+        with np.errstate(all="ignore"):
+            d = np.hypot(*batch[:2])
+        exact = np.array(list(map(math.hypot, *batch[:2].tolist())))
+        # The states reach where the two hypots round into different rows.
+        breaks = axis(r_k, r_l, tol).breaks
+        assert (np.searchsorted(breaks, d, "right") != np.searchsorted(breaks, exact, "right")).any()
+        got = augmented_relation_indices(*batch, r_k, r_l, tol)
+        assert got.tolist() == _math_hypot_indices(*batch, r_k, r_l, tol).tolist()
+        index = {a: k for k, a in enumerate(RELATIONS[radius_config(r_k, r_l, tol)])}
+        scalar = [_scalar_code(c, r_k, r_l, tol, index) for c in batch[:, ::4].T.tolist()]
+        assert got[::4].tolist() == scalar
+
+    def test_retakes_only_near_a_break(self):
+        # Far from every break np.hypot stands; at a break's float, and where
+        # `also` asks, math.hypot's value is taken.
+        breaks = (1.0, 3.0)
+        x, y = np.array([0.6, 1.8, 5e-324, 1.7e308]), np.array([0.8, 2.4, 0.0, 1.7e308])
+        with np.errstate(over="ignore"):
+            d = hypot_at_breaks(x, y, breaks)
+        assert d.tolist() == [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(1.2, 1.5, 10_000), rng.uniform(1.2, 1.5, 10_000)
+        assert hypot_at_breaks(x, y, breaks).tolist() == np.hypot(x, y).tolist()
+        also = hypot_at_breaks(x, y, breaks, lambda d: np.ones(len(d), bool))
+        assert also.tolist() == list(map(math.hypot, x.tolist(), y.tolist()))
