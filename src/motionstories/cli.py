@@ -10,6 +10,7 @@ warning escalated by --strict; a closed stderr changes none of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -286,6 +287,7 @@ class SystemExit2(Exception):
     """Usage error carrying the argparse message."""
 
 
+@functools.cache  # built on the first `main` call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="motionstories", description=__doc__)
     parser.add_argument("--config", help="scene config JSON file")

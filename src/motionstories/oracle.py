@@ -33,7 +33,6 @@ from .stories import (
     TemporalSequence,
     Tolerance,
     axis,
-    distance_inside,
     hypot_at_breaks,
     story_of,
 )
@@ -254,7 +253,8 @@ def rigid_state(r_k: float, r_l: float, distance: float, vel: Vec2 = Vec2(0.0, 0
 def _targeted_states(r_k: float, r_l: float, tol: Tolerance) -> list[UniformMotionState]:
     """A state with its closest approach inside each miss-distance regime, and
     a rigid state at that distance."""
-    distances = [distance_inside(span) for span in axis(r_k, r_l, tol).spans]
+    ax = axis(r_k, r_l, tol)
+    distances = ax.pick(np.arange(len(ax.rows))).tolist()
     return [canonical_state(r_k, r_l, h, time_to_approach=3.0) for h in distances] + [
         rigid_state(r_k, r_l, d) for d in distances
     ]

@@ -14,12 +14,14 @@ relation each decodes to are built from it once, at import; the relation
 sets and the motion graph are read from the cells.  Rest at DC is S11(DC),
 no story of its own (`RIGID_STORIES`).  `axis(r_k, r_l, tol)` holds one pair
 of radii's rows, their thresholds and, built on first use from one walk over
-the band rows, the distances where the walk's row steps up; it places every
-distance, for `classify_discs`, `story_of` and `augmented_relation_indices`
-alike, and an array of them (`Axis.rows_at`).  Each story is a qualitative
-motion relation, and pairing it with the current spatial relation (plus a
-phase, MINUS before closest approach and PLUS after, for the repeated labels)
-gives the augmented motion relations.
+the band rows, the distances where the walk's row steps up.  It gives every
+distance its row, for `classify_discs`, `story_of` and
+`augmented_relation_indices` alike, and an array of them (`Axis.rows_at`);
+and it is the one rule that places arrays of distances in rows (`Axis.pick`,
+kept inside each row's float extent by `Axis.inside`).  Each story is a
+qualitative motion relation, and pairing it with the current spatial relation
+(plus a phase, MINUS before closest approach and PLUS after, for the repeated
+labels) gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -276,6 +278,39 @@ class Axis:
         """The threshold of each band row, by increasing row."""
         return tuple(x for x in self.thetas if x is not None)
 
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """A column per row, read-only: the ends of its span (`spans`) and of
+        its float extent [lo, hi) (`breaks`), and the extent's `_midway`, or
+        lo where a one-float extent's midpoint rounds up to hi."""
+        lo, hi = extent = np.array([(0.0, *self.breaks), (*self.breaks, math.inf)])
+        middle = _midway(lo, hi)
+        ends = np.vstack((np.array(self.spans).T, extent, np.where(middle < hi, middle, lo)))
+        ends.flags.writeable = False
+        return ends
+
+    def inside(self, rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Each d where it lies in its row's float extent, else that extent's
+        middle: spans end at thresholds, which a row narrower than a few eps
+        does not reach.  Elementwise, as is `pick`."""
+        lo, hi, middle = self.ends[2:, rows]
+        return np.where((lo <= d) & (d < hi), d, middle)
+
+    def pick(self, rows: np.ndarray, floor: np.ndarray | float = 0.0) -> np.ndarray:
+        """A center distance in each row, not below `floor` (a miss distance,
+        so reachable on its trajectory) where the row allows: its span's
+        `_midway`, moved `inside` the row."""
+        return self.inside(rows, _midway(*self.ends[:2, rows], floor))
+
+
+def _midway(lo: np.ndarray, hi: np.ndarray, floor: np.ndarray | float = 0.0) -> np.ndarray:
+    """A distance in each span [lo, hi], not below `floor` where the span
+    allows: a band's threshold, else the midpoint of [max(lo, floor), hi], or
+    half a meter past that start for the unbounded top interval."""
+    start = np.maximum(lo, floor)
+    with np.errstate(over="ignore"):  # a band's unused midpoint may overflow
+        return np.where(lo == hi, lo, np.where(hi == math.inf, start + 0.5, (start + hi) / 2.0))
+
 
 @functools.lru_cache(maxsize=256)
 def axis(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) -> Axis:
@@ -317,22 +352,6 @@ def bands_overlap(r_k: float, r_l: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
     """
     thetas = axis(r_k, r_l, tol).thresholds
     return any(hi - lo <= 2.0 * tol.eps for lo, hi in zip(thetas, thetas[1:]))
-
-
-def distance_inside(span: tuple[float, float], floor: float = 0.0) -> float:
-    """A center distance inside a regime span, not below `floor` where the
-    span allows: a band's threshold, else the midpoint of [max(lo, floor), hi],
-    or half a meter past that start for the unbounded top interval.  An
-    array `floor`, or arrays of span ends, give an array, elementwise."""
-    lo, hi = span
-    if np.ndim(lo) or np.ndim(floor):
-        start = np.maximum(lo, floor)
-        with np.errstate(over="ignore"):  # a band's unused midpoint may overflow
-            return np.where(lo == hi, lo, np.where(hi == math.inf, start + 0.5, (start + hi) / 2.0))
-    if lo == hi:
-        return lo
-    lo = max(lo, floor)
-    return lo + 0.5 if hi == math.inf else (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,15 @@
 
 Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  Every miss distance and center
-distance used to build a witness or a random state is read from the radii's
-`stories.axis`: its rows, looked up through `stories.ROW_OF`, and their
-extents (`Axis.spans`), or the middle of a row's float extent where a row
-narrower than a few eps leaves the span's pick outside it.  Every witness
-and trial is a batch column of relative motion built by `_Axis.moving` or
-`_Axis.comoving`.  The graph is read as a code-by-code adjacency over the
-radii's `stories.RELATIONS`.  An edge is witnessed from a pair of touching
-cells that decode to its ends (`neighborhood.touching_cells`, the rule the
-graph is drawn by), one state in each cell (`_cell_witness`), all edges in
-one batch per side (`_witnesses`); a pair of relations no touching cells
-decode to has no witness.
+distance used to build a witness or a random state is placed in its row by
+the radii's `stories.axis` (`Axis.pick`, `Axis.inside`), the rows read through
+`stories.ROW_OF`.  Every witness and trial is a batch column of relative
+motion built by `_Axis.moving` or `_Axis.comoving`.  The graph is read as a
+code-by-code adjacency over the radii's `stories.RELATIONS`.  An edge is
+witnessed from a pair of touching cells that decode to its ends
+(`neighborhood.touching_cells`, the rule the graph is drawn by), one state in
+each cell; every edge's witnesses are built in one array pass (`_witnesses`).
+A pair of relations no touching cells decode to has no witness.
 The graph's nodes must be exactly the radii's `stories.augmented_set`.
 States are classified in batches, as indices into `stories.RELATIONS`
 (`stories.augmented_relation_indices`); a state it rejects, code -1, holds
@@ -50,7 +48,6 @@ from .stories import (
     augmented_set,
     axis as radii_axis,  # `axis` names each check's `_Axis` below
     central,
-    distance_inside,
 )
 
 _PATH_SAMPLES = 25
@@ -59,8 +56,6 @@ _PATH_SAMPLES = 25
 _BATCH_COLUMNS = 2**11
 _BISECT_FLOOR = 1e-7
 Pair = tuple[AugmentedRelation, AugmentedRelation]
-Floats = float | np.ndarray  # a number, or one per state of a batch
-Rows = int | np.ndarray  # a row, or one per state of a batch
 
 
 class TrialCounts(NamedTuple):
@@ -126,53 +121,37 @@ def _kinds(config: str) -> np.ndarray:
 
 
 class _Axis:
-    """Lookups on the `stories.axis` of one pair of radii, and its states in
-    batches of relative motion: (4, n) arrays, a column per state, rows dpx,
-    dpy, dvx, dvy (`UniformMotionState.dp` and `.dv`)."""
+    """Lookups on the `stories.axis` of one pair of radii, `ax`, which places
+    every distance (`Axis.pick`, `Axis.inside`), and its states in batches of
+    relative motion: (4, n) arrays, a column per state, rows dpx, dpy, dvx,
+    dvy (`UniformMotionState.dp` and `.dv`)."""
 
     def __init__(self, r_k: float, r_l: float, tol: Tolerance) -> None:
         self.r_k, self.r_l, self.tol, self.eps = r_k, r_l, tol, tol.eps
-        ax = radii_axis(r_k, r_l, tol)
-        # Each row's span, float extent and its middle, indexed by row or by
-        # an array of rows.
-        self.rows, self.span = ax.rows, np.array(ax.spans).T
-        self.extent = np.array([(0.0, *ax.breaks), (*ax.breaks, math.inf)])
-        self.middle = distance_inside(self.extent)
+        self.ax = ax = radii_axis(r_k, r_l, tol)
+        self.span = ax.ends[:2]
+        self.banded = np.array([r.band is not None for r in ax.rows])
         self.relations = RELATIONS[ax.config]
         self.index = {a: k for k, a in enumerate(self.relations)}
         self.kinds = _kinds(ax.config)
         self.touching = _touching(ax.config)
 
-    def inside(self, row: Rows, d: Floats) -> Floats:
-        """d where it lies in the row's float extent (`Axis.breaks`), else that
-        extent's middle: spans end at thresholds, which a row narrower than a
-        few eps does not reach.  Elementwise for an array d, whose entries
-        may each have a row of their own."""
-        lo, hi = self.extent[:, row]
-        if np.ndim(d):
-            return np.where((lo <= d) & (d < hi), d, self.middle[row])
-        return d if lo <= d < hi else self.middle[row]
-
-    def pick(self, row: Rows, floor: Floats = 0.0) -> Floats:
-        """A center distance in the row, not below `floor` (a miss distance,
-        so reachable on its trajectory) unless `floor` lies in a narrow row of
-        its own; elementwise for an array floor or array of rows."""
-        return self.inside(row, distance_inside(self.span[:, row], floor))
-
-    def place(self, a: int, b: int, offset: float, floor: float = 0.0) -> tuple[float, float]:
-        """A distance in row a and one in row b: one point in a row they share,
-        not below `floor`; else one on each side of the break between the two
-        adjacent rows, the band's threshold and `offset` eps inside the
-        interior row."""
-        if a == b:
-            return (self.pick(a, floor),) * 2
-        lower = min(a, b)
-        band = lower if self.rows[lower].band is not None else lower + 1
-        theta, step = self.span[0, band], offset * self.eps
-        return tuple(self.inside(k, theta + (k - band) * step) for k in (a, b))
+    def place(
+        self, a: np.ndarray, b: np.ndarray, offset: float, floor: np.ndarray | float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """For each pair of rows a[k], b[k], a distance in each: one point in a
+        row they share, not below `floor`; else one on each side of the break
+        between the two adjacent rows, the band's threshold and `offset` eps
+        inside the interior row."""
+        lower = np.minimum(a, b)
+        band = np.where(self.banded[lower], lower, np.maximum(a, b))
+        theta, step, shared = self.span[0, band], offset * self.eps, self.ax.pick(a, floor)
+        return tuple(
+            np.where(a == b, shared, self.ax.inside(k, theta + (k - band) * step)) for k in (a, b)
+        )
 
     def moving(
-        self, h: Floats, d: Floats, approach: bool | np.ndarray, speed: Floats = 1.0
+        self, h: np.ndarray, d: np.ndarray, approach: np.ndarray, speed: np.ndarray | float = 1.0
     ) -> np.ndarray:
         """The `oracle.canonical_state` with miss distance h now at center
         distance d, approaching (closest approach ahead) or receding, as a
@@ -183,7 +162,7 @@ class _Axis:
             dpx = speed * np.where(approach, -tta, tta)
         return np.stack(np.broadcast_arrays(dpx, h, speed, 0.0))
 
-    def comoving(self, d: Floats) -> np.ndarray:
+    def comoving(self, d: np.ndarray) -> np.ndarray:
         """The `oracle.rigid_state` at center distance d as a batch column;
         elementwise for an array d, as a batch."""
         return np.stack(np.broadcast_arrays(d, 0.0, 0.0, 0.0))
@@ -240,43 +219,28 @@ def _continuous_transitions(
         )
 
 
-Witness = tuple[float, float, bool, float, bool]  # h, d, approach, speed, rest
-
-
-def _cell_witness(x: Cell, y: Cell, axis: _Axis) -> tuple[Witness, Witness]:
-    """A state in each of two touching cells, in (x, y) order, as the
-    arguments of `_Axis.moving` and whether its dv is then 0.
+def _witnesses(pairs: list[tuple[Cell, Cell]], axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
+    """A state in each of two touching cells x and y, for each pair (x, y), in
+    one array pass: two batches, a column per pair, x's and y's.
 
     Each state's miss distance h comes from its row i and its current
     distance d from its row j, both placed by `_Axis.place` (3 eps for h,
     2.5 eps for d, d not below h where a row is shared); two cells at
-    closest approach keep h = d.  A rest cell is its kicked partner's
-    position, on the partner's closing side, with dv = 0; the kick is
-    eps-scale."""
-    if x[2] or y[2]:
-        i, j, _, closing = y if x[2] else x
-        h = axis.pick(i)
-        kicked = (h, h if i == j else axis.pick(j, h), closing, 3.0 * axis.eps, False)
-        rest = (*kicked[:4], True)
-        return (rest, kicked) if x[2] else (kicked, rest)
-    hx, hy = axis.place(x[0], y[0], 3.0)
-    if x[0] == x[1] and y[0] == y[1]:
-        dx, dy = hx, hy
-    else:
-        dx, dy = axis.place(x[1], y[1], 2.5, max(hx, hy))
-    return (hx, dx, x[3], 1.0, False), (hy, dy, y[3], 1.0, False)
-
-
-def _witnesses(pairs: list[tuple[Cell, Cell]], axis: _Axis) -> tuple[np.ndarray, np.ndarray]:
-    """The `_cell_witness` states of touching cell pairs as two batches, one
-    column per pair in each: one `_Axis.moving` call per side."""
-    sides = []
-    for side in zip(*(_cell_witness(x, y, axis) for x, y in pairs)):
-        h, d, approach, speed, rest = map(np.array, zip(*side))
-        batch = axis.moving(h, d, approach, speed)
-        batch[2:, rest] = 0.0
-        sides.append(batch)
-    return sides[0], sides[1]
+    closest approach keep h = d.  A rest cell takes its kicked partner's h,
+    d and closing side, at the kick's eps-scale speed, with dv = 0."""
+    x, y = cells = np.array(pairs).transpose(1, 2, 0)  # side, (i, j, rigid, closing), pair
+    h = np.array(axis.place(x[0], y[0], 3.0))
+    at_min = (cells[:, 0] == cells[:, 1]).all(axis=0)
+    d = np.where(at_min, h, axis.place(x[1], y[1], 2.5, h.max(axis=0)))
+    resting = cells[:, 2] == 1
+    rest = resting.any(axis=0)
+    i, j, _, closing = np.where(resting[0], y, x)  # a rest pair's kicked cell
+    h = np.where(rest, axis.ax.pick(i), h)
+    d = np.where(rest, np.where(i == j, h[0], axis.ax.pick(j, h[0])), d)
+    speed = np.where(rest, 3.0 * axis.eps, 1.0)
+    batch = axis.moving(h, d, np.where(rest, closing, cells[:, 3]), speed)
+    batch[2:, resting] = 0.0
+    return batch[:, 0], batch[:, 1]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a formula of another kind may overflow
@@ -304,14 +268,14 @@ def _trial_starts(us: np.ndarray, axis: _Axis, u: np.ndarray) -> np.ndarray:
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
     pin = is_central & (several | (u[4] < 0.5))
-    d_t, nudge = axis.pick(now, h), (-0.9 + 1.8 * u[6]) * eps
+    d_t, nudge = axis.ax.pick(now, h), (-0.9 + 1.8 * u[6]) * eps
     d_t = np.where(pin, h, np.where(u[5] < 0.3, np.maximum(h, d_t + nudge), d_t))
     recede = plus | (none & (u[8] < 0.5))
     start = axis.moving(h, d_t, ~recede, 0.5 + 1.5 * u[7])
     # Rigid: the row's pick, jittered by up to 0.9 eps half the time.
     rigid = kind == _RIGID
     jitter = np.where(u[7, rigid] < 0.5, 0.0, (-0.9 + 1.8 * u[8, rigid]) * eps)
-    start[:, rigid] = axis.comoving(np.maximum(0.0, axis.pick(now[rigid]) + jitter))
+    start[:, rigid] = axis.comoving(np.maximum(0.0, axis.ax.pick(now[rigid]) + jitter))
     return start
 
 

@@ -469,6 +469,25 @@ class TestExitCodes:
         bad.write_text("t,xk,yk,xl,yl\n0,0,0,oops,3\n")
         assert main(["story", str(bad)]) == EXIT_FORMAT
 
+    def test_calls_in_one_process_match_fresh_ones(self, tmp_path, capfd):
+        # The parser is built once per process; what one call parses leaves
+        # nothing behind for the next.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,xk,yk,xl,yl\n0,0,0,oops,3\n")
+        calls = [["story"], ["story", str(bad)], ["--window", "10", "classify", SCENARIO_A_CSV]]
+        motionstories.cli._build_parser.cache_clear()
+        in_process = []
+        for args in calls:
+            code = main(args)
+            in_process.append((code, *capfd.readouterr()))
+        fresh = []
+        for args in calls:
+            proc = _piped_cli(args)
+            out, err = proc.communicate()
+            fresh.append((proc.returncode, out.decode(), err.decode()))
+        assert [c for c, _, _ in in_process] == [EXIT_USAGE, EXIT_FORMAT, EXIT_OK]
+        assert in_process == fresh
+
     @pytest.mark.parametrize("command", [["classify"], ["story"], ["recognize"]])
     def test_one_record_is_a_format_error(self, tmp_path, capfd, command):
         path = tmp_path / "one.csv"

@@ -644,11 +644,11 @@ def _trial_states(
     j = row_of[aug.rel]
     if aug.story in rigid:
         jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
-        return axis.comoving(np.maximum(0.0, axis.pick(j) + jitter))
+        return axis.comoving(np.maximum(0.0, axis.ax.pick(j) + jitter))
 
     i = row_of[aug.story]
     lo, hi = axis.span[:, i]
-    if axis.rows[i].band is not None:
+    if axis.ax.rows[i].band is not None:
         h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
     else:
         # Keep 2 eps clear of the bands below and above; the unbounded top
@@ -662,7 +662,7 @@ def _trial_states(
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
     pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
-    d_t = axis.pick(j, h)
+    d_t = axis.ax.pick(j, h)
     d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
     speed = draw(0.5, 2.0)
     recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
@@ -778,6 +778,12 @@ _REPORT_DIGESTS = {
     (1.0, 1.0 + 2e-9, 1e-9, 1): "e0e9e93a49039cc69fb18a77be0178552fb0483f98aae4936a41ab7d63d797ba",
     (1e200, 3e200, 1e-9, 1): "d9b7b14d8c551becff251d03b7bfd92fefa081ad6d611856a72382e2e894e7bf",
     (1e-300, 3e-300, 1e-309, 1): "814d051fad5512bba1e5db2fcb9973b763a277ae8e6c8eb95e87d3cffefadfc5",
+    # Bands that nearly touch, NTPP and NTPPI rows narrower than a few eps,
+    # and tiny radii with eps scaled alike.
+    (1.0, 1.0 + 5e-10, 1e-9, 1): "a3a8042b5ae94a291632689ec4917e04b5b6a532ebd71df971655078220faf37",
+    (1.0, 1.0 + 1e-6, 1e-9, 1): "e80fdec5fc202c8a2492f849ed20c67324d755180cb1d2dc7ba8ab464439cf02",
+    (1.0 + 2.5e-9, 1.0, 1e-9, 1): "454ef305854bbbfd8aea8e4325bfee19d037e3747399321507c73eb3dfa4e5c6",
+    (1e-100, 3e-100, 1e-109, 1): "8e29ccec359c5588be261d663593a160f0000128655a355a9f4b790d247ae8fa",
 }
 
 

@@ -33,7 +33,6 @@ from motionstories.stories import (
     Tolerance,
     axis,
     classify_discs,
-    distance_inside,
     story_of,
 )
 
@@ -294,7 +293,8 @@ def _equivalence_states(r_k, r_l):
             if theta + f * eps >= 0:
                 states.append(canonical_state(r_k, r_l, theta + f * eps, rng.uniform(-4, 4)))
     vel = Vec2(*rng.uniform(-3.0, 3.0, 2))
-    return states + [rigid_state(r_k, r_l, distance_inside(span), vel) for span in spans]
+    picks = axis(r_k, r_l).pick(np.arange(len(spans))).tolist()
+    return states + [rigid_state(r_k, r_l, d, vel) for d in picks]
 
 
 class TestArrayGrid:

@@ -38,7 +38,6 @@ from motionstories.stories import (
     axis,
     central,
     classify_discs,
-    distance_inside,
     format_story,
     hypot_at_breaks,
     radius_config,
@@ -553,6 +552,11 @@ class TestRadiusConfig:
 # lt, gt and eq radii, and lt radii whose two thresholds are both 1.0 in
 # floats, so the PO row between them is empty.
 _SPAN_RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1e-17, 1.0)]
+# Those, radii whose NTPP or NTPPI row is narrower than a few eps, tiny radii
+# with eps scaled alike, and radii so large that each band is one float.
+_PICK_RADII = [(rk, rl, 1e-9) for rk, rl in _SPAN_RADII] + [
+    (1.0, 1.0 + 2e-9, 1e-9), (1.0 + 2.5e-9, 1.0, 1e-9), (1e-100, 3e-100, 1e-109), (1e100, 3e100, 1e-9),
+]
 
 
 class TestRegimeSpans:
@@ -566,16 +570,37 @@ class TestRegimeSpans:
         bands = [s for s, r in zip(spans, ax.rows) if r.band is not None]
         assert bands == [(theta, theta) for theta in ax.thresholds]
 
-    @pytest.mark.parametrize("rk, rl", _SPAN_RADII)
-    def test_distance_inside_lies_in_its_row(self, rk, rl):
-        eps = DEFAULT_TOLERANCE.eps
-        for (lo, hi), row in zip(axis(rk, rl).spans, REGIMES[radius_config(rk, rl)]):
-            if row.band is None and hi - lo > 2.0 * eps:
-                assert classify_discs(distance_inside((lo, hi)), rk, rl) is row.rel
+    @pytest.mark.parametrize("rk, rl, eps", _PICK_RADII)
+    def test_pick_lies_in_its_row(self, rk, rl, eps):
+        # Narrow rows too: a pick past a row's float extent moves inside it.
+        ax = axis(rk, rl, Tolerance(eps))
+        for k, (lo, hi) in enumerate(ax.spans):
+            below, above = ax.ends[2:4, k]
+            if not below < above:
+                # Overlapping bands leave a row no float of its own: at
+                # (1e-17, 1) both thresholds are 1.0, so TPP and PO are empty.
+                continue
             top = hi if hi < math.inf else lo + 10.0
-            floor = np.append(np.linspace(0.0, top, 9), [lo, math.nextafter(top, 0.0)])
-            d = np.broadcast_to(distance_inside((lo, hi), floor=floor), floor.shape)
-            assert np.all(d >= np.maximum(lo, floor)) and np.all(d <= hi), (lo, hi)
+            floors = np.append(np.linspace(0.0, top, 9), [lo, math.nextafter(top, 0.0), below])
+            for floor in (0.0, floors):
+                d = np.atleast_1d(ax.pick(np.full(np.shape(floor), k), floor))
+                assert (ax.rows_at(d) == k).all(), (k, floor)
+                # Each pick is the span's, or the middle of the row's extent.
+                assert np.all((d >= np.maximum(lo, floor)) | (d == ax.ends[4, k])), (k, floor)
+                assert np.all(d <= hi), (k, floor)
+
+    @pytest.mark.parametrize("rk, rl, eps", _PICK_RADII)
+    def test_inside_keeps_distances_of_the_row(self, rk, rl, eps):
+        ax = axis(rk, rl, Tolerance(eps))
+        ends = ax.ends[:4][np.isfinite(ax.ends[:4])]
+        d = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, math.inf), [0.5, 7.0]])
+        for k in range(len(ax.rows)):
+            if not ax.ends[2, k] < ax.ends[3, k]:
+                continue  # no float of its own, as above
+            moved = ax.inside(np.full(d.shape, k), d)
+            assert (ax.rows_at(moved) == k).all(), k
+            own = ax.rows_at(d) == k
+            assert own.any() and (moved[own] == d[own]).all(), k
 
 
 def _ladder(d: float, r_k: float, r_l: float, eps: float) -> RccRelation:
