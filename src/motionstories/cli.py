@@ -5,6 +5,12 @@ motion states, reports stories as JSON, exports neighborhood graphs, and runs
 pattern detection.  Exit codes: 0 success (also when the reader closes
 stdout early), 1 usage error, 2 input-format error, 3 degenerate-input
 warning escalated by --strict; a closed stderr changes none of them.
+
+A plain command line (exact option names, values not starting with "-", one
+of classify, story or recognize and one trajectory path) is read from one
+option table; argparse builds its parser from the same table only for help,
+usage errors and every other spelling, so its messages are unchanged.  The
+parser tree costs about 3 ms per process.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -287,33 +293,58 @@ class SystemExit2(Exception):
     """Usage error carrying the argparse message."""
 
 
-@functools.cache  # built on the first `main` call, then reused
+class _Option(NamedTuple):
+    type: Callable[[str], object] | None  # None: a flag
+    help: str
+    default: object = None
+
+
+# Every option that a plain command line may give, by exact name; its
+# namespace attribute is the name without the dashes, as argparse derives it.
+_GLOBAL_OPTIONS = {
+    "--config": _Option(str, "scene config JSON file"),
+    "--rk": _Option(float, "radius of disc k (m)"),
+    "--rl": _Option(float, "radius of disc l (m)"),
+    "--eps": _Option(float, "tangency tolerance (m)"),
+    "--strict": _Option(None, "escalate degenerate-input warnings", False),
+    "--window": _Option(int, "trailing records used for velocity estimation (0 = all)", 0),
+}
+_TRAJECTORY_OPTIONS = {
+    "classify": {},
+    "story": {
+        "--verify": _Option(None, "cross-check against the sampling oracle", False),
+        "--text": _Option(None, "human-readable instead of JSON", False),
+    },
+    "recognize": {
+        "--pattern": _Option(str, "pattern JSON file (default: avoidance)"),
+        "--relaxed": _Option(None, "relaxed avoidance matching", False),
+    },
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: dict[str, _Option]) -> None:
+    for name, opt in options.items():
+        if opt.type is None:
+            parser.add_argument(name, action="store_true", default=opt.default, help=opt.help)
+        else:
+            parser.add_argument(name, type=opt.type, default=opt.default, help=opt.help)
+
+
+@functools.cache  # built on the first `main` call that needs it, then reused
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="motionstories", description=__doc__)
-    parser.add_argument("--config", help="scene config JSON file")
-    parser.add_argument("--rk", type=float, help="radius of disc k (m)")
-    parser.add_argument("--rl", type=float, help="radius of disc l (m)")
-    parser.add_argument("--eps", type=float, help="tangency tolerance (m)")
-    parser.add_argument(
-        "--strict", action="store_true", help="escalate degenerate-input warnings"
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=0,
-        help="trailing records used for velocity estimation (0 = all)",
-    )
+    # The help describes the commands (the docstring's first two paragraphs),
+    # not how command lines are read.
+    parser = _Parser(prog="motionstories", description=__doc__.rsplit("\n\n", 1)[0])
+    _add_options(parser, _GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="augmented relation per trajectory window")
-    p.add_argument("trajectory")
+    def trajectory_command(name: str, help: str) -> None:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("trajectory")
+        _add_options(p, _TRAJECTORY_OPTIONS[name])
 
-    p = sub.add_parser("story", help="story JSON for the estimated motion")
-    p.add_argument("trajectory")
-    p.add_argument(
-        "--verify", action="store_true", help="cross-check against the sampling oracle"
-    )
-    p.add_argument("--text", action="store_true", help="human-readable instead of JSON")
+    trajectory_command("classify", "augmented relation per trajectory window")
+    trajectory_command("story", "story JSON for the estimated motion")
 
     sub.add_parser("stories-set", help="realizable stories for the configured radii")
 
@@ -325,15 +356,60 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--dot", action="store_true", help="Graphviz output (default)")
     fmt.add_argument("--json", action="store_true", help="JSON adjacency output")
 
-    p = sub.add_parser("recognize", help="pattern matches over the relation stream")
-    p.add_argument("trajectory")
-    p.add_argument("--pattern", help="pattern JSON file (default: avoidance)")
-    p.add_argument("--relaxed", action="store_true", help="relaxed avoidance matching")
+    trajectory_command("recognize", "pattern matches over the relation stream")
 
     p = sub.add_parser("control", help="shortest maneuver between motion relations")
     p.add_argument("--from", dest="frm", required=True, metavar="AUG")
     p.add_argument("--to", dest="to", required=True, metavar="AUG")
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, for a plain
+    command line; None for any other.
+
+    A plain command line gives `_GLOBAL_OPTIONS` by their exact names, then
+    one of the `_TRAJECTORY_OPTIONS` commands with its options and exactly
+    one trajectory path, in any order.  An option with a value is written
+    `--name value`, the value not starting with "-", or `--name=value`, and
+    the value must pass the option's type; a flag is written without "=".
+    A repeated option keeps its last value.
+    """
+    values = {name[2:]: opt.default for name, opt in _GLOBAL_OPTIONS.items()}
+    options = _GLOBAL_OPTIONS
+    paths = []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            if "command" in values:
+                paths.append(word)
+                continue
+            if word not in _TRAJECTORY_OPTIONS:
+                return None
+            options = _TRAJECTORY_OPTIONS[word]
+            values["command"] = word
+            values.update((name[2:], opt.default) for name, opt in options.items())
+            continue
+        name, eq, value = word.partition("=")
+        opt = options.get(name)
+        if opt is None:
+            return None
+        if opt.type is None:
+            if eq:
+                return None
+            values[name[2:]] = True
+            continue
+        if not eq:
+            value = next(words, "-")  # a missing value fails as one starting with "-"
+            if value.startswith("-"):
+                return None
+        try:
+            values[name[2:]] = opt.type(value)
+        except ValueError:
+            return None
+    if "command" not in values or len(paths) != 1:
+        return None
+    return argparse.Namespace(**values, trajectory=paths[0])
 
 
 def _load_json(path: str, what: str):
@@ -501,12 +577,15 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit2 as exc:
-        _to_stderr(f"error: {exc}")
-        return EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:  # help, a usage error or another spelling
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit2 as exc:
+            _to_stderr(f"error: {exc}")
+            return EXIT_USAGE
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](args, cfg)

@@ -279,9 +279,11 @@ def sweep_stories(
     rng = np.random.default_rng(seed)
     found: set[tuple[RccRelation, ...]] = set()
     for _ in range(n_states):
-        px, py, qx, qy = rng.uniform(-50.0, 50.0, size=4)
-        speeds = rng.uniform(0.0, 10.0, size=2)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        # Python floats, not numpy scalars: at huge radii a product in
+        # `story_of` overflows to inf without a numpy RuntimeWarning.
+        px, py, qx, qy = rng.uniform(-50.0, 50.0, size=4).tolist()
+        speeds = rng.uniform(0.0, 10.0, size=2).tolist()
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=2).tolist()
         state = UniformMotionState(
             disc_k=Disc(Vec2(px, py), r_k),
             vel_k=Vec2(speeds[0] * math.cos(angles[0]), speeds[0] * math.sin(angles[0])),

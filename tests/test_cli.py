@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -22,7 +24,10 @@ from motionstories.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SceneConfig,
+    SystemExit2,
     TrajectoryFormatError,
+    _Parser,
+    _plain_args,
     _relation_stream,
     _state_at,
     _velocity_fits,
@@ -677,6 +682,215 @@ class TestExitCodes:
 
 
 _PREFIX = "".join(f"{t},{t * 0.1!r},0,5,1\n" for t in range(50))
+
+
+# The parser written out call by call, with the commands' help text as its
+# description: the reference for the help and usage bytes, and for what every
+# command line parses to.
+_REFERENCE_DOC = """Batch command-line front end.
+
+Ingests CSV trajectories, estimates velocities by least squares, classifies
+motion states, reports stories as JSON, exports neighborhood graphs, and runs
+pattern detection.  Exit codes: 0 success (also when the reader closes
+stdout early), 1 usage error, 2 input-format error, 3 degenerate-input
+warning escalated by --strict; a closed stderr changes none of them.
+"""
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="motionstories", description=_REFERENCE_DOC)
+    parser.add_argument("--config", help="scene config JSON file")
+    parser.add_argument("--rk", type=float, help="radius of disc k (m)")
+    parser.add_argument("--rl", type=float, help="radius of disc l (m)")
+    parser.add_argument("--eps", type=float, help="tangency tolerance (m)")
+    parser.add_argument(
+        "--strict", action="store_true", help="escalate degenerate-input warnings"
+    )
+    parser.add_argument(
+        "--window",
+        type=int,
+        default=0,
+        help="trailing records used for velocity estimation (0 = all)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="augmented relation per trajectory window")
+    p.add_argument("trajectory")
+
+    p = sub.add_parser("story", help="story JSON for the estimated motion")
+    p.add_argument("trajectory")
+    p.add_argument(
+        "--verify", action="store_true", help="cross-check against the sampling oracle"
+    )
+    p.add_argument("--text", action="store_true", help="human-readable instead of JSON")
+
+    sub.add_parser("stories-set", help="realizable stories for the configured radii")
+
+    p = sub.add_parser("cng", help="neighborhood graph export")
+    graph = p.add_mutually_exclusive_group()
+    graph.add_argument("--rcc", action="store_true", help="disc-relation graph (default)")
+    graph.add_argument("--motion", action="store_true", help="motion-relation graph")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true", help="Graphviz output (default)")
+    fmt.add_argument("--json", action="store_true", help="JSON adjacency output")
+
+    p = sub.add_parser("recognize", help="pattern matches over the relation stream")
+    p.add_argument("trajectory")
+    p.add_argument("--pattern", help="pattern JSON file (default: avoidance)")
+    p.add_argument("--relaxed", action="store_true", help="relaxed avoidance matching")
+
+    p = sub.add_parser("control", help="shortest maneuver between motion relations")
+    p.add_argument("--from", dest="frm", required=True, metavar="AUG")
+    p.add_argument("--to", dest="to", required=True, metavar="AUG")
+    return parser
+
+
+def _help_texts(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """The help of the parser and of each of its commands."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"": parser.format_help(), **{n: p.format_help() for n, p in sub.choices.items()}}
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The attributes `parser.parse_args(argv)` sets, by repr so that NaNs
+    compare equal; None where it prints help or reports a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _attributes(parser.parse_args(argv))
+        except (SystemExit, SystemExit2):
+            return None
+
+
+def _attributes(args: argparse.Namespace) -> str:
+    return repr(sorted(vars(args).items()))
+
+
+# The plain spellings: options by exact name and type (None: a flag), and
+# values each type accepts; those starting with "-" are written with "=".
+_PLAIN_GLOBALS = {
+    "--config": str, "--rk": float, "--rl": float, "--eps": float, "--strict": None, "--window": int,
+}
+_PLAIN_COMMANDS = {
+    "classify": {},
+    "story": {"--verify": None, "--text": None},
+    "recognize": {"--pattern": str, "--relaxed": None},
+}
+_PLAIN_VALUES = {
+    str: ["c.json", "", " ", "story", "--rk", "-x"],
+    float: ["1", "2.5", "nan", "1_0", " 7 ", "1e400", "-1", "-.5"],
+    int: ["10", "0", "1_0", " 7 ", "-1"],
+}
+_PLAIN_PATHS = ["F", "story", "a b", "x=y", ""]
+
+# Words of every other spelling: abbreviations, ambiguous prefixes, "="
+# forms with empty or failing values, values and paths that start with "-",
+# every command, "--" and help.
+_OPTION_NAMES = [
+    *_PLAIN_GLOBALS, "--verify", "--text", "--pattern", "--relaxed", "--rcc", "--motion",
+    "--dot", "--json", "--from", "--to", "--help", "--win", "--r", "--con", "--str", "--ver",
+    "--pat", "--rel", "--e", "--t",
+]
+_VALUES = ["1", "2.5", "0", "-1", "-.5", "nan", "1_0", " 7 ", "", "x", "1e400"]
+_WORDS = [
+    *_OPTION_NAMES, *_VALUES, *_PLAIN_COMMANDS, "cng", "control", "stories-set",
+    "F", "-F", "story", "--", "-h", "-",
+    *(f"{name}={value}" for name in _OPTION_NAMES for value in _VALUES),
+]
+
+
+@st.composite
+def _plain_argv(draw) -> list[str]:
+    def options(table):
+        chunks = []
+        names = draw(st.lists(st.sampled_from(sorted(table)), max_size=4)) if table else []
+        for name in names:
+            kind = table[name]
+            if kind is None:
+                chunks.append([name])
+                continue
+            value = draw(st.sampled_from(_PLAIN_VALUES[kind]))
+            if value.startswith("-") or draw(st.booleans()):
+                chunks.append([f"{name}={value}"])
+            else:
+                chunks.append([name, value])
+        return chunks
+
+    command = draw(st.sampled_from(sorted(_PLAIN_COMMANDS)))
+    tail = options(_PLAIN_COMMANDS[command]) + [[draw(st.sampled_from(_PLAIN_PATHS))]]
+    chunks = options(_PLAIN_GLOBALS) + [[command]] + draw(st.permutations(tail))
+    return [word for chunk in chunks for word in chunk]
+
+
+@st.composite
+def _near_plain_argv(draw) -> list[str]:
+    """A plain command line with one word replaced or inserted."""
+    argv = draw(_plain_argv())
+    i = draw(st.integers(0, len(argv)))
+    word = draw(st.sampled_from(_WORDS))
+    if i < len(argv) and draw(st.booleans()):
+        argv[i] = word
+    else:
+        argv.insert(i, word)
+    return argv
+
+
+class TestCommandLine:
+    def test_plain_command_lines_build_no_parser(self, capsys):
+        motionstories.cli._build_parser.cache_clear()
+        for argv in [
+            ["story", "--verify", SCENARIO_A_CSV],
+            ["classify", SCENARIO_A_CSV],
+            ["recognize", "--relaxed", SCENARIO_A_CSV],
+            ["--rk", "1", "--rl", "2", "--window", "10", "classify", SCENARIO_A_CSV],
+            ["--rk", "1", "--rl", "2", "recognize", "--relaxed", SCENARIO_A_CSV],
+        ]:
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert motionstories.cli._build_parser.cache_info().misses == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_plain_argv())
+    def test_plain_forms_are_read(self, argv):
+        args = _plain_args(argv)
+        assert args is not None
+        assert _attributes(args) == _parsed(_reference_parser(), argv)
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=st.one_of(_near_plain_argv(), st.lists(st.sampled_from(_WORDS), max_size=8)))
+    @example(argv=["--win", "10", "classify", "F"])
+    @example(argv=["--rk", "1", "recognize", "--relaxed", "F", "G"])
+    @example(argv=["--strict=", "classify", "F"])
+    @example(argv=["--config=", "story", "--", "F"])
+    def test_equals_argparse(self, argv):
+        expected = _parsed(_reference_parser(), argv)
+        assert _parsed(motionstories.cli._build_parser(), argv) == expected
+        args = _plain_args(argv)
+        assert args is None or _attributes(args) == expected
+
+    def test_help_bytes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _help_texts(motionstories.cli._build_parser()) == _help_texts(_reference_parser())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["story"], ["--r", "1", "classify", SCENARIO_A_CSV], ["recognize", "-h"]],
+    )
+    def test_usage_bytes(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # help exits from argparse
+                code = ("exit", exc.code)
+            return code, *capsys.readouterr()
+
+        actual = run()
+        with mock.patch.object(motionstories.cli, "_build_parser", _reference_parser):
+            assert actual == run()
+        assert actual[0] in (EXIT_USAGE, ("exit", 0))
+        assert actual[2].startswith("usage: motionstories") or actual[1].startswith("usage:")
 
 
 class TestErrorMessages:

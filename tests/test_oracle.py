@@ -2,6 +2,7 @@ import bisect
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -697,6 +698,25 @@ class TestSweep:
         found = sweep_stories(1.0, 2.0, 300, targeted=False)
         assert STORY_LABELS[StoryId.S12] not in found
         assert STORY_LABELS[StoryId.S14] not in found
+
+    def test_random_only_sequences_at_canonical_radii(self):
+        found = sweep_stories(1.0, 2.0, 300, targeted=False)
+        assert found == {STORY_LABELS[s] for s in (StoryId.S11, StoryId.S13, StoryId.S15)}
+
+    @pytest.mark.parametrize(
+        "targeted, expected",
+        [
+            (True, "S02 S03 S04 S05 S11 S12 S13 S14 S15"),
+            (False, "S15"),  # centres within 100 m: the discs stay nested
+        ],
+    )
+    def test_huge_radii_raise_no_warning(self, targeted, expected):
+        # The drawn states hold Python floats, whose products overflow to inf
+        # silently; numpy scalars would warn inside `story_of`.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = sweep_stories(1e200, 3e200, 50, targeted=targeted)
+        assert found == {STORY_LABELS[StoryId[s]] for s in expected.split()}
 
     def test_seed_determinism(self):
         assert sweep_stories(1.0, 2.0, 100) == sweep_stories(1.0, 2.0, 100)
