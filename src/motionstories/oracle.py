@@ -3,10 +3,11 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach, in the time frame of its plan's middle.  It
-takes its grid distances with `stories.hypot_at_breaks`, the rule the batch
-classifier shares, and classifies them in one array pass
-(`stories.Axis.rows_at`): `math.hypot` is taken again only on samples whose
+closed-form closest approach, in the time frame of its plan's middle.  One
+array pass, `stories.hypot_at_breaks`, the rule the batch classifier shares,
+yields the grid's distances and their rows: `np.hypot`'s distance and its
+row stand where the distance moved a relative 2^-40 either way stays in one
+row, and `math.hypot` is taken again, with its row, only on samples whose
 last bit could move a row or the minimum's index, and on subnormal and nearly
 overflowing ones, so the grid's rows and the minimum's index are those of
 `center_distance_at`.  Only its two searches are scalar, and both read one
@@ -19,6 +20,7 @@ down to adjacent floats.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,7 +49,8 @@ _Sample = tuple[float, float]  # (tau, distance)
 class SamplingPlan:
     """`points` evenly spaced instants from `middle - half_width` to
     `middle + half_width`, both finite, as is the grid's width; the sampler
-    works in the frame of `middle`."""
+    works in the frame of `middle`.  `points` is an integer, of any type
+    `operator.index` takes, and at least 11."""
 
     middle: float
     half_width: float
@@ -59,7 +62,11 @@ class SamplingPlan:
         w = self.half_width
         if not (w > 0 and math.isfinite(2.0 * w) and math.isfinite(abs(self.middle) + w)):
             raise ValueError(f"half_width must be positive and keep the grid finite, got {w!r}")
-        if self.points < 11:
+        try:
+            points = operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
+        if points < 11:
             raise ValueError(f"points must be at least 11, got {self.points!r}")
 
 
@@ -185,10 +192,9 @@ def sample_story(
     # Samples that could tie with the minimum are taken again too; under rigid
     # motion every sample is one float and argmin is 0.
     near_min = (lambda d: d <= d.min() * (1.0 + HYPOT_MARGIN)) if vx or vy else None
-    with np.errstate(over="ignore"):  # rows_at rejects the infinite distance
+    with np.errstate(over="ignore"):  # the pass rejects the infinite distance
         xs, ys = px + vx * grid, py + vy * grid
-        dists = hypot_at_breaks(xs, ys, breaks, near_min)
-    rows = ax.rows_at(dists)
+        dists, rows = hypot_at_breaks(xs, ys, ax.break_array, near_min, finite=True)
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
     i_min, last = int(np.argmin(dists)), len(grid) - 1

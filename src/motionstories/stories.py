@@ -16,9 +16,12 @@ no story of its own (`RIGID_STORIES`).  `axis(r_k, r_l, tol)` holds one pair
 of radii's rows, their thresholds and, built on first use from one walk over
 the band rows, the distances where the walk's row steps up.  It gives every
 distance its row, for `classify_discs`, `story_of` and
-`augmented_relation_indices` alike, and an array of them (`Axis.rows_at`);
-and it is the one rule that places arrays of distances in rows (`Axis.pick`,
-kept inside each row's float extent by `Axis.inside`).  Each story is a
+`augmented_relation_indices` alike.  `hypot_at_breaks` takes an array of
+distances from positions and places each in its row in the same pass, over
+the axis' cached break array (`Axis.break_array`), for
+`augmented_relation_indices` and the sampling oracle.  The axis is also the
+one rule that places arrays of distances in rows (`Axis.pick`, kept inside
+each row's float extent by `Axis.inside`).  Each story is a
 qualitative motion relation, and pairing it with the current spatial relation
 (plus a phase, MINUS before closest approach and PLUS after, for the repeated
 labels) gives the augmented motion relations.
@@ -35,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -260,7 +263,7 @@ class Axis:
         bad = ~(np.isfinite(d) & (d >= 0))
         if bad.any():
             _require_distance(float(d[bad][0]))
-        return np.searchsorted(self.breaks, d, "right")
+        return np.searchsorted(self.break_array, d, "right")
 
     @property
     def spans(self) -> tuple[tuple[float, float], ...]:
@@ -277,6 +280,13 @@ class Axis:
     def thresholds(self) -> tuple[float, ...]:
         """The threshold of each band row, by increasing row."""
         return tuple(x for x in self.thetas if x is not None)
+
+    @functools.cached_property
+    def break_array(self) -> np.ndarray:
+        """`breaks` as a read-only float array, for `np.searchsorted`."""
+        at = np.array(self.breaks)
+        at.flags.writeable = False
+        return at
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
@@ -615,23 +625,38 @@ HYPOT_MARGIN = 2.0**-40
 
 
 def hypot_at_breaks(
-    x: np.ndarray, y: np.ndarray, breaks: tuple[float, ...],
-    also: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """`np.hypot` of x and y, taken again with `math.hypot` (as `Vec2.norm`)
-    where d (1 +/- `HYPOT_MARGIN`) lies on both sides of a break, where d is
-    subnormal or the margin overflows, and where `also(d)` holds; so each d
-    has the row of `math.hypot`'s, bit for bit where it was taken again.  (A
-    NaN d is NaN from both.)  Overflow warnings are the caller's to silence."""
+    x: np.ndarray, y: np.ndarray, breaks: np.ndarray | Sequence[float],
+    also: Callable[[np.ndarray], np.ndarray] | None = None, finite: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`np.hypot` of x and y, and the row of each d, `np.searchsorted(breaks,
+    d, "right")`, placed in one pass over the sorted `breaks` (fastest as
+    `Axis.break_array`).  Where d (1 - `HYPOT_MARGIN`) and d (1 +
+    `HYPOT_MARGIN`) have one row, d has it too.  d is taken again with
+    `math.hypot` (as `Vec2.norm`), and its row with `bisect_right`, where
+    those two rows differ, where d is subnormal or its margin overflows (so
+    where it is infinite), and where `also(d)` holds; so each d has the row
+    of `math.hypot`'s, bit for bit where it was taken again.  (A NaN d is NaN
+    from both, in the last row.)  With `finite`, the first infinite d, or NaN
+    one taken again, raises `Axis.row`'s ValueError.  Overflow warnings are
+    the caller's to silence."""
+    breaks = np.asarray(breaks)
     d = np.hypot(x, y)
     below, above = d * (1.0 - HYPOT_MARGIN), d * (1.0 + HYPOT_MARGIN)
-    redo = np.searchsorted(breaks, below, "right") != np.searchsorted(breaks, above, "right")
+    rows = np.searchsorted(breaks, below, "right")
+    redo = rows != np.searchsorted(breaks, above, "right")
     redo |= (d < sys.float_info.min) | (above == math.inf)
     if also is not None:
         redo |= also(d)
     at = np.flatnonzero(redo)
-    d[at] = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
-    return d
+    d[at] = exact = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
+    # Every infinite d is among those taken again and makes their sum
+    # infinite; a sum that merely overflows finds none.
+    if finite and not sum(exact) < math.inf:
+        for v in exact:
+            _require_distance(v)
+    edges = breaks.tolist()
+    rows[at] = [bisect_right(edges, v) for v in exact]
+    return d, rows
 
 
 def augmented_relation_indices(
@@ -642,15 +667,15 @@ def augmented_relation_indices(
     relation, given its relative position and velocity; -1 marks each state
     `augmented_relation` rejects, and no other.
     `closest_approach_state`'s float operations run on arrays; the current
-    distance is `hypot_at_breaks`', so in the row of `Vec2.norm`'s, and so is
-    the miss distance it caps.  The rows of both distances, from the
-    breakpoint table, are decoded as `augmented_relation` decodes them."""
+    distance and its row are `hypot_at_breaks`', so its row is `Vec2.norm`'s,
+    and so is that of the miss distance it caps, searched in the breakpoint
+    table.  The two rows are decoded as `augmented_relation` decodes them."""
     ax = axis(r_k, r_l, tol)
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
         d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
-        d = hypot_at_breaks(dpx, dpy, ax.breaks)
+        d, j = hypot_at_breaks(dpx, dpy, ax.break_array)
         rigid = a < MIN_MOVING_SPEED_SQ
         # hypot is finite exactly when both its arguments are.
         usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
@@ -658,7 +683,7 @@ def augmented_relation_indices(
         )
     h = np.where(rigid, d, np.minimum(d_min, d))
     # An unusable state's rows are read from NaN or inf, which sort last.
-    i, j = np.searchsorted(ax.breaks, [h, d], "right")
+    i = np.searchsorted(ax.break_array, h, "right")
     return np.where(usable, _INDEX[ax.config][i, j, rigid.astype(int), (dot < 0).astype(int)], -1)
 
 

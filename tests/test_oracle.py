@@ -64,6 +64,17 @@ class TestSamplingPlan:
         with pytest.raises(ValueError, match="points must be at least 11, got 10"):
             SamplingPlan(0.0, 1.0, 10)  # grid too coarse
 
+    @pytest.mark.parametrize("points", [12.0, 801.0, np.float64(801), "801", None])
+    def test_rejects_points_that_are_no_integer(self, points):
+        with pytest.raises(ValueError, match=r"points must be an integer, got "):
+            SamplingPlan(3.0, 5.0, points)
+
+    @pytest.mark.parametrize("points", [np.int64(801), np.int32(12), 801])
+    def test_takes_integer_types(self, points):
+        plan = SamplingPlan(3.0, 5.0, points)
+        state = canonical_state(1.0, 2.0, 0.5, 3.0)
+        assert _bits(sample_story(state, plan)) == _bits(sample_story(state, SamplingPlan(3.0, 5.0, int(points))))
+
     # The grid's width 2·half_width overflows, or one of its ends does.
     @pytest.mark.parametrize(
         "middle, half_width", [(0.0, 1e308), (-1.0, 1e308), (1.7e308, 5e307), (-1.7e308, 5e307)]

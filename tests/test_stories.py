@@ -16,6 +16,7 @@ from motionstories.stories import (
     _row_at,
     CELLS,
     DEFAULT_TOLERANCE,
+    HYPOT_MARGIN,
     REGIMES,
     RELATIONS,
     RIGID_STORIES,
@@ -768,15 +769,19 @@ class TestMotionRccRelation:
         assert story_of(state(0, 0, 1, 1, 10, 0, 1, 1)).id is StoryId.S11
 
 
-def _math_hypot_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol):
+def _math_hypot_indices(dpx, dpy, dvx, dvy, r_k, r_l, tol, distances=None):
     """`augmented_relation_indices` as it was with `math.hypot` mapped over
-    every state, verbatim."""
+    every state, verbatim; or with `distances(dpx, dpy, breaks)` in its
+    place."""
     ax = axis(r_k, r_l, tol)
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
         d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
-        d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        if distances is None:
+            d = np.array(list(map(math.hypot, dpx.tolist(), dpy.tolist())))
+        else:
+            d = distances(dpx, dpy, ax.breaks)
         rigid = a < sys.float_info.min
         # hypot is finite exactly when both its arguments are.
         usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (
@@ -836,6 +841,98 @@ def _near_break_states(r_k: float, r_l: float, tol: Tolerance, n: int, seed: int
     return batch
 
 
+def _distances_only(x, y, breaks):
+    """`hypot_at_breaks` as it was before it placed rows, verbatim: the
+    distances alone, whose rows a second search looked up."""
+    d = np.hypot(x, y)
+    below, above = d * (1.0 - HYPOT_MARGIN), d * (1.0 + HYPOT_MARGIN)
+    redo = np.searchsorted(breaks, below, "right") != np.searchsorted(breaks, above, "right")
+    redo |= (d < sys.float_info.min) | (above == math.inf)
+    at = np.flatnonzero(redo)
+    d[at] = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
+    return d
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where a and b hold the same float, bit for bit, or both a NaN."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+# Radii from 1e-300 to 1e300, each at a relative eps of 1e-9 and at one so
+# small that every tangency break is its threshold or the float above it.
+_PLACEMENT_CASES = [
+    (r * k, r * l, r * rel)
+    for r in (1e-300, 1e-155, 1e-20, 1.0, 1e20, 1e155, 1e300)
+    for k, l in ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5))
+    for rel in (1e-9, 1e-20)
+]
+
+
+class TestOnePassPlacement:
+    """`hypot_at_breaks` places each distance in its row in the pass that
+    takes it: from the margin search where that settles the row, by
+    `bisect_right` where `math.hypot` is taken again."""
+
+    @staticmethod
+    def _mixed(r_k, r_l, tol, seed):
+        # Positions within 3 ulps of a break, in random directions, mixed
+        # with subnormal, nearly overflowing, infinite and NaN components.
+        x, y = _near_break_states(r_k, r_l, tol, 4_000, seed)[:2]
+        odd = np.array(_ODD + [0.0, sys.float_info.max, -sys.float_info.max, 2.0**-1022])
+        x, y = np.concatenate([x, np.repeat(odd, len(odd))]), np.concatenate([y, np.tile(odd, len(odd))])
+        return x, y
+
+    @pytest.mark.parametrize("r_k, r_l, eps", _PLACEMENT_CASES)
+    def test_rows_and_retaken_distances(self, r_k, r_l, eps):
+        tol = Tolerance(eps)
+        ax = axis(r_k, r_l, tol)
+        x, y = self._mixed(r_k, r_l, tol, seed=17)
+        with np.errstate(over="ignore"):
+            fast = np.hypot(x, y)
+            low, high = fast * (1.0 - HYPOT_MARGIN), fast * (1.0 + HYPOT_MARGIN)
+        exact = np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+        ask = np.random.default_rng(5).random(len(x)) < 0.01
+        # Taken again, by the rule: the margin straddles a break, d is
+        # subnormal or its margin overflows, or `also` asks.
+        margin = ax.break_array.searchsorted(low, "right") != ax.break_array.searchsorted(high, "right")
+        odd = (fast < sys.float_info.min) | (high == math.inf)
+        assert margin.any() and odd.any()
+        for breaks in (ax.break_array, ax.breaks):
+            for also, asked in ((None, False), (lambda d: ask, ask)):
+                with np.errstate(over="ignore"):
+                    d, rows = hypot_at_breaks(x, y, breaks, also)
+                assert rows.tolist() == np.searchsorted(ax.breaks, d, "right").tolist()
+                # Each row is that of math.hypot's distance.
+                assert rows.tolist() == np.searchsorted(ax.breaks, exact, "right").tolist()
+                retaken = margin | odd | asked
+                assert _same_bits(d[retaken], exact[retaken]).all()
+                assert _same_bits(d[~retaken], fast[~retaken]).all()
+
+    @pytest.mark.parametrize("r_k, r_l, eps", _PLACEMENT_CASES)
+    def test_codes_equal_the_two_search_path(self, r_k, r_l, eps):
+        tol = Tolerance(eps)
+        batch = _near_break_states(r_k, r_l, tol, 4_000, seed=19)
+        got = augmented_relation_indices(*batch, r_k, r_l, tol)
+        assert got.tolist() == _math_hypot_indices(*batch, r_k, r_l, tol, _distances_only).tolist()
+
+    def test_finite_raises_for_the_first_infinite_distance(self):
+        ax = axis(1.0, 2.0)
+        # The third distance is the largest float, taken again as its margin
+        # overflows; the fourth overflows.
+        x = np.array([0.5, 3.0, sys.float_info.max, 1.7e308, math.inf, 1.0])
+        y = np.array([0.0, 0.0, 1e300, 1.7e308, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            for k in (0, 3, 4):
+                with pytest.raises(ValueError, match="center distance must be finite and >= 0, got inf"):
+                    hypot_at_breaks(x[k:], y[k:], ax.break_array, finite=True)
+            d, rows = hypot_at_breaks(x[:3], y[:3], ax.break_array, finite=True)
+            # Finite distances whose sum overflows pass.
+            top, top_rows = hypot_at_breaks(x[[2, 2]], y[[2, 2]], ax.break_array, finite=True)
+        assert d.tolist() == [0.5, 3.0, sys.float_info.max]
+        assert rows.tolist() == [ax.row(0.5), ax.row(3.0), len(ax.breaks)]
+        assert top.tolist() == [sys.float_info.max] * 2 and top_rows.tolist() == [len(ax.breaks)] * 2
+
+
 class TestHypotMargin:
     # `np.hypot` is taken again with `math.hypot` only where its last bits
     # could move a row; the codes stay those of `math.hypot` on every state.
@@ -866,10 +963,10 @@ class TestHypotMargin:
         breaks = (1.0, 3.0)
         x, y = np.array([0.6, 1.8, 5e-324, 1.7e308]), np.array([0.8, 2.4, 0.0, 1.7e308])
         with np.errstate(over="ignore"):
-            d = hypot_at_breaks(x, y, breaks)
+            d, _ = hypot_at_breaks(x, y, breaks)
         assert d.tolist() == [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
         rng = np.random.default_rng(3)
         x, y = rng.uniform(1.2, 1.5, 10_000), rng.uniform(1.2, 1.5, 10_000)
-        assert hypot_at_breaks(x, y, breaks).tolist() == np.hypot(x, y).tolist()
-        also = hypot_at_breaks(x, y, breaks, lambda d: np.ones(len(d), bool))
+        assert hypot_at_breaks(x, y, breaks)[0].tolist() == np.hypot(x, y).tolist()
+        also, _ = hypot_at_breaks(x, y, breaks, lambda d: np.ones(len(d), bool))
         assert also.tolist() == list(map(math.hypot, x.tolist(), y.tolist()))
