@@ -35,6 +35,7 @@ from .patterns import Pattern, control_suggestion, detect_avoidance, match_patte
 from .stories import (
     RELATIONS,
     AugmentedRelation,
+    Axis,
     Tolerance,
     augmented_relation,
     augmented_relation_indices,
@@ -228,9 +229,9 @@ def _record_errors(line: int) -> Iterator[None]:
 
 
 def _relation_stream(
-    data: np.ndarray, lines: Sequence[int], fits: np.ndarray, cfg: SceneConfig
+    data: np.ndarray, lines: Sequence[int], fits: np.ndarray, cfg: SceneConfig, ax: Axis
 ) -> np.ndarray:
-    """The index into the radii's `RELATIONS` of the augmented relation at
+    """The index into `RELATIONS[ax.config]` of the augmented relation at
     every record after the first, in input order, from
     `augmented_relation_indices`.  The first record it rejects goes through
     `augmented_relation`, for its message, so no code returned is -1."""
@@ -238,7 +239,7 @@ def _relation_stream(
     with np.errstate(all="ignore"):
         dpx, dpy = (pos[:, 2:] - pos[:, :2]).T
         dvx, dvy = (vel[:, 2:] - vel[:, :2]).T
-    codes = augmented_relation_indices(dpx, dpy, dvx, dvy, cfg.r_k, cfg.r_l, cfg.tolerance)
+    codes = augmented_relation_indices(dpx, dpy, dvx, dvy, ax)
     bad = np.flatnonzero(codes < 0) + 1
     if bad.size:
         with _record_errors(lines[bad[0]]):
@@ -246,14 +247,14 @@ def _relation_stream(
     return codes
 
 
-def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig) -> list[str]:
+def _degenerate_warnings(state: UniformMotionState, cfg: SceneConfig, ax: Axis) -> list[str]:
     """Conditions under which classification is formally defined but fragile."""
     warnings = []
     tol = cfg.tolerance
     if bands_overlap(cfg.r_k, cfg.r_l, tol):
         warnings.append("tolerance bands of the tangency thresholds overlap")
     _, d_min = closest_approach_state(state)
-    for theta in axis(cfg.r_k, cfg.r_l, tol).thresholds:
+    for theta in ax.thresholds:
         gap = abs(d_min - theta)
         if tol.eps < gap <= 10.0 * tol.eps:
             warnings.append(f"closest approach within {gap:.3g} m of a tangency threshold")
@@ -469,11 +470,12 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     fits = _velocity_fits(data, args.window)
-    codes = _relation_stream(data, lines, fits, cfg)
-    text = [f"{aug}\n" for aug in RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]]
+    ax = axis(cfg.r_k, cfg.r_l, cfg.tolerance)
+    codes = _relation_stream(data, lines, fits, cfg, ax)
+    text = [f"{aug}\n" for aug in RELATIONS[ax.config]]
     sys.stdout.write("".join(map(text.__getitem__, codes.tolist())))
     # The stream has accepted the last record, so its state builds.
-    warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg)
+    warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg, ax)
     return _emit_warnings(warnings, cfg)
 
 
@@ -485,7 +487,7 @@ def _cmd_story(args: argparse.Namespace, cfg: SceneConfig) -> int:
         story = story_of(state, tol)
         if not all(map(math.isfinite, story.boundaries)):
             raise ValueError("a transition instant is not finite")
-        warnings = _degenerate_warnings(state, cfg)
+        warnings = _degenerate_warnings(state, cfg, axis(cfg.r_k, cfg.r_l, tol))
         sampled = sample_story(state, default_plan(state), tol) if args.verify else None
     if sampled is not None and sampled.labels != story.labels:
         # The last record's fitted state is the one checked.
@@ -531,10 +533,11 @@ def _cmd_recognize(args: argparse.Namespace, cfg: SceneConfig) -> int:
         except ValueError as exc:
             raise TrajectoryFormatError(f"pattern: {exc}") from None
     data, lines = _read_table(args.trajectory)
-    codes = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg)
+    ax = axis(cfg.r_k, cfg.r_l, cfg.tolerance)
+    codes = _relation_stream(data, lines, _velocity_fits(data, args.window), cfg, ax)
     # Merge equal neighbours as `dedup` would, and build objects only for the rest.
     codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
-    relations = RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]
+    relations = RELATIONS[ax.config]
     stream = list(map(relations.__getitem__, codes.tolist()))
     if pattern is not None:
         matches = match_pattern(stream, pattern)
@@ -552,12 +555,10 @@ def _cmd_control(args: argparse.Namespace, cfg: SceneConfig) -> int:
     except ValueError as exc:
         raise TrajectoryFormatError(str(exc)) from None
     g = motion_cng(augmented_set(cfg.r_k, cfg.r_l, cfg.tolerance))
-    try:
-        steps = control_suggestion(frm, to, g)
-    except KeyError as exc:
-        raise TrajectoryFormatError(
-            f"relation not in the configured graph: {exc.args[0]}"
-        ) from None
+    for a in (frm, to):
+        if a not in g.nodes:
+            raise TrajectoryFormatError(f"relation not in the configured graph: {a}")
+    steps = control_suggestion(frm, to, g)
     if steps is None:
         print("no path")
         return EXIT_OK

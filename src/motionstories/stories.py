@@ -257,14 +257,6 @@ class Axis:
         _require_distance(d)
         return bisect_right(self.breaks, d)
 
-    def rows_at(self, d: np.ndarray) -> np.ndarray:
-        """`row` of each distance in d; the first NaN, infinite or negative
-        entry raises its ValueError."""
-        bad = ~(np.isfinite(d) & (d >= 0))
-        if bad.any():
-            _require_distance(float(d[bad][0]))
-        return np.searchsorted(self.break_array, d, "right")
-
     @property
     def spans(self) -> tuple[tuple[float, float], ...]:
         """Distance extent (lo, hi) of each row.  A band spans its threshold
@@ -660,17 +652,15 @@ def hypot_at_breaks(
 
 
 def augmented_relation_indices(
-    dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray,
-    r_k: float, r_l: float, tol: Tolerance,
+    dpx: np.ndarray, dpy: np.ndarray, dvx: np.ndarray, dvy: np.ndarray, ax: Axis
 ) -> np.ndarray:
-    """The index into the radii's `RELATIONS` of each state's augmented
-    relation, given its relative position and velocity; -1 marks each state
-    `augmented_relation` rejects, and no other.
+    """The index into `RELATIONS[ax.config]` of each state's augmented
+    relation on the radii's axis `ax`, given its relative position and
+    velocity; -1 marks each state `augmented_relation` rejects, and no other.
     `closest_approach_state`'s float operations run on arrays; the current
     distance and its row are `hypot_at_breaks`', so its row is `Vec2.norm`'s,
     and so is that of the miss distance it caps, searched in the breakpoint
     table.  The two rows are decoded as `augmented_relation` decodes them."""
-    ax = axis(r_k, r_l, tol)
     with np.errstate(all="ignore"):
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy

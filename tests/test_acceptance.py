@@ -31,6 +31,7 @@ from motionstories.stories import (
     asymptotic_direction,
     augmented_chain,
     augmented_set,
+    axis,
     stories_set,
     story_of,
 )
@@ -195,7 +196,8 @@ def test_criterion_7_avoidance_detection(capsys):
 
     def stream(points):
         data, lines = parse_trajectory(points_to_csv(points))
-        codes = _relation_stream(data, lines, _velocity_fits(data, 2), SceneConfig())
+        fits = _velocity_fits(data, 2)
+        codes = _relation_stream(data, lines, fits, SceneConfig(), axis(1.0, 2.0))
         return [RELATIONS["lt"][c] for c in codes.tolist()]
 
     stream_fwd = stream(steered_avoidance_points())

@@ -441,6 +441,12 @@ class TestControlCommand:
         args = ["--rk", "2", "--rl", "2", "control", "--from", "S15(DC-)", "--to", "S11(DC)"]
         assert main(args) == EXIT_FORMAT
 
+    @pytest.mark.parametrize("frm, to", [("S15(DC-)", "S11(DC)"), ("S11(DC)", "S15(DC-)")])
+    def test_relation_outside_configuration_is_named_as_written(self, capsys, frm, to):
+        # S15 is a story of unequal radii only.
+        assert main(["--rk", "1", "--rl", "1", "control", "--from", frm, "--to", to]) == EXIT_FORMAT
+        assert capsys.readouterr().err == "error: relation not in the configured graph: S15(DC-)\n"
+
 
 class TestStoriesSetCommand:
     def test_lists_stories_and_augmented(self, capsys):
@@ -1040,13 +1046,13 @@ class TestRelationStream:
     def test_equals_the_scalar_path(self, case):
         cfg, data, lines, fits = case
         want, error = _scalar_stream(data, lines, fits, cfg)
+        ax = axis(cfg.r_k, cfg.r_l, cfg.tolerance)
         if error is None:
-            relations = RELATIONS[axis(cfg.r_k, cfg.r_l, cfg.tolerance).config]
-            codes = _relation_stream(data, lines, fits, cfg).tolist()
-            assert [relations[c] for c in codes] == want
+            codes = _relation_stream(data, lines, fits, cfg, ax).tolist()
+            assert [RELATIONS[ax.config][c] for c in codes] == want
         else:
             with pytest.raises(TrajectoryFormatError) as info:
-                _relation_stream(data, lines, fits, cfg)
+                _relation_stream(data, lines, fits, cfg, ax)
             assert str(info.value) == error
 
 

@@ -27,19 +27,22 @@ from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_app
 from motionstories.oracle import canonical_state, rigid_state
 from motionstories.stories import (
     CELLS,
-    DEFAULT_TOLERANCE,
     REGIMES,
+    RELATIONS,
     RIGID_STORIES,
     ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
+    Axis,
     Phase,
     RccRelation,
     StoryId,
     Tolerance,
     augmented_chain,
     augmented_relation,
+    augmented_relation_indices,
     augmented_set,
+    axis,
     central,
     radius_config,
     relation_config,
@@ -50,10 +53,12 @@ from motionstories.validate import (
     _BATCH_COLUMNS,
     _BISECT_FLOOR,
     _PATH_SAMPLES,
-    _Axis,
+    _comoving,
     _continuous_transitions,
     _draw_trials,
+    _moving,
     _pair_trials,
+    _touching,
     _witnesses,
     validate_motion_cng,
 )
@@ -303,13 +308,13 @@ class TestMotionCng:
     def test_kicks_from_rest_at_dc_are_outside_the_graph(self, graph):
         # Rest at DC is S11(DC), the relation of the moving story S11 too; a
         # kick from rest crosses straight to S14(DC-), which is no neighbour.
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        ax = axis(1.0, 2.0)
         u, v = aug("S11(DC)"), aug("S14(DC-)")
         rest = np.array([[10.0], [1.0], [0.0], [0.0]])
         kicked = np.array([[10.0], [1.0], [-1.0], [0.0]])
-        assert axis.labels(rest).tolist() == [axis.index[u]]
-        assert axis.labels(kicked).tolist() == [axis.index[v]]
-        assert _continuous_transitions(rest, kicked, axis.index[u], axis.index[v], axis).tolist() == [True]
+        assert augmented_relation_indices(*rest, ax).tolist() == [_code(ax, u)]
+        assert augmented_relation_indices(*kicked, ax).tolist() == [_code(ax, v)]
+        assert _continuous_transitions(rest, kicked, _code(ax, u), _code(ax, v), ax).tolist() == [True]
         assert not graph.has_edge(u, v)
 
     def test_mirror_and_equal_configurations(self):
@@ -372,20 +377,20 @@ class TestValidation:
         "rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6)]
     )
     def test_every_node_pair_gets_a_witness_or_a_reason(self, rk, rl):
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         nodes = sorted(augmented_set(rk, rl), key=str)
         for a in nodes:
             for b in nodes:
                 if a == b:
                     continue
                 try:
-                    columns = _edge_witness(a, b, axis)
+                    columns = _edge_witness(a, b, ax)
                 except ValueError:
                     continue
                 assert len(columns) == 2, (a, b)
                 for c in columns:
                     assert isinstance(c, np.ndarray) and c.shape == (4,), (a, b)
-                    assert isinstance(_state(axis, c), UniformMotionState), (a, b)
+                    assert isinstance(_state((rk, rl), c), UniformMotionState), (a, b)
 
     @pytest.mark.parametrize(
         "rk, rl",
@@ -430,11 +435,21 @@ _RADII = [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e
 _STEPS = np.arange(_PATH_SAMPLES + 1) / _PATH_SAMPLES
 
 
-def _state(axis: _Axis, column: np.ndarray) -> UniformMotionState:
+def _state(radii: tuple[float, float], column: np.ndarray) -> UniformMotionState:
     """The scalar reference state of a batch column: disc k at rest at the origin."""
     dpx, dpy, dvx, dvy = column.tolist()
-    k, l = Disc(Vec2(0.0, 0.0), axis.r_k), Disc(Vec2(dpx, dpy), axis.r_l)
+    k, l = Disc(Vec2(0.0, 0.0), radii[0]), Disc(Vec2(dpx, dpy), radii[1])
     return UniformMotionState(k, Vec2(0.0, 0.0), l, Vec2(dvx, dvy))
+
+
+def _code(ax: Axis, a: AugmentedRelation) -> int:
+    """The index of a relation into `RELATIONS[ax.config]`."""
+    return RELATIONS[ax.config].index(a)
+
+
+def _relations(ax: Axis, batch: np.ndarray) -> list[AugmentedRelation]:
+    """The batch classifier's relation of each column, on the axis."""
+    return [RELATIONS[ax.config][k] for k in augmented_relation_indices(*batch, ax)]
 
 
 def _path(cu: np.ndarray, cv: np.ndarray, s: float | np.ndarray) -> np.ndarray:
@@ -462,22 +477,23 @@ def _lerp_state(u: UniformMotionState, v: UniformMotionState, s: float) -> Unifo
 
 
 def _edge_witness(
-    a: AugmentedRelation, b: AugmentedRelation, axis: _Axis
+    a: AugmentedRelation, b: AugmentedRelation, ax: Axis
 ) -> tuple[np.ndarray, np.ndarray]:
     """The validator's two witness columns of one edge, in (a, b) order: its
     batched `_witnesses` of the first touching cell pair that decodes to a
     and b.  Raises ValueError when no touching cells decode to them."""
-    key = axis.index[a], axis.index[b]
-    if key not in axis.touching:
+    touching = _touching(ax.config)
+    key = _code(ax, a), _code(ax, b)
+    if key not in touching:
         raise ValueError(f"no touching cells decode to {a} and {b}")
-    cu, cv = _witnesses([axis.touching[key]], axis)
+    cu, cv = _witnesses([touching[key]], ax)
     return cu[:, 0], cv[:, 0]
 
 
-def _trials_of(u: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int):
+def _trials_of(u: AugmentedRelation, ax: Axis, rng: np.random.Generator, n: int):
     """The validator's batched `_draw_trials` of one relation: n start states
     and their kicked ends."""
-    return _draw_trials(np.array([axis.index[u]]), axis, [rng], n)
+    return _draw_trials(np.array([_code(ax, u)]), ax, [rng], n)
 
 
 class TestBatchedTrials:
@@ -491,18 +507,18 @@ class TestBatchedTrials:
     def test_batch_classifier_equals_the_scalar_path(self, radii, pick, seed, s):
         # Rigid and band trials, their kicked ends, and grid and off-grid
         # points of the path between the two, through both classifiers.
-        axis = _Axis(*radii, DEFAULT_TOLERANCE)
+        ax = axis(*radii)
         nodes = sorted(augmented_set(*radii), key=str)
         u = nodes[pick % len(nodes)]
-        start, end = _trials_of(u, axis, np.random.default_rng(seed), 6)
+        start, end = _trials_of(u, ax, np.random.default_rng(seed), 6)
         lerped = _path(start[:, 0], end[:, 0], np.append(_STEPS, s))
         for batch in (start, end, lerped):
-            want = [augmented_relation(_state(axis, c), axis.tol) for c in batch.T]
-            assert [axis.relations[k] for k in axis.labels(batch)] == want
+            want = [augmented_relation(_state(radii, c)) for c in batch.T]
+            assert _relations(ax, batch) == want
 
     @pytest.mark.parametrize("rk, rl", _RADII)
     def test_witness_grids_equal_the_scalar_path(self, rk, rl):
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         steps = _STEPS.tolist()
         nodes = sorted(augmented_set(rk, rl), key=str)
         for a in nodes:
@@ -510,22 +526,22 @@ class TestBatchedTrials:
                 if a == b:
                     continue
                 try:
-                    cu, cv = _edge_witness(a, b, axis)
+                    cu, cv = _edge_witness(a, b, ax)
                 except ValueError:
                     continue
-                grid = [axis.relations[k] for k in axis.labels(_path(cu, cv, _STEPS))]
-                su, sv = _state(axis, cu), _state(axis, cv)
-                want = [augmented_relation(_lerp_state(su, sv, s), axis.tol) for s in steps]
+                grid = _relations(ax, _path(cu, cv, _STEPS))
+                su, sv = _state((rk, rl), cu), _state((rk, rl), cv)
+                want = [augmented_relation(_lerp_state(su, sv, s)) for s in steps]
                 assert grid == want, (a, b)
 
     @pytest.mark.parametrize("rk, rl", _RADII)
     def test_every_edge_is_witnessed_in_both_directions(self, rk, rl):
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         edges = motion_cng(augmented_set(rk, rl)).edges
         pairs = [(x, y) for a, b in edges for x, y in ((a, b), (b, a))]
-        cu, cv = (np.stack(c, axis=1) for c in zip(*(_edge_witness(x, y, axis) for x, y in pairs)))
-        u, v = ([axis.index[x] for x in end] for end in zip(*pairs))
-        witnessed = _continuous_transitions(cu, cv, u, v, axis)
+        cu, cv = (np.stack(c, axis=1) for c in zip(*(_edge_witness(x, y, ax) for x, y in pairs)))
+        u, v = ([_code(ax, x) for x in end] for end in zip(*pairs))
+        witnessed = _continuous_transitions(cu, cv, u, v, ax)
         assert [(str(x), str(y)) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
 
     @pytest.mark.parametrize("rk, rl", _RADII + [(1.0, 1.0 + 2e-9)])
@@ -533,13 +549,13 @@ class TestBatchedTrials:
         # Every pair `touching_cells` yields, not only the first of each
         # edge, in both directions; and `_edge_witness` raises for exactly
         # the node pairs that are no edge.
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         config = radius_config(rk, rl)
         pairs = [p for x, y in touching_cells(config) for p in ((x, y), (y, x))]
         assert len(pairs) == 2 * {"lt": 88, "gt": 88, "eq": 54}[config]
-        cu, cv = _witnesses(pairs, axis)
-        u, v = ([axis.index[CELLS[config][c]] for c in end] for end in zip(*pairs))
-        witnessed = _continuous_transitions(cu, cv, u, v, axis)
+        cu, cv = _witnesses(pairs, ax)
+        u, v = ([_code(ax, CELLS[config][c]) for c in end] for end in zip(*pairs))
+        witnessed = _continuous_transitions(cu, cv, u, v, ax)
         assert [(x, y) for (x, y), ok in zip(pairs, witnessed) if not ok] == []
 
         g = motion_cng(augmented_set(rk, rl))
@@ -547,7 +563,7 @@ class TestBatchedTrials:
         for a in g.nodes:
             for b in g.nodes - {a}:
                 try:
-                    _edge_witness(a, b, axis)
+                    _edge_witness(a, b, ax)
                 except ValueError:
                     raising.add(frozenset((a, b)))
         n = len(g.nodes)
@@ -594,12 +610,12 @@ class TestBatchedTrials:
         non_edges = [
             (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if not g.has_edge(u, v)
         ]
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        ax = axis(1.0, 2.0)
         assert len(report.trial_counts) == 5
         for (u, v), counts in report.trial_counts.items():
             rng = np.random.default_rng([7, non_edges.index((u, v))])
-            pair = [(axis.index[u], axis.index[v])]
-            assert _pair_trials(pair, axis, [rng], 60)[0] == [counts]
+            pair = [(_code(ax, u), _code(ax, v))]
+            assert _pair_trials(pair, ax, [rng], 60)[0] == [counts]
             assert counts.attempted == 60 and counts.attempted >= counts.at_u >= counts.to_v
 
     def test_trials_reach_the_removed_edge(self):
@@ -607,10 +623,10 @@ class TestBatchedTrials:
         # of the pair's trials cross from S11(DC) to S12(DC-) on a continuous
         # path, so 400 trials miss it about one time in ten, while 20 000
         # trials reach it about 115 times.
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        ax = axis(1.0, 2.0)
         u, v = aug("S11(DC)"), aug("S12(DC-)")
-        pair = [(axis.index[u], axis.index[v])]
-        [crossed] = _pair_trials(pair, axis, [np.random.default_rng(11)], 20_000)[1]
+        pair = [(_code(ax, u), _code(ax, v))]
+        [crossed] = _pair_trials(pair, ax, [np.random.default_rng(11)], 20_000)[1]
         assert crossed >= 40
 
 
@@ -621,7 +637,7 @@ _SEVEN = _RADII + [(1e-9, 1.0), (3e7, 1.1e8)]
 
 
 def _trial_states(
-    aug: AugmentedRelation, axis: _Axis, rng: np.random.Generator, n: int
+    aug: AugmentedRelation, ax: Axis, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """A batch of n random states meant to classify `aug`, biased toward
     regime boundaries.  Each trial draws every coin and the numbers of both
@@ -630,10 +646,9 @@ def _trial_states(
     The validator's trial states as it drew them one relation and one coin at
     a time, before its draws became blocks and its trials one array pass:
     verbatim but for the configuration's rows and rigid stories, which are
-    read from the tables here, and the row's span, from `_Axis.span`."""
-    eps = axis.eps
-    config = radius_config(axis.r_k, axis.r_l, axis.tol)
-    row_of, rigid = ROW_OF[config], RIGID_STORIES[config]
+    read from the tables here, and the row's span, from `Axis.ends`."""
+    eps = ax.eps
+    row_of, rigid = ROW_OF[ax.config], RIGID_STORIES[ax.config]
 
     def coin(p: float = 0.5) -> np.ndarray:
         return rng.uniform(size=n) < p
@@ -644,11 +659,11 @@ def _trial_states(
     j = row_of[aug.rel]
     if aug.story in rigid:
         jitter = np.where(coin(), 0.0, draw(-0.9, 0.9) * eps)
-        return axis.comoving(np.maximum(0.0, axis.ax.pick(j) + jitter))
+        return _comoving(np.maximum(0.0, ax.pick(j) + jitter))
 
     i = row_of[aug.story]
-    lo, hi = axis.span[:, i]
-    if axis.ax.rows[i].band is not None:
+    lo, hi = ax.ends[:2, i]
+    if ax.rows[i].band is not None:
         h = np.maximum(0.0, lo + draw(-0.9, 0.9) * eps)
     else:
         # Keep 2 eps clear of the bands below and above; the unbounded top
@@ -662,23 +677,23 @@ def _trial_states(
     # single-label story S11 holds DC everywhere, so only pin it half the time
     # to also cover epochs away from the minimum.
     pin = (aug == central(aug.story)) & ((len(STORY_LABELS[aug.story]) > 1) | coin())
-    d_t = axis.ax.pick(j, h)
+    d_t = ax.pick(j, h)
     d_t = np.where(pin, h, np.where(coin(0.3), np.maximum(h, d_t + draw(-0.9, 0.9) * eps), d_t))
     speed = draw(0.5, 2.0)
     recede = (aug.phase is Phase.PLUS) | ((aug.phase is Phase.NONE) & coin())
-    return axis.moving(h, d_t, ~recede, speed)
+    return _moving(h, d_t, ~recede, speed)
 
 
-def _one_pair_trials(u, v, axis, rng, n):
+def _one_pair_trials(u, v, ax, rng, n):
     """The trials of one sampled pair as the validator drew and classified
     them before pairs were batched, verbatim: start states (`_trial_states`),
     their kicked ends, the counts, and the trials from u to v in order."""
-    start = _trial_states(u, axis, rng, n)
-    kick = rng.normal(0.0, 3.0 * axis.eps, (n, 9)).T
+    start = _trial_states(u, ax, rng, n)
+    kick = rng.normal(0.0, 3.0 * ax.eps, (n, 9)).T
     end = start + (kick[4:8] - kick[:4])  # disc l's kick minus disc k's
     end[:2] += end[2:] * kick[8]
-    at_u = np.flatnonzero(axis.labels(start) == axis.index[u])
-    to_v = at_u[axis.labels(end[:, at_u]) == axis.index[v]]
+    at_u = np.flatnonzero(augmented_relation_indices(*start, ax) == _code(ax, u))
+    to_v = at_u[augmented_relation_indices(*end[:, at_u], ax) == _code(ax, v)]
     return start, end, TrialCounts(n, len(at_u), len(to_v)), to_v
 
 
@@ -687,7 +702,7 @@ def _pair_by_pair_report(g: Cng, rk: float, rl: float, n_pairs: int, n_trials: i
     the edges from the validator itself (no pairs), then the per-pair loop
     as it was before pairs were batched, verbatim."""
     report = validate_motion_cng(g, rk, rl, n_pairs=0, n_trials=n_trials, seed=seed)
-    axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+    ax = axis(rk, rl)
     rng = np.random.default_rng(seed)
     nodes = sorted(g.nodes, key=str)
     non_edges = [
@@ -701,9 +716,9 @@ def _pair_by_pair_report(g: Cng, rk: float, rl: float, n_pairs: int, n_trials: i
         u, v = non_edges[i]
         # The pair's own generator: its trials replay from (seed, i) alone.
         rng_i = np.random.default_rng([seed, i])
-        start, end, counts, to_v = _one_pair_trials(u, v, axis, rng_i, n_trials)
+        start, end, counts, to_v = _one_pair_trials(u, v, ax, rng_i, n_trials)
         report.trial_counts[u, v] = counts
-        paths = start[:, to_v], end[:, to_v], axis.index[u], axis.index[v], axis
+        paths = start[:, to_v], end[:, to_v], _code(ax, u), _code(ax, v), ax
         if _continuous_transitions(*paths).any():
             report.spurious_transitions.append((u, v))
     return report
@@ -727,13 +742,13 @@ class TestPairBatches:
     def test_block_draws_equal_the_reference_bit_for_bit(self, rk, rl):
         # Every relation's trials in one batch, each from its own generator,
         # against the one-coin-at-a-time reference: starts and kicked ends.
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         nodes, n = sorted(augmented_set(rk, rl), key=str), 50
-        us = np.array([axis.index[a] for a in nodes])
+        us = np.array([_code(ax, a) for a in nodes])
         rngs = [np.random.default_rng([9, k]) for k in range(len(nodes))]
-        start, end = _draw_trials(us, axis, rngs, n)
+        start, end = _draw_trials(us, ax, rngs, n)
         for k, a in enumerate(nodes):
-            want = _one_pair_trials(a, a, axis, np.random.default_rng([9, k]), n)[:2]
+            want = _one_pair_trials(a, a, ax, np.random.default_rng([9, k]), n)[:2]
             got = start[:, k * n : (k + 1) * n], end[:, k * n : (k + 1) * n]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], a
 
@@ -845,25 +860,26 @@ def _bisect_changes(classify, samples):
 
 
 def _scalar_path(
-    cu: np.ndarray, cv: np.ndarray, axis: _Axis
+    cu: np.ndarray, cv: np.ndarray, radii: tuple[float, float]
 ) -> tuple[list[tuple[float, AugmentedRelation]], Callable[[float], AugmentedRelation]]:
     """The grid of a path with the batch's labels, and the scalar
     `augmented_relation` of the state at any s on it."""
-    labels = [axis.relations[k] for k in axis.labels(_path(cu, cv, _STEPS))]
+    labels = _relations(axis(*radii), _path(cu, cv, _STEPS))
 
     def cls(s: float) -> AugmentedRelation:
-        return augmented_relation(_state(axis, _path(cu, cv, s)[:, 0]), axis.tol)
+        return augmented_relation(_state(radii, _path(cu, cv, s)[:, 0]))
 
     return list(zip(_STEPS.tolist(), labels)), cls
 
 
 def _one_transition(
-    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation, axis: _Axis
+    cu: np.ndarray, cv: np.ndarray, u: AugmentedRelation, v: AugmentedRelation,
+    radii: tuple[float, float],
 ) -> bool:
     """The path check one path at a time: the grid classified as a batch,
     then every label change bisected to the validator's floor with the
     scalar `augmented_relation`."""
-    grid, cls = _scalar_path(cu, cv, axis)
+    grid, cls = _scalar_path(cu, cv, radii)
     labels = [c for _, c in grid]
     if labels[0] != u or labels[-1] != v or any(c not in (u, v) for c in labels):
         return False
@@ -873,20 +889,20 @@ def _one_transition(
 class TestPathBisection:
     @pytest.mark.parametrize("rk, rl", _SEVEN)
     def test_edge_witnesses_equal_the_path_by_path_check(self, rk, rl):
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         paths = []
         for a, b in motion_cng(augmented_set(rk, rl)).edges:
             for x, y in ((a, b), (b, a)):
                 try:
-                    paths.append((x, y, *_edge_witness(x, y, axis)))
+                    paths.append((x, y, *_edge_witness(x, y, ax)))
                 except ValueError:
                     continue
         u, v, cu, cv = zip(*paths)
         got = _continuous_transitions(
             np.stack(cu, axis=1), np.stack(cv, axis=1),
-            [axis.index[x] for x in u], [axis.index[y] for y in v], axis,
+            [_code(ax, x) for x in u], [_code(ax, y) for y in v], ax,
         )
-        assert got.tolist() == [_one_transition(*p[2:], *p[:2], axis) for p in paths]
+        assert got.tolist() == [_one_transition(*p[2:], *p[:2], (rk, rl)) for p in paths]
         # The two radius pairs whose reports are not ok reach the failing branches.
         assert got.all() == ((rk, rl) in _RADII)
 
@@ -895,15 +911,15 @@ class TestPathBisection:
         # Each edge-witness path, bisected to adjacent floats of s with the
         # scalar classifier, meets only its two labels.  Paths from rest
         # pass through subnormal |dv|^2 near s = 5e-154, which is rigid.
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         checked = 0
         for a, b in motion_cng(augmented_set(rk, rl)).edges:
             for u, v in ((a, b), (b, a)):
                 try:
-                    cu, cv = _edge_witness(u, v, axis)
+                    cu, cv = _edge_witness(u, v, ax)
                 except ValueError:
                     continue
-                grid, cls = _scalar_path(cu, cv, axis)
+                grid, cls = _scalar_path(cu, cv, (rk, rl))
                 changes = _bisect_changes(cls, grid)
                 assert [c for _, c in changes] == [u, v], (u, v, changes)
                 checked += 1
@@ -913,18 +929,18 @@ class TestPathBisection:
     def test_trial_paths_equal_the_path_by_path_check(self, rk, rl):
         # 2 000 trial paths of random pairs, each checked from the relation
         # of its start to that of its end, and once more to a random one.
-        axis = _Axis(rk, rl, DEFAULT_TOLERANCE)
+        ax = axis(rk, rl)
         nodes = sorted(augmented_set(rk, rl), key=str)
         rng = np.random.default_rng(5)
         picks = rng.integers(0, len(nodes), (20, 2))[:, 0]
-        us = np.array([axis.index[nodes[i]] for i in picks])
+        us = np.array([_code(ax, nodes[i]) for i in picks])
         rngs = [np.random.default_rng([5, k]) for k in range(len(picks))]
-        start, end = _draw_trials(us, axis, rngs, 100)
-        u = axis.labels(start)
-        for v in (axis.labels(end), rng.integers(0, len(nodes), start.shape[1])):
-            got = _continuous_transitions(start, end, u, v, axis)
+        start, end = _draw_trials(us, ax, rngs, 100)
+        u, relations = augmented_relation_indices(*start, ax), RELATIONS[ax.config]
+        for v in (augmented_relation_indices(*end, ax), rng.integers(0, len(nodes), start.shape[1])):
+            got = _continuous_transitions(start, end, u, v, ax)
             want = [
-                _one_transition(start[:, k], end[:, k], axis.relations[u[k]], axis.relations[v[k]], axis)
+                _one_transition(start[:, k], end[:, k], relations[u[k]], relations[v[k]], (rk, rl))
                 for k in range(start.shape[1])
             ]
             assert got.tolist() == want
@@ -934,28 +950,28 @@ class TestPathBisection:
         # A column whose |dv|^2 overflows: the scalar classifier rejects it
         # and the array one gives it -1, so it is no trial of its relation
         # and fails every path through it.
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        ax = axis(1.0, 2.0)
         a, b = aug("S11(DC)"), aug("S12(DC-)")
-        fine = np.stack(_edge_witness(a, b, axis), axis=1)
+        fine = np.stack(_edge_witness(a, b, ax), axis=1)
         overflowing = fine.copy()
         overflowing[2] = 2e300
         with pytest.raises(ValueError):
-            augmented_relation(_state(axis, overflowing[:, 0]), axis.tol)
-        assert axis.labels(fine).tolist() == [axis.index[a], axis.index[b]]
-        assert axis.labels(overflowing).tolist() == [-1, -1]
+            augmented_relation(_state((1.0, 2.0), overflowing[:, 0]))
+        assert augmented_relation_indices(*fine, ax).tolist() == [_code(ax, a), _code(ax, b)]
+        assert augmented_relation_indices(*overflowing, ax).tolist() == [-1, -1]
 
         starts = np.stack([fine[:, 0], overflowing[:, 0]], axis=1)
         monkeypatch.setattr(motionstories.validate, "_trial_starts", lambda *args: starts)
-        pair = [(axis.index[a], axis.index[b])]
-        [counts], _ = _pair_trials(pair, axis, [np.random.default_rng(0)], 2)
+        pair = [(_code(ax, a), _code(ax, b))]
+        [counts], _ = _pair_trials(pair, ax, [np.random.default_rng(0)], 2)
         assert counts.attempted == 2 and counts.at_u == 1
 
         ends = np.stack([fine[:, 1], overflowing[:, 1]], axis=1)
         paths = np.stack([fine[:, 0]] * 2, axis=1), ends
-        u, v = axis.index[a], axis.index[b]
-        assert _continuous_transitions(*paths, u, v, axis).tolist() == [True, False]
+        u, v = _code(ax, a), _code(ax, b)
+        assert _continuous_transitions(*paths, u, v, ax).tolist() == [True, False]
         # The path from the rejected state fails too.
-        assert _continuous_transitions(overflowing, ends, u, v, axis).tolist() == [False, False]
+        assert _continuous_transitions(overflowing, ends, u, v, ax).tolist() == [False, False]
 
 
 _CONFIG_RADII = {"lt": (1.0, 2.0), "gt": (2.0, 1.0), "eq": (1.5, 1.5)}
@@ -985,7 +1001,7 @@ class TestBatchColumns:
         d = h + excess
         tta = math.sqrt(d - h) * math.sqrt(d + h) / speed
         want = canonical_state(*radii, h, tta if approach else -tta, speed)
-        column = _Axis(*radii, DEFAULT_TOLERANCE).moving(h, d, approach, speed)
+        column = _moving(h, d, approach, speed)
         assert column.tolist() == [want.dp.x, want.dp.y, want.dv.x, want.dv.y]
 
     @settings(max_examples=100, deadline=None)
@@ -993,24 +1009,24 @@ class TestBatchColumns:
     def test_comoving_is_the_rigid_state(self, config, d):
         radii = _CONFIG_RADII[config]
         want = rigid_state(*radii, d)
-        column = _Axis(*radii, DEFAULT_TOLERANCE).comoving(d)
+        column = _comoving(d)
         assert column.tolist() == [want.dp.x, want.dp.y, want.dv.x, want.dv.y]
 
     def test_rigid_trial_paths_are_straight_in_relative_motion(self):
         # From a rigid start dv is eps-small along the whole path, so any
         # rounding in it tilts the line of motion; the miss distance must be
         # that of the exact straight path between the two ends' dp and dv.
-        axis = _Axis(1.0, 2.0, DEFAULT_TOLERANCE)
+        ax = axis(1.0, 2.0)
         u = aug("S02(EC)")
         worst = 0.0
         for i in range(len(augmented_set(1.0, 2.0)) - 1):
-            start, end = _trials_of(u, axis, np.random.default_rng([0, i]), 8)
+            start, end = _trials_of(u, ax, np.random.default_rng([0, i]), 8)
             for k in range(start.shape[1]):
-                su, sv = _state(axis, start[:, k]), _state(axis, end[:, k])
+                su, sv = _state((1.0, 2.0), start[:, k]), _state((1.0, 2.0), end[:, k])
                 ends = [tuple(map(Fraction, (e.dp.x, e.dp.y, e.dv.x, e.dv.y))) for e in (su, sv)]
                 for s, column in zip(_STEPS.tolist(), _path(start[:, k], end[:, k], _STEPS).T):
                     f = Fraction(s)
                     x = [a + f * (b - a) for a, b in zip(*ends)]
-                    miss = closest_approach_state(_state(axis, column))[1]
+                    miss = closest_approach_state(_state((1.0, 2.0), column))[1]
                     worst = max(worst, abs(miss - _exact_miss(x[:2], x[2:])))
-        assert worst <= 2 * axis.eps, worst / axis.eps
+        assert worst <= 2 * ax.eps, worst / ax.eps

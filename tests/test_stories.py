@@ -471,7 +471,7 @@ class TestAsymptoticDirection:
         aug = augmented_relation(s)
         assert aug == AugmentedRelation(StoryId.S02 if rigid else StoryId.S12, R.EC, Phase.NONE)
         columns = (np.array([x]) for x in (s.dp.x, s.dp.y, s.dv.x, s.dv.y))
-        [code] = augmented_relation_indices(*columns, 1.0, 2.0, DEFAULT_TOLERANCE)
+        [code] = augmented_relation_indices(*columns, axis(1.0, 2.0))
         assert RELATIONS[radius_config(1.0, 2.0)][code] == aug
         if rigid:
             with pytest.raises(DegenerateMotionError):
@@ -585,7 +585,7 @@ class TestRegimeSpans:
             floors = np.append(np.linspace(0.0, top, 9), [lo, math.nextafter(top, 0.0), below])
             for floor in (0.0, floors):
                 d = np.atleast_1d(ax.pick(np.full(np.shape(floor), k), floor))
-                assert (ax.rows_at(d) == k).all(), (k, floor)
+                assert (np.searchsorted(ax.break_array, d, "right") == k).all(), (k, floor)
                 # Each pick is the span's, or the middle of the row's extent.
                 assert np.all((d >= np.maximum(lo, floor)) | (d == ax.ends[4, k])), (k, floor)
                 assert np.all(d <= hi), (k, floor)
@@ -599,8 +599,8 @@ class TestRegimeSpans:
             if not ax.ends[2, k] < ax.ends[3, k]:
                 continue  # no float of its own, as above
             moved = ax.inside(np.full(d.shape, k), d)
-            assert (ax.rows_at(moved) == k).all(), k
-            own = ax.rows_at(d) == k
+            assert (np.searchsorted(ax.break_array, moved, "right") == k).all(), k
+            own = np.searchsorted(ax.break_array, d, "right") == k
             assert own.any() and (moved[own] == d[own]).all(), k
 
 
@@ -692,11 +692,12 @@ class TestRowsAt:
     @example((1.5, 1.5, 1e-9, np.array([1e-9, 3.0, 2.0, 0.0])))  # eq
     @settings(max_examples=400)
     def test_array_walk_equals_the_scalar_walk(self, case):
-        # Both lookups in the breakpoint table against the walk it is built from.
+        # Both lookups in the breakpoint table against the walk it is built
+        # from: the cached break array and `Axis.row`.
         r_k, r_l, eps, ds = case
         ax = axis(r_k, r_l, Tolerance(eps))
         expected = [_row_at(d, ax.thetas, eps) for d in ds.tolist()]
-        assert ax.rows_at(ds).tolist() == expected
+        assert np.searchsorted(ax.break_array, ds, "right").tolist() == expected
         assert [ax.row(d) for d in ds.tolist()] == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
@@ -704,9 +705,6 @@ class TestRowsAt:
         ax = axis(1.0, 2.0, Tolerance(1e-9))
         with pytest.raises(ValueError) as scalar:
             _row_at(bad, ax.thetas, ax.eps)
-        with pytest.raises(ValueError) as array:
-            ax.rows_at(np.array([0.5, 3.0, bad, -2.0]))
-        assert str(array.value) == str(scalar.value)
         with pytest.raises(ValueError) as lookup:
             ax.row(bad)
         assert str(lookup.value) == str(scalar.value)
@@ -912,7 +910,7 @@ class TestOnePassPlacement:
     def test_codes_equal_the_two_search_path(self, r_k, r_l, eps):
         tol = Tolerance(eps)
         batch = _near_break_states(r_k, r_l, tol, 4_000, seed=19)
-        got = augmented_relation_indices(*batch, r_k, r_l, tol)
+        got = augmented_relation_indices(*batch, axis(r_k, r_l, tol))
         assert got.tolist() == _math_hypot_indices(*batch, r_k, r_l, tol, _distances_only).tolist()
 
     def test_finite_raises_for_the_first_infinite_distance(self):
@@ -951,7 +949,7 @@ class TestHypotMargin:
         # The states reach where the two hypots round into different rows.
         breaks = axis(r_k, r_l, tol).breaks
         assert (np.searchsorted(breaks, d, "right") != np.searchsorted(breaks, exact, "right")).any()
-        got = augmented_relation_indices(*batch, r_k, r_l, tol)
+        got = augmented_relation_indices(*batch, axis(r_k, r_l, tol))
         assert got.tolist() == _math_hypot_indices(*batch, r_k, r_l, tol).tolist()
         index = {a: k for k, a in enumerate(RELATIONS[radius_config(r_k, r_l, tol)])}
         scalar = [_scalar_code(c, r_k, r_l, tol, index) for c in batch[:, ::4].T.tolist()]
