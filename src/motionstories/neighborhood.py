@@ -50,7 +50,7 @@ class Cng:
 
     def neighbors(self, label: Hashable) -> set:
         if label not in self.nodes:
-            raise KeyError(f"unknown label {label!r}")
+            raise KeyError(f"unknown label {str(label)!r}")
         return {next(iter(e - {label})) for e in self.edges if label in e}
 
     def has_edge(self, a: Hashable, b: Hashable) -> bool:
@@ -98,9 +98,9 @@ def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
 def shortest_path(g: Cng, start: Hashable, goal: Hashable) -> list | None:
     """Minimum-hop path, ties broken lexicographically on serialized labels."""
     if start not in g.nodes:
-        raise KeyError(f"unknown label {start!r}")
+        raise KeyError(f"unknown label {str(start)!r}")
     if goal not in g.nodes:
-        raise KeyError(f"unknown label {goal!r}")
+        raise KeyError(f"unknown label {str(goal)!r}")
     dist = {goal: 0}
     queue = deque([goal])
     while queue:

@@ -3,13 +3,16 @@
 Nothing here is used on the classification fast path; these functions exist to
 cross-check the analytic story derivation and to validate derived structures.
 The sampler works purely from positional distances, never from the
-closed-form closest approach, in the time frame of its plan's middle.  One
-array pass, `stories.hypot_at_breaks`, the rule the batch classifier shares,
-yields the grid's distances and their rows: `np.hypot`'s distance and its
-row stand where the distance moved a relative 2^-40 either way stays in one
-row, and `math.hypot` is taken again, with its row, only on samples whose
-last bit could move a row or the minimum's index, and on subnormal and nearly
-overflowing ones, so the grid's rows and the minimum's index are those of
+closed-form closest approach, in the time frame of its plan's middle.  Under
+rigid motion every sample is one float, so one `math.hypot` and its row give
+the one-label story over the grid's interval.  Otherwise the grid is
+`np.linspace`'s arithmetic on a cached ramp, and one array pass,
+`stories.hypot_at_breaks`, the rule the batch classifier shares, yields its
+distances and their rows with one search of the breaks' guard table:
+`np.hypot`'s distance and its row stand in the gaps between the table's
+intervals, and `math.hypot` is taken again, with its row, only inside them,
+where a sample's last bit could move a row, and on samples that could tie
+with the minimum, so the grid's rows and the minimum's index are those of
 `center_distance_at`.  Only its two searches are scalar, and both read one
 float closure of the motion: `_refine_minimum` fits parabolas through the
 least distances, and `resolve_changes` takes secant steps toward each label
@@ -19,6 +22,7 @@ down to adjacent floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right, insort
@@ -81,6 +85,25 @@ def default_plan(state: UniformMotionState, n_points: int = 801) -> SamplingPlan
     r_sum = state.disc_k.radius + state.disc_l.radius
     reach = r_sum + max(1.0, r_sum * 2.0**-40)
     return SamplingPlan(t_min, reach / state.dv.norm() + 1.0, n_points)
+
+
+@functools.lru_cache(maxsize=8)
+def _ramp(points: int) -> np.ndarray:
+    """`np.arange(points)` as floats, read-only."""
+    ramp = np.arange(points, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _grid(half: float, points: int) -> np.ndarray:
+    """`np.linspace(-half, half, points)`, bit for bit: its arithmetic on a
+    cached ramp, or linspace itself where its step underflows to 0."""
+    step = 2.0 * half / (points - 1)
+    if not step:
+        return np.linspace(-half, half, points)
+    grid = _ramp(points) * step - half
+    grid[-1] = half
+    return grid
 
 
 def _refine_minimum(
@@ -175,10 +198,18 @@ def sample_story(
     only for an instant (tangencies), so the least distance is refined and
     each label change searched: the labels and boundaries are those of
     `resolve_changes`, with `middle` added back last, and the interval is the
-    whole grid, or the floats about it where its two ends round to one."""
+    whole grid, or the floats about it where its two ends round to one.
+    Under rigid motion (dv exactly 0) every sample is one float, taken once."""
     mid, half, dp, dv = plan.middle, plan.half_width, state.dp, state.dv
     at_mid = Vec2(dp.x + dv.x * mid, dp.y + dv.y * mid)  # disc l relative to disc k
     px, py, vx, vy = at_mid.x, at_mid.y, dv.x, dv.y
+    ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
+    rels, breaks = [row.rel for row in ax.rows], ax.breaks
+    start, end = mid - half, mid + half  # the grid's ends, -half and half, moved back
+    if start == end:  # the grid is narrower than a float step at its middle
+        start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
+    if not (vx or vy):  # rigid: every sample is the float (px, py)
+        return TemporalSequence((rels[ax.row(math.hypot(px, py))],), (start, end), ())
 
     def distance(tau: float) -> float:
         d = math.hypot(px + vx * tau, py + vy * tau)
@@ -186,31 +217,27 @@ def sample_story(
             raise ValueError(f"center distance must be finite, got {d!r}")
         return d
 
-    grid = np.linspace(-half, half, plan.points)
-    ax = axis(state.disc_k.radius, state.disc_l.radius, tol)
-    rels, breaks = [row.rel for row in ax.rows], ax.breaks
-    # Samples that could tie with the minimum are taken again too; under rigid
-    # motion every sample is one float and argmin is 0.
-    near_min = (lambda d: d <= d.min() * (1.0 + HYPOT_MARGIN)) if vx or vy else None
+    points = operator.index(plan.points)
+    grid = _grid(half, points)
     with np.errstate(over="ignore"):  # the pass rejects the infinite distance
         xs, ys = px + vx * grid, py + vy * grid
-        dists, rows = hypot_at_breaks(xs, ys, ax.break_array, near_min, finite=True)
+        # Samples that could tie with the minimum are taken again too.
+        dists, rows = hypot_at_breaks(
+            xs, ys, breaks, lambda d: d <= d.min() * (1.0 + HYPOT_MARGIN), finite=True
+        )
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
-    i_min, last = int(np.argmin(dists)), len(grid) - 1
+    i_min, last = int(np.argmin(dists)), points - 1
     lo, hi = max(0, i_min - 1), min(last, i_min + 1)
     changes = np.flatnonzero(rows[1:] != rows[:-1]).tolist()
     keep = sorted({0, last, lo, i_min, hi, *changes, *(i + 1 for i in changes)})
     kept = {i: (t, distance(t)) for i, t in zip(keep, grid[keep].tolist())}
     samples = list(kept.values())
-    if (vx or vy) and kept[lo][0] < kept[hi][0]:
+    if kept[lo][0] < kept[hi][0]:
         t_at_min, d_at_min = _refine_minimum(distance, kept[lo], kept[i_min], kept[hi])
         if t_at_min != kept[i_min][0]:
             insort(samples, (t_at_min, d_at_min))
     refined = resolve_changes(distance, breaks, samples)
-    start, end = kept[0][0] + mid, kept[last][0] + mid
-    if start == end:  # the grid is narrower than a float step at its middle
-        start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
     labels = tuple(rels[bisect_right(breaks, d)] for _, d in refined)
     return TemporalSequence(labels, (start, end), tuple(t + mid for t, _ in refined[1:]))
 

@@ -17,14 +17,15 @@ of radii's rows, their thresholds and, built on first use from one walk over
 the band rows, the distances where the walk's row steps up.  It gives every
 distance its row, for `classify_discs`, `story_of` and
 `augmented_relation_indices` alike.  `hypot_at_breaks` takes an array of
-distances from positions and places each in its row in the same pass, over
-the axis' cached break array (`Axis.break_array`), for
-`augmented_relation_indices` and the sampling oracle.  The axis is also the
-one rule that places arrays of distances in rows (`Axis.pick`, kept inside
-each row's float extent by `Axis.inside`).  Each story is a
-qualitative motion relation, and pairing it with the current spatial relation
-(plus a phase, MINUS before closest approach and PLUS after, for the repeated
-labels) gives the augmented motion relations.
+distances from positions and places each in its row with one search of a
+guard table, built once per breaks: the merged intervals of distances whose
+last bits could move a row, taken again with `math.hypot`, and the row of
+each gap between them; for `augmented_relation_indices` and the sampling
+oracle.  The axis is also the one rule that places arrays of distances in
+rows (`Axis.pick`, kept inside each row's float extent by `Axis.inside`).
+Each story is a qualitative motion relation, and pairing it with the
+current spatial relation (plus a phase, MINUS before closest approach and
+PLUS after, for the repeated labels) gives the augmented motion relations.
 """
 
 from __future__ import annotations
@@ -616,14 +617,51 @@ def tsr_over_interval(
 HYPOT_MARGIN = 2.0**-40
 
 
+def _least_reaching(b: float, factor: float) -> float:
+    """The least float d with d * factor >= b, for a factor near 1: a few
+    steps from b / factor, past the largest float for b = inf."""
+    d = min(b, sys.float_info.max) / factor
+    while d * factor >= b:
+        d = math.nextafter(d, -math.inf)
+    while d * factor < b:
+        d = math.nextafter(d, math.inf)
+    return d
+
+
+@functools.lru_cache(maxsize=256)
+def _guards(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distances d that `hypot_at_breaks` takes again, as sorted `edges`
+    whose pairs [lo, hi) are merged intervals, and the row of each gap
+    between them (`counts`).  d is taken again where it is subnormal and
+    where a break b lies in (d (1 - `HYPOT_MARGIN`), d (1 + `HYPOT_MARGIN`)],
+    so from the least d whose upper margin reaches b to the least whose lower
+    one does.  A break at inf, added to `breaks`, takes the d whose upper
+    margin overflows.  The last interval reaches inf and is closed by NaN,
+    which numpy sorts above inf, so an infinite d is taken again and a NaN
+    one, past it, is not."""
+    spans = [(0.0, sys.float_info.min)] + [
+        (_least_reaching(b, 1.0 + HYPOT_MARGIN), _least_reaching(b, 1.0 - HYPOT_MARGIN))
+        for b in (*breaks, math.inf)
+    ]
+    edges: list[float] = []
+    for lo, hi in spans:
+        if edges and lo <= edges[-1]:
+            edges[-1] = max(edges[-1], hi)
+        elif lo < hi:
+            edges += [lo, hi]
+    edges[-1] = math.nan  # it was inf
+    counts = [0] + [bisect_right(breaks, e) for e in edges[1::2]]
+    return np.array(edges), np.array(counts, dtype=np.intp)
+
+
 def hypot_at_breaks(
     x: np.ndarray, y: np.ndarray, breaks: np.ndarray | Sequence[float],
     also: Callable[[np.ndarray], np.ndarray] | None = None, finite: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`np.hypot` of x and y, and the row of each d, `np.searchsorted(breaks,
-    d, "right")`, placed in one pass over the sorted `breaks` (fastest as
-    `Axis.break_array`).  Where d (1 - `HYPOT_MARGIN`) and d (1 +
-    `HYPOT_MARGIN`) have one row, d has it too.  d is taken again with
+    d, "right")`, placed by one search of the guard table `_guards` builds
+    once per sorted `breaks` (a sequence or an array).  Where d (1 -
+    `HYPOT_MARGIN`) and d (1 + `HYPOT_MARGIN`) have one row, d has it too.  d is taken again with
     `math.hypot` (as `Vec2.norm`), and its row with `bisect_right`, where
     those two rows differ, where d is subnormal or its margin overflows (so
     where it is infinite), and where `also(d)` holds; so each d has the row
@@ -631,14 +669,13 @@ def hypot_at_breaks(
     from both, in the last row.)  With `finite`, the first infinite d, or NaN
     one taken again, raises `Axis.row`'s ValueError.  Overflow warnings are
     the caller's to silence."""
-    breaks = np.asarray(breaks)
+    breaks = tuple(np.asarray(breaks, dtype=float).tolist())
+    edges, counts = _guards(breaks)
     d = np.hypot(x, y)
-    below, above = d * (1.0 - HYPOT_MARGIN), d * (1.0 + HYPOT_MARGIN)
-    rows = np.searchsorted(breaks, below, "right")
-    redo = rows != np.searchsorted(breaks, above, "right")
-    redo |= (d < sys.float_info.min) | (above == math.inf)
+    k = np.searchsorted(edges, d, "right")
+    rows, redo = counts[k >> 1], k & 1  # an odd k lies in an interval
     if also is not None:
-        redo |= also(d)
+        redo = redo | also(d)
     at = np.flatnonzero(redo)
     d[at] = exact = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
     # Every infinite d is among those taken again and makes their sum
@@ -646,8 +683,7 @@ def hypot_at_breaks(
     if finite and not sum(exact) < math.inf:
         for v in exact:
             _require_distance(v)
-    edges = breaks.tolist()
-    rows[at] = [bisect_right(edges, v) for v in exact]
+    rows[at] = [bisect_right(breaks, v) for v in exact]
     return d, rows
 
 

@@ -88,6 +88,19 @@ class TestRccCng:
         with pytest.raises(KeyError):
             shortest_path(rcc_cng(), "bogus", R.DC)
 
+    def test_unknown_label_is_named_as_written(self):
+        # An augmented relation outside the graph is named by its text, not
+        # its dataclass repr; a string label keeps its quotes.
+        g = motion_cng(augmented_set(1, 1))
+        s15, s11 = AugmentedRelation.parse("S15(DC-)"), AugmentedRelation.parse("S11(DC)")
+        for call in (lambda: shortest_path(g, s15, s11), lambda: shortest_path(g, s11, s15), lambda: g.neighbors(s15)):
+            with pytest.raises(KeyError) as err:
+                call()
+            assert err.value.args == ("unknown label 'S15(DC-)'",)
+        with pytest.raises(KeyError) as err:
+            shortest_path(rcc_cng(), "bogus", R.DC)
+        assert err.value.args == ("unknown label 'bogus'",)
+
     def test_edge_override(self):
         g = Cng(nodes=frozenset(RccRelation), edges=frozenset({frozenset((R.DC, R.EC))}))
         assert g.has_edge(R.DC, R.EC)

@@ -15,8 +15,10 @@ from motionstories.kinematics import (
     center_distance_at,
     closest_approach_state,
 )
+import motionstories.oracle
 from motionstories.oracle import (
     SamplingPlan,
+    _grid,
     _refine_minimum,
     canonical_state,
     default_plan,
@@ -348,6 +350,81 @@ class TestArrayGrid:
         )
         with pytest.raises(ValueError, match="must be finite"):
             sample_story(state, SamplingPlan(0.0, 1e10, 21))
+
+
+def _rigid_reference(state, plan, tol):
+    """The story of every sample of `np.linspace`'s grid, each distance taken
+    with `math.hypot` and classified on its own; the interval is the grid's,
+    widened a float each way where its ends round to one."""
+    mid, dp, dv = plan.middle, state.dp, state.dv
+    px, py = dp.x + dv.x * mid, dp.y + dv.y * mid
+    r_k, r_l = state.disc_k.radius, state.disc_l.radius
+    grid = np.linspace(-plan.half_width, plan.half_width, plan.points).tolist()
+    labels = {classify_discs(math.hypot(px + dv.x * t, py + dv.y * t), r_k, r_l, tol) for t in grid}
+    start, end = grid[0] + mid, grid[-1] + mid
+    if start == end:
+        start, end = math.nextafter(start, -math.inf), math.nextafter(end, math.inf)
+    assert len(labels) == 1
+    return TemporalSequence(tuple(labels), (start, end), ())
+
+
+class TestGridAndRigidMotion:
+    # The largest half-width a plan takes: twice it is the largest float.
+    _TOP = sys.float_info.max / 2.0
+
+    @pytest.mark.parametrize("points", [11, 200, 201, 801])
+    def test_grid_equals_linspace_bit_for_bit(self, points):
+        rng = np.random.default_rng(points)
+        halves = [
+            *rng.uniform(1e-3, 1e3, 100).tolist(),
+            *(10.0 ** rng.uniform(-300.0, 300.0, 100)).tolist(),
+            1e-320, 5e-324, sys.float_info.min, self._TOP, math.nextafter(self._TOP, 0.0), self._TOP / 3.0,
+        ]
+        # The step underflows to 0 at the smallest half-width, and not at 1e-320.
+        assert 2.0 * 5e-324 / (points - 1) == 0.0 < 2.0 * 1e-320 / (points - 1)
+        for half in halves:
+            SamplingPlan(0.0, half, points)  # each is a plan's half-width
+            grid, expected = _grid(half, points), np.linspace(-half, half, points)
+            assert grid.view(np.int64).tolist() == expected.view(np.int64).tolist(), half
+
+    def test_rigid_on_the_ec_break_at_eps_1e_20(self):
+        tol = Tolerance(1e-20)
+        state = rigid_state(1.0, 2.0, 3.0)
+        assert axis(1.0, 2.0, tol).breaks[2] == 3.0
+        got = sample_story(state, default_plan(state), tol)
+        assert got.labels == (R.EC,)
+        assert _bits(got) == _bits(_rigid_reference(state, default_plan(state), tol))
+
+    @pytest.mark.parametrize("r_k, r_l", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5)], ids=["lt", "gt", "eq"])
+    def test_rigid_in_every_row_equals_every_sample(self, r_k, r_l):
+        ax = axis(r_k, r_l)
+        # A distance inside each row, and each break with the float below it.
+        ds = ax.pick(np.arange(len(ax.rows))).tolist()
+        ds += [*ax.breaks[1:], *(math.nextafter(b, 0.0) for b in ax.breaks[1:])]
+        plans = [SamplingPlan(0.0, 1.0, 801), SamplingPlan(-3.5, 7.0, 200), SamplingPlan(1e17, 1.0, 11)]
+        for d in ds:
+            for vel in (Vec2(0.0, 0.0), Vec2(-2.5, 1e-300)):
+                state = rigid_state(r_k, r_l, d, vel)
+                for plan in [default_plan(state), *plans]:
+                    expected = _rigid_reference(state, plan, DEFAULT_TOLERANCE)
+                    assert _bits(sample_story(state, plan)) == _bits(expected), (d, plan)
+
+    def test_rigid_takes_one_sample(self, monkeypatch):
+        # No grid pass: under rigid motion the array placement is never called.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was sampled")
+
+        monkeypatch.setattr(motionstories.oracle, "hypot_at_breaks", no_grid)
+        state = rigid_state(1.0, 2.0, 3.0, Vec2(4.0, -1.0))
+        assert sample_story(state, default_plan(state)).labels == (R.EC,)
+
+    def test_rigid_overflowing_distance_raises(self):
+        # Both offsets are finite; their hypot overflows.
+        state = UniformMotionState(
+            Disc(Vec2(-1e308, 0.0), 1.0), Vec2(3.0, 0.0), Disc(Vec2(0.0, 1.5e308), 2.0), Vec2(3.0, 0.0)
+        )
+        with pytest.raises(ValueError, match=r"^center distance must be finite and >= 0, got inf$"):
+            sample_story(state, default_plan(state))
 
 
 class TestOnRealMotions:

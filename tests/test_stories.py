@@ -13,6 +13,8 @@ from motionstories.kinematics import Disc, UniformMotionState, Vec2, closest_app
 from motionstories.oracle import canonical_state
 from motionstories.stories import (
     _INDEX,
+    _guards,
+    _least_reaching,
     _row_at,
     CELLS,
     DEFAULT_TOLERANCE,
@@ -929,6 +931,84 @@ class TestOnePassPlacement:
         assert d.tolist() == [0.5, 3.0, sys.float_info.max]
         assert rows.tolist() == [ax.row(0.5), ax.row(3.0), len(ax.breaks)]
         assert top.tolist() == [sys.float_info.max] * 2 and top_rows.tolist() == [len(ax.breaks)] * 2
+
+
+def _floats_about(centres, n=12):
+    """The n floats either side of each centre and the centre, where not negative."""
+    out = set()
+    for c in centres:
+        lo = hi = c
+        out.add(c)
+        for _ in range(n):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out |= {lo, hi}
+    return [v for v in out if not v < 0]
+
+
+class TestGuardTable:
+    """One search of the guard table takes again exactly the distances the
+    two margin searches take again, and gives every other its row."""
+
+    @staticmethod
+    def _check(breaks, d):
+        # x = d and y = 0 make np.hypot's d exact, so a distance taken again
+        # shows as the sentinel that stands for math.hypot here.
+        x, y = np.array(d), np.zeros(len(d))
+        with np.errstate(over="ignore"):
+            expected = _distances_only(x, y, np.asarray(breaks))
+            got, rows = hypot_at_breaks(x, y, breaks)
+        assert _same_bits(got, expected).all(), np.asarray(d)[~_same_bits(got, expected)][:5]
+        # The sentinel is negative, in row 0, as bisect_right places it.
+        assert rows.tolist() == np.searchsorted(breaks, got, "right").tolist()
+        return got < 0
+
+    @pytest.fixture(autouse=True)
+    def _sentinel(self, monkeypatch):
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda a, b: -1.0 - hypot(a, b))
+
+    @pytest.mark.parametrize("r_k, r_l, eps", _PLACEMENT_CASES)
+    def test_equals_the_two_search_rule(self, r_k, r_l, eps):
+        breaks = axis(r_k, r_l, Tolerance(eps)).breaks
+        edges, counts = _guards(breaks)
+        m = HYPOT_MARGIN
+        centres = [*breaks, *(b / (1.0 + m) for b in breaks), *(b / (1.0 - m) for b in breaks)]
+        centres += [e for e in edges.tolist() if math.isfinite(e)]
+        retaken = self._check(breaks, _floats_about(centres))
+        assert retaken.any() and not retaken.all()
+        if eps < r_k * 1e-15:
+            # Each tangency band is its threshold or the float above it: the
+            # two breaks' intervals merge into one.
+            assert len(edges) // 2 < len(breaks) + 2
+            assert len(counts) == len(edges) // 2 + 1
+
+    def test_each_bound_is_the_least_float_reaching_its_break(self):
+        rng = np.random.default_rng(29)
+        breaks = np.ldexp(rng.uniform(0.5, 1.0, 4000), rng.integers(-1074, 1024, 4000)).tolist()
+        for b in [*breaks, 0.0, 5e-324, sys.float_info.min, sys.float_info.max, math.inf]:
+            for factor in (1.0 + HYPOT_MARGIN, 1.0 - HYPOT_MARGIN):
+                d = _least_reaching(b, factor)
+                assert d * factor >= b > math.nextafter(d, -math.inf) * factor, (b, factor)
+
+    @pytest.mark.parametrize("breaks", [(1.0, 3.0, math.inf), (math.inf,), (2.0**-1022, 1.0, math.inf)])
+    def test_an_inf_break(self, breaks):
+        top = sys.float_info.max
+        centres = [*(b for b in breaks if b < math.inf), top / (1.0 + HYPOT_MARGIN), top, 1.0]
+        retaken = self._check(breaks, _floats_about(centres) + [math.inf])
+        assert retaken[-1]
+
+    def test_nan_inf_subnormal_and_nearly_overflowing_distances(self):
+        breaks = axis(1.0, 2.0).breaks
+        top, tiny = sys.float_info.max, sys.float_info.min
+        odd = [math.nan, math.inf, 0.0, 5e-324, 1e-310, tiny, top, top / (1.0 + HYPOT_MARGIN)]
+        d = odd + _floats_about([tiny, top / (1.0 + HYPOT_MARGIN), top])
+        retaken = self._check(breaks, d)
+        # NaN is not taken again and sits in the last row; inf and the
+        # subnormal distances are taken again.
+        assert retaken[1:5].all() and not retaken[0]
+        with np.errstate(over="ignore"):
+            got, rows = hypot_at_breaks(np.array([math.nan]), np.array([0.0]), breaks)
+        assert math.isnan(got[0]) and rows.tolist() == [len(breaks)]
 
 
 class TestHypotMargin:
