@@ -158,6 +158,11 @@ def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
     window ending at record i: all records up to i when `window` <= 0, else
     the last `window` of them, and at least the two records [i-1, i].  Rows
     whose fit is singular or overflows are NaN; row 0 always is.
+
+    Prefixes shorter than the window are fitted from running sums, full
+    windows at O(width) each: they are laid out window axis first, and each
+    window's sums are added in window order, record after record, which is
+    the order that fixes the fits' bits.
     """
     n = len(data)
     width = n + 1 if window <= 0 else max(window, 2)
@@ -174,17 +179,20 @@ def _velocity_fits(data: np.ndarray, window: int) -> np.ndarray:
         s_tx = np.cumsum(u * x, axis=0) - s_t * s_x / m
         fits[: len(head)] = _slopes(s_tt, s_tx)
         # Full windows [i-width+1, i]: each window shifted by its first record,
-        # then centred on its own means.  Chunks of about 2**16 values per
-        # coordinate keep memory from growing with n * width.
+        # then centred on its own means.  As (width, windows, 5), each sum adds
+        # whole rows of windows, one record of every window at a time.  Chunks
+        # of about 2**16 values per coordinate keep memory from growing with
+        # n * width.
         chunk = max(1, 2**16 // width)
         for lo in range(0, n - width + 1, chunk):
             view = sliding_window_view(data[lo : lo + chunk + width - 1], width, axis=0)
-            c = view - view[:, :, :1]
-            c -= c.mean(axis=2, keepdims=True)
-            tc = c[:, :1]
-            s_tt = np.einsum("ijk,ijk->ij", tc, tc)
-            s_tx = np.einsum("ijk,ijk->ij", tc, c[:, 1:])
-            end = lo + width - 1 + len(view)
+            view = view.transpose(2, 0, 1)
+            c = view - view[:1]
+            c -= c.mean(axis=0)
+            tc = c[:, :, :1]
+            s_tt = np.einsum("kij,kij->ij", tc, tc)
+            s_tx = np.einsum("kij,kij->ij", tc, c[:, :, 1:])
+            end = lo + width - 1 + view.shape[1]
             fits[lo + width - 1 : end] = _slopes(s_tt, s_tx)
     return fits
 
@@ -467,13 +475,18 @@ def _read_table(path: str) -> tuple[np.ndarray, list[int]]:
     return table, lines
 
 
+@functools.cache  # built on the first `classify` of each configuration, then reused
+def _relation_lines(config: str) -> tuple[str, ...]:
+    """The output line of each of `RELATIONS[config]`, by index."""
+    return tuple(f"{aug}\n" for aug in RELATIONS[config])
+
+
 def _cmd_classify(args: argparse.Namespace, cfg: SceneConfig) -> int:
     data, lines = _read_table(args.trajectory)
     fits = _velocity_fits(data, args.window)
     ax = axis(cfg.r_k, cfg.r_l, cfg.tolerance)
     codes = _relation_stream(data, lines, fits, cfg, ax)
-    text = [f"{aug}\n" for aug in RELATIONS[ax.config]]
-    sys.stdout.write("".join(map(text.__getitem__, codes.tolist())))
+    sys.stdout.write("".join(map(_relation_lines(ax.config).__getitem__, codes.tolist())))
     # The stream has accepted the last record, so its state builds.
     warnings = _degenerate_warnings(_state_at(data[-1], fits[-1], cfg), cfg, ax)
     return _emit_warnings(warnings, cfg)

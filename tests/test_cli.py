@@ -229,6 +229,27 @@ class TestVelocityFits:
                     bound = max(bound, 2 * math.ulp(0.0) * (1 + len(span) / s_tt))
                 assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=bound)
 
+    # Full windows are fitted in chunks of 2**16 // width windows: 21 at width
+    # 3000 (24 chunks of 3500 records), 6553 at width 10 (2 chunks of 7000).
+    @pytest.mark.parametrize("n, window, seams", [(3500, 3000, 23), (7000, 10, 1)])
+    def test_rows_beside_chunk_seams_equal_estimate_velocity(self, n, window, seams):
+        rng = np.random.default_rng(window)
+        t = 1.7e9 + 0.1 * np.arange(n)
+        u = t - t[0]
+        smooth = np.column_stack([5e3 + 3.0 * u, -2.0 * u, 0.01 * u * u, 1e2 * np.sin(u / 50)])
+        data = np.column_stack([t, smooth + rng.uniform(-0.05, 0.05, (n, 4))])
+        fits = _velocity_fits(data, window)
+        firsts = range(window - 1 + 2**16 // window, n, 2**16 // window)
+        assert len(firsts) == seams
+        for i in [row for first in firsts for row in (first - 1, first)]:
+            span = data[_trailing(i, window) : i + 1]
+            vk, vl = estimate_velocity(span, "k"), estimate_velocity(span, "l")
+            for c, want in enumerate((vk.x, vk.y, vl.x, vl.y)):
+                # The tolerance of test_equals_estimate_velocity_on_window_slice.
+                xs = span[:, 1 + c]
+                bound = 1e-9 * (xs.max() - xs.min()) / (span[-1, 0] - span[0, 0])
+                assert fits[i, c] == pytest.approx(want, rel=1e-9, abs=bound)
+
 
 class TestSceneConfig:
     def test_defaults(self):
