@@ -2,19 +2,22 @@
 
 Includes the disc-relation graph, the motion-relation graph drawn from the
 touching cells of the classifier's state code (`stories.CELLS`), BFS
-shortest paths for trajectory control and DOT/JSON export.
-`motionstories.validate` checks the motion graph against actual continuous
-transitions, witnessing each edge from the same touching cells.
+shortest paths for trajectory control and DOT/JSON export.  The touching
+cells are decoded once per configuration (`motion_edges`), for the motion
+graph and for `motionstories.validate`, which witnesses each edge from them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
-from .stories import CELLS, RIGID_STORIES, AugmentedRelation, RccRelation, relation_config
+from .stories import (
+    CELLS, RELATIONS, RIGID_STORIES, AugmentedRelation, RccRelation, relation_config
+)
 
 _R = RccRelation
 
@@ -84,14 +87,28 @@ def touching_cells(config: str) -> Iterator[tuple[Cell, Cell]]:
         yield from ((cell, c) for c in near if c in cells)
 
 
+@functools.cache
+def motion_edges(config: str) -> dict[tuple[int, int], tuple[Cell, Cell]]:
+    """The edges of the configuration's motion graph, each keyed by the codes
+    of its ends (indices into `RELATIONS[config]`) both ways round, mapped to
+    the first touching cell pair (`touching_cells`) that decodes to them, in
+    the key's order.  Cached: callers share one table and must not change it."""
+    code = {a: k for k, a in enumerate(RELATIONS[config])}
+    cells, pairs = {cell: code[a] for cell, a in CELLS[config].items()}, {}
+    for x, y in touching_cells(config):
+        pairs.setdefault((cells[x], cells[y]), (x, y))
+        pairs.setdefault((cells[y], cells[x]), (y, x))
+    return pairs
+
+
 def motion_cng(aug: Iterable[AugmentedRelation]) -> Cng:
     """Neighborhood graph of the motion relations: two relations are
     neighbours when touching cells of the state code decode to them
-    (`touching_cells`)."""
+    (`motion_edges`)."""
     nodes = frozenset(aug)
     config = relation_config(nodes)
-    cells = CELLS[config]
-    edges = frozenset(frozenset((cells[x], cells[y])) for x, y in touching_cells(config))
+    relations = RELATIONS[config]
+    edges = frozenset(frozenset((relations[a], relations[b])) for a, b in motion_edges(config))
     return Cng(nodes=nodes, edges=edges)
 
 

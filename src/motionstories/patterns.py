@@ -116,9 +116,13 @@ def match_pattern(
     return results
 
 
-# The first relation of each "lt" story by increasing miss distance: DC while
-# approaching, ending in the forever-disconnected S11(DC).
-AVOIDANCE_PATTERN = Pattern.from_relations([augmented_chain(r.story)[0] for r in REGIMES["lt"]])
+# The first relation of each story of a configuration by increasing miss
+# distance: DC while approaching, ending in the forever-disconnected S11(DC).
+_AVOIDANCE = {
+    config: Pattern.from_relations([augmented_chain(r.story)[0] for r in table])
+    for config, table in REGIMES.items()
+}
+AVOIDANCE_PATTERN = _AVOIDANCE["lt"]
 
 
 def detect_avoidance(
@@ -128,15 +132,18 @@ def detect_avoidance(
     chain of stories with increasing closest-approach distance that ends in
     the forever-disconnected story.
 
-    Strict mode (default) requires every step of the canonical five-story
-    chain; relaxed mode accepts any strictly distance-rank-increasing DC−
-    chain ending at S11(DC), tolerating skipped intermediate stories.  Every
-    DC− relation belongs to a non-rigid story, so each has a rank.
+    Strict mode (default) requires every step of one configuration's own
+    chain: five stories for unequal radii (`AVOIDANCE_PATTERN` for disc k
+    the smaller), four for equal ones.  The chains start with distinct
+    relations, so their matches never overlap.  Relaxed mode accepts any
+    strictly distance-rank-increasing DC− chain ending at S11(DC),
+    tolerating skipped intermediate stories.  Every DC− relation belongs to
+    a non-rigid story, so each has a rank.
     """
-    if not relaxed:
-        return match_pattern(stream, AVOIDANCE_PATTERN)
-
     seq = dedup(stream)
+    if not relaxed:
+        found = [m for p in _AVOIDANCE.values() for m in match_pattern(seq, p)]
+        return sorted(found, key=lambda m: m.start_index)
     goal = AugmentedRelation(StoryId.S11, RccRelation.DC, Phase.NONE)
 
     def is_dc_minus(aug: AugmentedRelation) -> bool:

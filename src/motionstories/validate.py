@@ -3,19 +3,19 @@
 Does the derived motion graph match the transitions actually reachable
 through small phase-space perturbations?  A check runs on the radii's
 `stories.axis`, which places every miss distance and center distance of a
-witness or a random state in its row (`Axis.pick`, `Axis.inside`), the rows
-read through `stories.ROW_OF`.  Every witness and trial is a batch column of
-relative motion (`_moving`, `_comoving`), and every batch is classified on
-the axis as indices into `stories.RELATIONS`
-(`stories.augmented_relation_indices`); a state it rejects, code -1, holds
-no relation.  The graph's nodes must be exactly the radii's
-`stories.augmented_set`, and it is read as a code-by-code adjacency.  An
-edge is witnessed from a pair of touching cells that decode to its ends
-(`neighborhood.touching_cells`, the rule the graph is drawn by), one state
-in each cell, all edges in one array pass (`_witnesses`); a pair of
-relations no touching cells decode to has no witness.  Each sampled
-non-edge draws its trials from its own generator, but the trials of as many
-whole pairs as fit in `_BATCH_COLUMNS` columns are built in one array pass
+witness or a random state in its row (`Axis.pick`, `Axis.inside`), a
+relation's rows read from its first cell in `stories.CELLS`.  Every witness
+and trial is a batch column of relative motion (`_moving`, `_comoving`),
+and every batch is classified on the axis as indices into
+`stories.RELATIONS` (`stories.augmented_relation_indices`); a state it
+rejects, code -1, holds no relation.  The graph's nodes must be exactly the
+radii's `stories.augmented_set`, and it is read as a code-by-code
+adjacency.  An edge is witnessed from the touching cell pair that the
+graph's own table holds for its ends (`neighborhood.motion_edges`), one
+state in each cell, all edges in one array pass (`_witnesses`); a pair of
+relations the table lacks has no witness.  Each sampled non-edge draws its
+trials from its own generator, but the trials of as many whole pairs as
+fit in `_BATCH_COLUMNS` columns are built in one array pass
 (`_draw_trials`), then classified and path-checked together.  Every path of
 one check (all edge witnesses, or all trials of a batch of pairs that end
 in their v) is classified on one grid and then bisected at every label
@@ -31,14 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neighborhood import Cell, Cng, touching_cells
+from .neighborhood import Cell, Cng, motion_edges
 from .stories import (
     CELLS,
     DEFAULT_TOLERANCE,
     REGIMES,
     RELATIONS,
-    RIGID_STORIES,
-    ROW_OF,
     STORY_LABELS,
     AugmentedRelation,
     Axis,
@@ -47,7 +45,6 @@ from .stories import (
     augmented_relation_indices,
     augmented_set,
     axis,
-    central,
 )
 
 _PATH_SAMPLES = 25
@@ -78,19 +75,6 @@ class ValidationReport:
         return not self.unwitnessed_edges and not self.spurious_transitions
 
 
-@functools.cache
-def _touching(config: str) -> dict[tuple[int, int], tuple[Cell, Cell]]:
-    """The first touching cell pair (`neighborhood.touching_cells`) that
-    decodes to each edge of the configuration's motion graph, both ways
-    round, by the edge's codes (indices into `RELATIONS[config]`)."""
-    code = {a: k for k, a in enumerate(RELATIONS[config])}
-    cells, pairs = {cell: code[a] for cell, a in CELLS[config].items()}, {}
-    for x, y in touching_cells(config):
-        pairs.setdefault((cells[x], cells[y]), (x, y))
-        pairs.setdefault((cells[y], cells[x]), (y, x))
-    return pairs
-
-
 # A trial's kind (rigid, on a band row, on an interior row) and the uniforms
 # it draws, in one block: the last rows of its column of 9, in draw order.
 # A uniform r in [0, 1) drawn on [lo, hi) is lo + (hi - lo) r, bit for bit as
@@ -102,17 +86,17 @@ _UNIFORMS = (2, 6, 9)
 @functools.cache
 def _kinds(config: str) -> np.ndarray:
     """Per relation code of one configuration, a column of what its trials
-    read: their kind, the rows of the relation and of its story's closest
-    approach (the relation's, for a rigid story), and as 0 or 1 whether it
-    is its story's central relation (the one of phase NONE), whether that
-    story has several labels, and whether its phase is PLUS."""
-    table, row_of, columns = REGIMES[config], ROW_OF[config], []
+    read from the first cell (i, j, rigid, closing) of `CELLS[config]` that
+    decodes to it: their kind, the rows j now and i at closest approach, and
+    as 0 or 1 whether it is central (of phase NONE), whether its story has
+    several labels, and whether its phase is PLUS."""
+    table, columns = REGIMES[config], []
+    first = {a: cell for cell, a in reversed(CELLS[config].items())}
     for a in RELATIONS[config]:
-        rigid = a.story in RIGID_STORIES[config]
-        low = row_of[a.rel if rigid else a.story]
-        kind = _RIGID if rigid else _INTERIOR if table[low].band is None else _BAND
+        i, j, rigid, _ = first[a]
+        kind = _RIGID if rigid else _INTERIOR if table[i].band is None else _BAND
         columns.append((
-            kind, row_of[a.rel], low, a == central(a.story),
+            kind, j, i, a.phase is Phase.NONE,
             len(STORY_LABELS[a.story]) > 1, a.phase is Phase.PLUS,
         ))
     kinds = np.array(columns).T
@@ -168,11 +152,11 @@ def _continuous_transitions(
     Each path is first sampled on a grid of `_PATH_SAMPLES` steps; wrong ends
     or a third label there fail it.  Then every label change is bisected on
     both sides of each new midpoint until its bracket is at most
-    `_BISECT_FLOOR * max(1, |s0|, |s1|)` wide, so intermediate regimes
-    narrower than the grid step are still discovered; a third label fails the
-    path.  Every open bracket of every path is bisected together, one batch
-    per level.  A state the classifier rejects (code -1) is neither u[p] nor
-    v[p], so it fails its path.
+    `_BISECT_FLOOR` wide (every s lies in [0, 1]), so intermediate regimes
+    narrower than the grid step are still discovered; a third label fails
+    the path.  Every open bracket of every path is bisected together, one
+    batch per level.  A state the classifier rejects (code -1) is neither
+    u[p] nor v[p], so it fails its path.
     """
     n = cu.shape[1]
     u, v = np.broadcast_to(u, n), np.broadcast_to(v, n)
@@ -187,8 +171,7 @@ def _continuous_transitions(
     brackets = p, steps[k], grid[p, k], steps[k + 1], grid[p, k + 1]
     while True:
         p, s0, r0, s1, r1 = brackets
-        floor = _BISECT_FLOOR * np.maximum(1.0, np.maximum(abs(s0), abs(s1)))
-        live = ok[p] & (s1 - s0 > floor)
+        live = ok[p] & (s1 - s0 > _BISECT_FLOOR)
         if not live.any():
             return ok
         p, s0, r0, s1, r1 = (x[live] for x in brackets)
@@ -331,7 +314,7 @@ def validate_motion_cng(
     ax = axis(r_k, r_l, tol)
     rng = np.random.default_rng(seed)
     report = ValidationReport()
-    relations, touching = RELATIONS[ax.config], _touching(ax.config)
+    relations, touching = RELATIONS[ax.config], motion_edges(ax.config)
     code = {a: k for k, a in enumerate(relations)}
 
     # The graph over codes: RELATIONS is sorted by str, so its upper triangle,

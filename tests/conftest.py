@@ -33,6 +33,13 @@ def points_to_csv(points: list[tuple[float, float]]) -> str:
     return "\n".join(rows) + "\n"
 
 
+def swap_discs(csv: str) -> str:
+    """The same trajectory CSV with disc k's and disc l's columns swapped."""
+    header, *lines = csv.splitlines()
+    rows = (",".join((t, xl, yl, xk, yk)) for t, xk, yk, xl, yl in (r.split(",") for r in lines))
+    return "\n".join([header, *rows]) + "\n"
+
+
 @pytest.fixture(scope="session")
 def avoidance_csv() -> str:
     return points_to_csv(steered_avoidance_points())
@@ -41,3 +48,10 @@ def avoidance_csv() -> str:
 @pytest.fixture(scope="session")
 def reversed_avoidance_csv() -> str:
     return points_to_csv(list(reversed(steered_avoidance_points())))
+
+
+@pytest.fixture(scope="session")
+def swapped_avoidance_csv() -> str:
+    """The steered avoidance with the discs swapped: read at radii 2 and 1,
+    it is the "gt" chain."""
+    return swap_discs(points_to_csv(steered_avoidance_points()))

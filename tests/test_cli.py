@@ -376,6 +376,21 @@ class TestRecognizeCommand:
         assert main(["--window", "2", "recognize", str(path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == [{"start": 0, "end": 4}]
 
+    def test_detects_avoidance_when_disc_k_is_the_larger(
+        self, tmp_path, capsys, swapped_avoidance_csv
+    ):
+        # Strict matching reads each configuration's own chain, here the
+        # "gt" one, as relaxed matching does.
+        path = tmp_path / "swapped.csv"
+        path.write_text(swapped_avoidance_csv)
+        radii = ["--rk", "2", "--rl", "1", "--window", "2"]
+        assert main([*radii, "classify", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["S15I(DC-)", "S14I(DC-)", "S13(DC-)", "S12(DC-)", "S11(DC)"]
+        for relaxed in ([], ["--relaxed"]):
+            assert main([*radii, "recognize", *relaxed, str(path)]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out) == [{"start": 0, "end": 4}]
+
     def test_reversal_is_not_avoidance(self, tmp_path, capsys, reversed_avoidance_csv):
         path = tmp_path / "reversed.csv"
         path.write_text(reversed_avoidance_csv)

@@ -17,6 +17,7 @@ import motionstories.validate
 from motionstories.neighborhood import (
     Cng,
     motion_cng,
+    motion_edges,
     rcc_cng,
     shortest_path,
     to_dot,
@@ -53,12 +54,14 @@ from motionstories.validate import (
     _BATCH_COLUMNS,
     _BISECT_FLOOR,
     _PATH_SAMPLES,
+    _BAND,
+    _RIGID,
     _comoving,
     _continuous_transitions,
     _draw_trials,
+    _kinds,
     _moving,
     _pair_trials,
-    _touching,
     _witnesses,
     validate_motion_cng,
 )
@@ -330,6 +333,21 @@ class TestMotionCng:
         assert _continuous_transitions(rest, kicked, _code(ax, u), _code(ax, v), ax).tolist() == [True]
         assert not graph.has_edge(u, v)
 
+    @pytest.mark.parametrize("config", ["lt", "gt", "eq"])
+    def test_edges_are_the_decoded_keys_of_the_one_table(self, config):
+        # The graph and its check read one table: its keys, decoded, are the
+        # graph's edges, both ways round, and each entry's touching cell pair
+        # decodes through CELLS to the entry's two codes.
+        relations, table = RELATIONS[config], motion_edges(config)
+        touching = {p for x, y in touching_cells(config) for p in ((x, y), (y, x))}
+        g = motion_cng(relations)
+        assert g.edges == {frozenset((relations[a], relations[b])) for a, b in table}
+        assert len(table) == 2 * len(g.edges)
+        for (a, b), (x, y) in table.items():
+            assert (b, a) in table
+            assert (CELLS[config][x], CELLS[config][y]) == (relations[a], relations[b])
+            assert (x, y) in touching
+
     def test_mirror_and_equal_configurations(self):
         g_gt = motion_cng(augmented_set(2.0, 1.0))
         assert len(g_gt.nodes) == 29 and len(g_gt.edges) == 60
@@ -495,7 +513,7 @@ def _edge_witness(
     """The validator's two witness columns of one edge, in (a, b) order: its
     batched `_witnesses` of the first touching cell pair that decodes to a
     and b.  Raises ValueError when no touching cells decode to them."""
-    touching = _touching(ax.config)
+    touching = motion_edges(ax.config)
     key = _code(ax, a), _code(ax, b)
     if key not in touching:
         raise ValueError(f"no touching cells decode to {a} and {b}")
@@ -583,6 +601,25 @@ class TestBatchedTrials:
         assert len(raising) == n * (n - 1) // 2 - len(g.edges)
         assert not raising & g.edges
 
+    @pytest.mark.parametrize("config", ["lt", "gt", "eq"])
+    def test_kinds_read_from_the_cells_mean_what_the_catalogue_says(self, config):
+        # Each code's kind, rows and flags, read from its first cell, against
+        # the catalogue's own tables.
+        row_of, rigid_stories, table = ROW_OF[config], RIGID_STORIES[config], REGIMES[config]
+        kinds = _kinds(config)
+        assert kinds.shape == (6, len(RELATIONS[config]))
+        for a, column in zip(RELATIONS[config], kinds.T.tolist()):
+            kind, now, low, is_central, several, plus = column
+            rigid = a.story in rigid_stories
+            assert (kind == _RIGID) == rigid, a
+            assert now == row_of[a.rel], a
+            assert low == row_of[a.rel if rigid else a.story], a
+            if not rigid:
+                assert (kind == _BAND) == (table[low].band is not None), a
+            assert is_central == (a == central(a.story)), a
+            assert several == (len(STORY_LABELS[a.story]) > 1), a
+            assert plus == (a.phase is Phase.PLUS), a
+
     @pytest.mark.parametrize("rule", ["crossed closing", "widened diagonal"])
     @pytest.mark.parametrize("rk, rl, extra", [(1.0, 2.0, 12), (2.0, 1.0, 12), (1.5, 1.5, 6)])
     def test_a_wrong_touching_rule_leaves_its_extra_edges_unwitnessed(
@@ -606,15 +643,15 @@ class TestBatchedTrials:
         full = motion_cng(augmented_set(rk, rl))
         wrong = {"crossed closing": crossed_closing, "widened diagonal": widened_diagonal}[rule]
         monkeypatch.setattr(motionstories.neighborhood, "touching_cells", wrong)
-        monkeypatch.setattr(motionstories.validate, "touching_cells", wrong)
-        monkeypatch.setattr(
-            motionstories.validate, "_touching", motionstories.validate._touching.__wrapped__
-        )
-        g = motion_cng(augmented_set(rk, rl))
-        added = g.edges - full.edges
-        assert len(added) == extra
-        report = validate_motion_cng(g, rk, rl, n_pairs=0, n_trials=0)
-        assert {frozenset(e) for e in report.unwitnessed_edges} == added
+        motion_edges.cache_clear()
+        try:
+            g = motion_cng(augmented_set(rk, rl))
+            added = g.edges - full.edges
+            assert len(added) == extra
+            report = validate_motion_cng(g, rk, rl, n_pairs=0, n_trials=0)
+            assert {frozenset(e) for e in report.unwitnessed_edges} == added
+        finally:
+            motion_edges.cache_clear()
 
     def test_trials_replay_from_the_seed_and_pair_index(self):
         g = motion_cng(augmented_set(1.0, 2.0))

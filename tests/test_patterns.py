@@ -31,6 +31,12 @@ AVOIDANCE = [
     aug("S15(DC-)"), aug("S14(DC-)"), aug("S13(DC-)"),
     aug("S12(DC-)"), aug("S11(DC)"),
 ]
+# The "gt" and "eq" configurations' own avoidance chains.
+AVOIDANCE_GT = [
+    aug("S15I(DC-)"), aug("S14I(DC-)"), aug("S13(DC-)"),
+    aug("S12(DC-)"), aug("S11(DC)"),
+]
+AVOIDANCE_EQ = [aug("S15E(DC-)"), aug("S13(DC-)"), aug("S12(DC-)"), aug("S11(DC)")]
 
 
 class TestDedup:
@@ -114,6 +120,22 @@ class TestMatchPattern:
 class TestDetectAvoidance:
     def test_strict_detects_full_chain(self):
         assert detect_avoidance(AVOIDANCE) == [MatchResult(0, 4)]
+
+    def test_strict_detects_each_configurations_chain(self):
+        assert detect_avoidance(AVOIDANCE_GT) == [MatchResult(0, 4)]
+        assert detect_avoidance(AVOIDANCE_EQ) == [MatchResult(0, 3)]
+        assert detect_avoidance(AVOIDANCE_GT, relaxed=True) == [MatchResult(0, 4)]
+        assert detect_avoidance(AVOIDANCE_EQ, relaxed=True) == [MatchResult(0, 3)]
+
+    def test_strict_matches_of_several_chains_come_in_stream_order(self):
+        stream = AVOIDANCE_EQ + AVOIDANCE + AVOIDANCE_GT
+        assert detect_avoidance(stream) == [MatchResult(0, 3), MatchResult(4, 8), MatchResult(9, 13)]
+
+    def test_strict_rejects_mixed_or_skipped_chains_of_other_configurations(self):
+        mixed = [aug("S15I(DC-)"), aug("S14(DC-)"), aug("S13(DC-)"), aug("S12(DC-)"), aug("S11(DC)")]
+        assert detect_avoidance(mixed) == []
+        assert detect_avoidance([AVOIDANCE_EQ[0], *AVOIDANCE_EQ[2:]]) == []
+        assert detect_avoidance(AVOIDANCE_GT[1:]) == []
 
     def test_strict_rejects_skipped_story(self):
         skipped = [aug("S15(DC-)"), aug("S14(DC-)"), aug("S12(DC-)"), aug("S11(DC)")]
