@@ -8,16 +8,16 @@ rigid motion every sample is one float, so one `math.hypot` and its row give
 the one-label story over the grid's interval.  Otherwise the grid is
 `np.linspace`'s arithmetic on a cached ramp, and one array pass,
 `stories.hypot_at_breaks`, the rule the batch classifier shares, yields its
-distances and their rows with one search of the breaks' guard table:
-`np.hypot`'s distance and its row stand in the gaps between the table's
-intervals, and `math.hypot` is taken again, with its row, only inside them,
-where a sample's last bit could move a row, and on samples that could tie
-with the minimum, so the grid's rows and the minimum's index are those of
+distances and their rows: `math.hypot` is taken again, with its row, only
+where a sample's last bit could move a row.  The sampler itself takes again
+the samples that could tie with the minimum and rejects an infinite
+distance, so the grid's rows and the minimum's index are those of
 `center_distance_at`.  Only its two searches are scalar, and both read one
 float closure of the motion: `_refine_minimum` fits parabolas through the
-least distances, and `resolve_changes` takes secant steps toward each label
-change's break, with a midpoint after any that does not halve its bracket,
-down to adjacent floats.
+least distances until a step rounds onto a sample it has, and
+`resolve_changes` takes secant steps toward each label change's break, with
+a midpoint after any that does not halve its bracket, down to adjacent
+floats.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def _refine_minimum(
     they do not bend up or the vertex is outside the bracket or not nearer than
     half the step before last.  It stops where the vertex is not a float of
     distance below the best, at 2^-52 of the first bracket, or where a step
-    rounds to the best.  Each factor of the vertex is a time, a slope or a
-    ratio of them, so none overflows."""
+    rounds onto a sample taken: the best or an end.  Each factor of the
+    vertex is a time, a slope or a ratio of them, so none overflows."""
     (a, _), (x, fx), (b, _) = lo, best, hi
     floor, least = _MIN_FLOOR * (b - a), sorted({lo, best, hi}, key=lambda p: p[1])
     before = step = b - a
@@ -134,7 +134,7 @@ def _refine_minimum(
         else:
             side = a - x if x - a > b - x else b - x
             before, step, u = abs(side), abs(side) * _GOLDEN, x + side * _GOLDEN
-        if u == x:
+        if u in (a, x, b):
             break
         fu = distance(u)
         if fu < fx:
@@ -219,12 +219,13 @@ def sample_story(
 
     points = operator.index(plan.points)
     grid = _grid(half, points)
-    with np.errstate(over="ignore"):  # the pass rejects the infinite distance
+    with np.errstate(over="ignore"):
         xs, ys = px + vx * grid, py + vy * grid
-        # Samples that could tie with the minimum are taken again too.
-        dists, rows = hypot_at_breaks(
-            xs, ys, breaks, lambda d: d <= d.min() * (1.0 + HYPOT_MARGIN), finite=True
-        )
+        dists, rows = hypot_at_breaks(xs, ys, breaks)
+        # Samples that could tie with the minimum are taken again; their rows stand.
+        at = np.flatnonzero(dists <= dists.min() * (1.0 + HYPOT_MARGIN))
+        dists[at] = list(map(math.hypot, xs[at].tolist(), ys[at].tolist()))
+    ax.row(float(dists.max()))  # an infinite distance raises, as under rigid motion
 
     # Locate the minimum-distance instant; tangency stories are visible only there.
     i_min, last = int(np.argmin(dists)), points - 1

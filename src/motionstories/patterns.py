@@ -119,10 +119,9 @@ def match_pattern(
 # The first relation of each story of a configuration by increasing miss
 # distance: DC while approaching, ending in the forever-disconnected S11(DC).
 _AVOIDANCE = {
-    config: Pattern.from_relations([augmented_chain(r.story)[0] for r in table])
-    for config, table in REGIMES.items()
+    config: tuple(augmented_chain(r.story)[0] for r in table) for config, table in REGIMES.items()
 }
-AVOIDANCE_PATTERN = _AVOIDANCE["lt"]
+AVOIDANCE_PATTERN = Pattern.from_relations(_AVOIDANCE["lt"])
 
 
 def detect_avoidance(
@@ -132,18 +131,16 @@ def detect_avoidance(
     chain of stories with increasing closest-approach distance that ends in
     the forever-disconnected story.
 
-    Strict mode (default) requires every step of one configuration's own
-    chain: five stories for unequal radii (`AVOIDANCE_PATTERN` for disc k
-    the smaller), four for equal ones.  The chains start with distinct
-    relations, so their matches never overlap.  Relaxed mode accepts any
-    strictly distance-rank-increasing DC− chain ending at S11(DC),
-    tolerating skipped intermediate stories.  Every DC− relation belongs to
-    a non-rigid story, so each has a rank.
+    One scan reads each longest run of DC− relations of strictly rising
+    distance rank (every DC− relation belongs to a non-rigid story, so each
+    has a rank); a run followed by S11(DC) is a match in relaxed mode, which
+    tolerates skipped intermediate stories.  Strict mode (default) takes it
+    only where the run and S11(DC) are one configuration's own chain: five
+    stories for unequal radii (`AVOIDANCE_PATTERN` for disc k the smaller),
+    four for equal ones.  Every chain starts at rank 0, so none starts
+    inside a longer run.
     """
     seq = dedup(stream)
-    if not relaxed:
-        found = [m for p in _AVOIDANCE.values() for m in match_pattern(seq, p)]
-        return sorted(found, key=lambda m: m.start_index)
     goal = AugmentedRelation(StoryId.S11, RccRelation.DC, Phase.NONE)
 
     def is_dc_minus(aug: AugmentedRelation) -> bool:
@@ -162,11 +159,10 @@ def detect_avoidance(
             and STORY_RANK[seq[j + 1].story] > STORY_RANK[seq[j].story]
         ):
             j += 1
-        if j + 1 < len(seq) and seq[j + 1] == goal:
+        run = tuple(seq[i : j + 2])  # and the relation after it, if any
+        if run[-1] == goal and (relaxed or run in _AVOIDANCE.values()):
             results.append(MatchResult(i, j + 1))
-            i = j + 2
-        else:
-            i = j + 1
+        i = j + 1
     return results
 
 

@@ -18,11 +18,11 @@ the band rows, the distances where the walk's row steps up.  It gives every
 distance its row, for `classify_discs`, `story_of` and
 `augmented_relation_indices` alike.  `hypot_at_breaks` takes an array of
 distances from positions and places each in its row with one search of a
-guard table, built once per breaks: the merged intervals of distances whose
-last bits could move a row, taken again with `math.hypot`, and the row of
-each gap between them; for `augmented_relation_indices` and the sampling
-oracle.  The axis is also the one rule that places arrays of distances in
-rows (`Axis.pick`, kept inside each row's float extent by `Axis.inside`).
+guard table, built once per tuple of breaks: the merged intervals of
+distances whose last bits could move a row, taken again with `math.hypot`,
+and the row of each gap between them; the same for every caller.  The axis
+is also the one rule that places arrays of distances in rows (`Axis.pick`,
+kept inside each row's float extent by `Axis.inside`).
 Each story is a qualitative motion relation, and pairing it with the
 current spatial relation (plus a phase, MINUS before closest approach and
 PLUS after, for the repeated labels) gives the augmented motion relations.
@@ -39,7 +39,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -655,34 +654,23 @@ def _guards(breaks: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hypot_at_breaks(
-    x: np.ndarray, y: np.ndarray, breaks: np.ndarray | Sequence[float],
-    also: Callable[[np.ndarray], np.ndarray] | None = None, finite: bool = False,
+    x: np.ndarray, y: np.ndarray, breaks: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`np.hypot` of x and y, and the row of each d, `np.searchsorted(breaks,
-    d, "right")`, placed by one search of the guard table `_guards` builds
-    once per sorted `breaks` (a sequence or an array).  Where d (1 -
-    `HYPOT_MARGIN`) and d (1 + `HYPOT_MARGIN`) have one row, d has it too.  d is taken again with
+    """`np.hypot` of x and y, and the row of each d, `bisect_right(breaks,
+    d)`, placed by one search of the guard table `_guards` builds once per
+    sorted tuple `breaks`.  Where d (1 - `HYPOT_MARGIN`) and d (1 +
+    `HYPOT_MARGIN`) have one row, d has it too.  d is taken again with
     `math.hypot` (as `Vec2.norm`), and its row with `bisect_right`, where
-    those two rows differ, where d is subnormal or its margin overflows (so
-    where it is infinite), and where `also(d)` holds; so each d has the row
-    of `math.hypot`'s, bit for bit where it was taken again.  (A NaN d is NaN
-    from both, in the last row.)  With `finite`, the first infinite d, or NaN
-    one taken again, raises `Axis.row`'s ValueError.  Overflow warnings are
-    the caller's to silence."""
-    breaks = tuple(np.asarray(breaks, dtype=float).tolist())
+    those two rows differ and where d is subnormal or its margin overflows
+    (so where it is infinite); so each d has the row of `math.hypot`'s, bit
+    for bit where it was taken again.  (A NaN d is NaN from both, in the
+    last row.)  Overflow warnings are the caller's to silence."""
     edges, counts = _guards(breaks)
     d = np.hypot(x, y)
     k = np.searchsorted(edges, d, "right")
-    rows, redo = counts[k >> 1], k & 1  # an odd k lies in an interval
-    if also is not None:
-        redo = redo | also(d)
-    at = np.flatnonzero(redo)
+    rows = counts[k >> 1]
+    at = np.flatnonzero(k & 1)  # an odd k lies in an interval
     d[at] = exact = list(map(math.hypot, x[at].tolist(), y[at].tolist()))
-    # Every infinite d is among those taken again and makes their sum
-    # infinite; a sum that merely overflows finds none.
-    if finite and not sum(exact) < math.inf:
-        for v in exact:
-            _require_distance(v)
     rows[at] = [bisect_right(breaks, v) for v in exact]
     return d, rows
 
@@ -701,7 +689,7 @@ def augmented_relation_indices(
         a = dvx * dvx + dvy * dvy
         dot = dpx * dvx + dpy * dvy
         d_min = np.abs(dpx * dvy - dpy * dvx) / np.sqrt(a)
-        d, j = hypot_at_breaks(dpx, dpy, ax.break_array)
+        d, j = hypot_at_breaks(dpx, dpy, ax.breaks)
         rigid = a < MIN_MOVING_SPEED_SQ
         # hypot is finite exactly when both its arguments are.
         usable = np.isfinite([d, dvx, dvy]).all(axis=0) & (

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -309,6 +310,10 @@ def validate_motion_cng(
     numbers overflow) holds no relation: it is no trial of u, fails every
     path through it and so leaves its edge unwitnessed.
     """
+    for name, n in (("n_pairs", n_pairs), ("n_trials", n_trials)):
+        if not hasattr(type(n), "__index__") or operator.index(n) < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+    n_pairs, n_trials = operator.index(n_pairs), operator.index(n_trials)
     if g.nodes != augmented_set(r_k, r_l, tol):
         raise ValueError("graph nodes are not the augmented relations of the given radii")
     ax = axis(r_k, r_l, tol)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 import warnings
 from collections.abc import Callable
 from fractions import Fraction
@@ -403,6 +404,20 @@ class TestValidation:
             g = Cng(full.nodes, full.edges | {extra})
             report = validate_motion_cng(g, 1.0, 2.0, n_pairs=0, n_trials=0)
             assert report.unwitnessed_edges == [(aug(first), aug(second))]
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_pairs", -1), ("n_trials", -5), ("n_pairs", 2.5), ("n_trials", np.float64(3.0))]
+    )
+    def test_rejects_a_negative_or_fractional_count(self, name, value):
+        g = motion_cng(augmented_set(1.0, 2.0))
+        message = f"{name} must be a non-negative integer, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            validate_motion_cng(g, 1.0, 2.0, **{name: value})
+
+    def test_takes_numpy_integer_counts(self):
+        g = motion_cng(augmented_set(1.0, 2.0))
+        plain = validate_motion_cng(g, 1.0, 2.0, n_pairs=3, n_trials=5)
+        assert validate_motion_cng(g, 1.0, 2.0, n_pairs=np.int64(3), n_trials=np.uint8(5)) == plain
 
     @pytest.mark.parametrize(
         "rk, rl", [(1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (1.0, 1.0 + 5e-10), (1.0, 1.0 + 1e-6)]

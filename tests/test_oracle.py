@@ -348,8 +348,19 @@ class TestArrayGrid:
         state = UniformMotionState(
             Disc(Vec2(0.0, 0.0), 1.0), Vec2(0.0, 0.0), Disc(Vec2(1.0, 0.0), 2.0), Vec2(1e300, 0.0)
         )
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=r"^center distance must be finite and >= 0, got inf$"):
             sample_story(state, SamplingPlan(0.0, 1e10, 21))
+
+    @pytest.mark.parametrize("vx", [1e307, -1e307])
+    def test_overflow_at_one_end_of_the_grid_raises(self, vx):
+        # The samples at one end lie past the largest float; the least
+        # distance, at the other, is finite.
+        state = UniformMotionState(
+            Disc(Vec2(0.0, 0.0), 1.0), Vec2(0.0, 0.0), Disc(Vec2(math.copysign(1.78e308, vx), 0.0), 2.0),
+            Vec2(vx, 0.0),
+        )
+        with pytest.raises(ValueError, match=r"^center distance must be finite and >= 0, got inf$"):
+            sample_story(state, SamplingPlan(0.0, 1.0, 11))
 
 
 def _rigid_reference(state, plan, tol):
@@ -652,6 +663,44 @@ def _rows(out, breaks):
     return [(t, bisect.bisect_right(breaks, d)) for t, d in out]
 
 
+# A plan about 1e-307 s wide: every grid distance rounds to one float, so the
+# least is the first and the minimum's bracket is the grid's first two
+# instants.  From the first, the golden step rounds onto the second.
+_NARROW_STATE = UniformMotionState(
+    Disc(Vec2(0.0, 0.0), 1.0), Vec2(0.0, 0.0),
+    Disc(Vec2(1.6177281034193953, 1.0), 2.0), Vec2(1.2150516959952737e267, -2.3593731213285383e141),
+)
+_NARROW_PLAN = SamplingPlan(0.988784897199986, 1.4246875747002734e-307, 11)
+
+
+def _limited(f, calls):
+    """f, raising once it has been called `calls` times."""
+    count = iter(range(calls))
+
+    def limited(*args):
+        if next(count, None) is None:
+            raise AssertionError(f"more than {calls} calls")
+        return f(*args)
+
+    return limited
+
+
+class TestRefineMinimum:
+    def test_a_step_onto_a_bracket_end_stops(self):
+        mid, dp, dv = _NARROW_PLAN.middle, _NARROW_STATE.dp, _NARROW_STATE.dv
+        px, py = dp.x + dv.x * mid, dp.y + dv.y * mid
+        distance = _limited(lambda t: math.hypot(px + dv.x * t, py + dv.y * t), 300)
+        a, b = _grid(_NARROW_PLAN.half_width, _NARROW_PLAN.points)[:2].tolist()
+        lo, hi = (a, distance(a)), (b, distance(b))
+        assert lo[1] == hi[1]
+        assert _refine_minimum(distance, lo, lo, hi) == lo
+
+    def test_a_plan_narrower_than_a_float_step_returns(self, monkeypatch):
+        monkeypatch.setattr(math, "hypot", _limited(math.hypot, 1000))
+        got = sample_story(_NARROW_STATE, _NARROW_PLAN)
+        assert got.labels == (R.DC,) and got.boundaries == ()
+
+
 class TestResolveChanges:
     def test_finds_a_label_narrower_than_the_sample_spacing(self):
         # Label 1 holds on [0.33, 0.335): between the grid points 0.3 and 0.4.
@@ -826,6 +875,10 @@ class TestStateFactories:
             canonical_state(1.0, 2.0, -0.1, 1.0)
         with pytest.raises(ValueError):
             canonical_state(1.0, 2.0, 1.0, 1.0, speed=0.0)
+
+    def test_rigid_state_rejects_a_negative_distance(self):
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            rigid_state(1.0, 2.0, -1.0)
 
     def test_rigid_state_distance(self):
         s = rigid_state(1.0, 2.0, 4.0)

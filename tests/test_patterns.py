@@ -1,6 +1,6 @@
 import pytest
 
-from motionstories.neighborhood import motion_cng
+from motionstories.neighborhood import Cng, motion_cng
 from motionstories.patterns import (
     AVOIDANCE_PATTERN,
     MatchResult,
@@ -117,6 +117,12 @@ class TestMatchPattern:
         assert [r.start_index for r in results] == [0, 1, 2, 3]
 
 
+class TestMatchResult:
+    def test_rejects_a_start_past_its_end(self):
+        with pytest.raises(ValueError, match="start_index must not exceed end_index"):
+            MatchResult(2, 1)
+
+
 class TestDetectAvoidance:
     def test_strict_detects_full_chain(self):
         assert detect_avoidance(AVOIDANCE) == [MatchResult(0, 4)]
@@ -180,3 +186,7 @@ class TestControlSuggestion:
     def test_unknown_relation_raises(self, graph):
         with pytest.raises(KeyError):
             control_suggestion(aug("S15(DC-)"), "nowhere", graph)
+
+    def test_no_path_gives_none(self):
+        start, goal = aug("S15(DC-)"), aug("S11(DC)")
+        assert control_suggestion(start, goal, Cng(frozenset({start, goal}), frozenset())) is None

@@ -891,22 +891,19 @@ class TestOnePassPlacement:
             fast = np.hypot(x, y)
             low, high = fast * (1.0 - HYPOT_MARGIN), fast * (1.0 + HYPOT_MARGIN)
         exact = np.array(list(map(math.hypot, x.tolist(), y.tolist())))
-        ask = np.random.default_rng(5).random(len(x)) < 0.01
-        # Taken again, by the rule: the margin straddles a break, d is
-        # subnormal or its margin overflows, or `also` asks.
+        # Taken again, by the rule: the margin straddles a break, or d is
+        # subnormal or its margin overflows.
         margin = ax.break_array.searchsorted(low, "right") != ax.break_array.searchsorted(high, "right")
         odd = (fast < sys.float_info.min) | (high == math.inf)
         assert margin.any() and odd.any()
-        for breaks in (ax.break_array, ax.breaks):
-            for also, asked in ((None, False), (lambda d: ask, ask)):
-                with np.errstate(over="ignore"):
-                    d, rows = hypot_at_breaks(x, y, breaks, also)
-                assert rows.tolist() == np.searchsorted(ax.breaks, d, "right").tolist()
-                # Each row is that of math.hypot's distance.
-                assert rows.tolist() == np.searchsorted(ax.breaks, exact, "right").tolist()
-                retaken = margin | odd | asked
-                assert _same_bits(d[retaken], exact[retaken]).all()
-                assert _same_bits(d[~retaken], fast[~retaken]).all()
+        with np.errstate(over="ignore"):
+            d, rows = hypot_at_breaks(x, y, ax.breaks)
+        assert rows.tolist() == np.searchsorted(ax.breaks, d, "right").tolist()
+        # Each row is that of math.hypot's distance.
+        assert rows.tolist() == np.searchsorted(ax.breaks, exact, "right").tolist()
+        retaken = margin | odd
+        assert _same_bits(d[retaken], exact[retaken]).all()
+        assert _same_bits(d[~retaken], fast[~retaken]).all()
 
     @pytest.mark.parametrize("r_k, r_l, eps", _PLACEMENT_CASES)
     def test_codes_equal_the_two_search_path(self, r_k, r_l, eps):
@@ -915,19 +912,16 @@ class TestOnePassPlacement:
         got = augmented_relation_indices(*batch, axis(r_k, r_l, tol))
         assert got.tolist() == _math_hypot_indices(*batch, r_k, r_l, tol, _distances_only).tolist()
 
-    def test_finite_raises_for_the_first_infinite_distance(self):
+    def test_finite_distances_up_to_the_largest_float(self):
         ax = axis(1.0, 2.0)
         # The third distance is the largest float, taken again as its margin
-        # overflows; the fourth overflows.
-        x = np.array([0.5, 3.0, sys.float_info.max, 1.7e308, math.inf, 1.0])
-        y = np.array([0.0, 0.0, 1e300, 1.7e308, 0.0, 0.0])
+        # overflows.
+        x = np.array([0.5, 3.0, sys.float_info.max])
+        y = np.array([0.0, 0.0, 1e300])
         with np.errstate(over="ignore"):
-            for k in (0, 3, 4):
-                with pytest.raises(ValueError, match="center distance must be finite and >= 0, got inf"):
-                    hypot_at_breaks(x[k:], y[k:], ax.break_array, finite=True)
-            d, rows = hypot_at_breaks(x[:3], y[:3], ax.break_array, finite=True)
-            # Finite distances whose sum overflows pass.
-            top, top_rows = hypot_at_breaks(x[[2, 2]], y[[2, 2]], ax.break_array, finite=True)
+            d, rows = hypot_at_breaks(x, y, ax.breaks)
+            # Finite distances whose sum overflows.
+            top, top_rows = hypot_at_breaks(x[[2, 2]], y[[2, 2]], ax.breaks)
         assert d.tolist() == [0.5, 3.0, sys.float_info.max]
         assert rows.tolist() == [ax.row(0.5), ax.row(3.0), len(ax.breaks)]
         assert top.tolist() == [sys.float_info.max] * 2 and top_rows.tolist() == [len(ax.breaks)] * 2
@@ -1036,8 +1030,8 @@ class TestHypotMargin:
         assert got[::4].tolist() == scalar
 
     def test_retakes_only_near_a_break(self):
-        # Far from every break np.hypot stands; at a break's float, and where
-        # `also` asks, math.hypot's value is taken.
+        # Far from every break np.hypot stands; at a break's float
+        # math.hypot's value is taken.
         breaks = (1.0, 3.0)
         x, y = np.array([0.6, 1.8, 5e-324, 1.7e308]), np.array([0.8, 2.4, 0.0, 1.7e308])
         with np.errstate(over="ignore"):
@@ -1046,5 +1040,3 @@ class TestHypotMargin:
         rng = np.random.default_rng(3)
         x, y = rng.uniform(1.2, 1.5, 10_000), rng.uniform(1.2, 1.5, 10_000)
         assert hypot_at_breaks(x, y, breaks)[0].tolist() == np.hypot(x, y).tolist()
-        also, _ = hypot_at_breaks(x, y, breaks, lambda d: np.ones(len(d), bool))
-        assert also.tolist() == list(map(math.hypot, x.tolist(), y.tolist()))
